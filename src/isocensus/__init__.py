@@ -2,7 +2,7 @@
 
 from .census import (CensusReport, SubgroupHandle, index_k_subgroups,
                      run_census, subgroup_lattice_oracle)
-from .ffield import AmbientField, FieldElement, make_field
+from .ffield import AmbientField, FieldElement, VerificationError, make_field
 from .homs import (CokernelData, Isogeny, NormCoverIsogeny, check_image_index,
                    cokernel, fiber_product, induced_isogeny_reaches,
                    kernel_points, lang_map, power_isogeny, quotient_by_central)
@@ -15,8 +15,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientField", "BN_CATALOG", "CensusReport", "CokernelData",
     "FieldElement", "FiniteGroup", "GroupSpec", "Isogeny", "Matrix",
-    "NormCoverIsogeny", "OrderFormula", "SubgroupHandle", "bn_order",
-    "builtin_specs", "center_order", "check_image_index", "closed_order",
+    "NormCoverIsogeny", "OrderFormula", "SubgroupHandle", "VerificationError",
+    "bn_order", "builtin_specs", "center_order", "check_image_index",
+    "closed_order",
     "cokernel", "fiber_product", "index_k_subgroups",
     "induced_isogeny_reaches", "kernel_points", "lang_map", "make_field",
     "make_spec", "power_isogeny", "quotient_by_central", "rational_points",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .ffield import factorize
@@ -279,14 +280,8 @@ def _perm_order(p: tuple[int, ...]) -> int:
                 seen[j] = True
                 j = p[j]
                 length += 1
-            order = order * length // _gcd(order, length)
+            order = lcm(order, length)
     return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _factorial(k: int) -> int:

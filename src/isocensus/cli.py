@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd
+from math import gcd, lcm
 
 from . import census, homs, orderform
-from .experiments import (EXPERIMENT_IDS, ExperimentConfig, Runner,
-                          write_reports, _lcm)
+from .experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
 from .ffield import make_field
 from .matgroup import builtin_specs, make_spec, rational_points
 
@@ -57,7 +56,7 @@ def _emit(payload: dict) -> None:
 def _spec_degree(spec, n: int) -> int:
     d = spec.entry_degree(n)
     if spec.tag == "NormTorus" and (spec.q**n - 1) % 3 != 0 and spec.p != 3:
-        d = _lcm(d, 2 * spec.e * n)  # non-split point generators live upstairs
+        d = lcm(d, 2 * spec.e * n)  # non-split point generators live upstairs
     return d
 
 
@@ -108,19 +107,19 @@ def cmd_image(args) -> int:
 def cmd_cokernel(args) -> int:
     iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
     e = args.e
-    degree = _lcm(_spec_degree(iso.codomain_spec, args.n),
-                  e * _lcm(args.n * iso.section_degree(args.n),
-                           iso.kernel_field_degree()))
+    degree = lcm(_spec_degree(iso.codomain_spec, args.n),
+                 e * lcm(args.n * iso.section_degree(args.n),
+                         iso.kernel_field_degree()))
     amb = make_field(args.p, degree)
     data = homs.cokernel(iso, args.n, amb, seed=args.seed)
-    mu_ok = homs.verify_mu(data) if len(data.codomain) <= args.mu_bound else None
+    mu_ok = homs.verify_mu(data)
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n,
            "invariants": data.invariants,
            "kernel_order": len(data.kernel_group),
            "kernel_minimal_level": data.kernel_min_level,
            "lang_kernel_image_order": len(data.lang_image_ids),
            "mu_verified": mu_ok})
-    return 0 if mu_ok is not False else 1
+    return 0 if mu_ok else 1
 
 
 def cmd_census(args) -> int:
@@ -134,7 +133,7 @@ def cmd_census(args) -> int:
         if gcd(2, spec.q) == 1:
             catalog.append(homs.power_isogeny(spec, 2))
         for iso in catalog:
-            degree = _lcm(degree, args.e * _lcm(
+            degree = lcm(degree, args.e * lcm(
                 args.n * iso.section_degree(args.n), iso.kernel_field_degree()))
     amb = make_field(args.p, degree)
     group = rational_points(spec, args.n, amb)
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         si.add_argument("--iso", required=True,
                         help="pow:K | normcover | id | compose:(a,b)")
         si.add_argument("--seed", type=int, default=0)
-        if name == "cokernel":
-            si.add_argument("--mu-bound", type=int, default=512, dest="mu_bound")
         si.set_defaults(func=fn)
 
     sc = subs.add_parser("census", help="index-k subgroup census")

@@ -31,7 +31,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from . import census, homs, orderform
@@ -40,10 +40,6 @@ from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec,
                        NormTorusSpec, SLSpec, rational_points)
 
 EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -195,8 +191,8 @@ class Runner:
         if experiment == "E1" or not with_mu:
             level_units = n
         else:
-            level_units = _lcm(n * iso.section_degree(n, cfg.s_search),
-                               iso.kernel_field_degree())
+            level_units = lcm(n * iso.section_degree(n, cfg.s_search),
+                              iso.kernel_field_degree())
         degree = e * level_units
         amb = self.field(p, degree)
         codomain = self.group(iso.codomain_spec, n, degree)

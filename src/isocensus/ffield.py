@@ -30,6 +30,13 @@ DEFAULT_SIZE_LIMIT = 2**64
 DEFAULT_SCAN_LIMIT = 2**24
 
 
+class VerificationError(AssertionError):
+    """A computed result failed the check that certifies it.
+
+    Raised explicitly, so no check disappears under `python -O`.
+    """
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
     if n < 2:
@@ -358,7 +365,8 @@ class AmbientField:
                 col.append(v % p)
             system.append(col)
         basis = _nullspace(system, p)
-        assert len(basis) == d, "fixed space of Frobenius^d must have dimension d"
+        if len(basis) != d:
+            raise VerificationError("fixed space of Frobenius^d must have dimension d")
         return [tuple(v) for v in basis]
 
     def enumerate_subfield(self, d: int) -> list[Coeffs]:
@@ -376,15 +384,12 @@ class AmbientField:
                         acc[i] = (acc[i] + c * vec[i]) % p
             out.append(tuple(acc))
         out.sort()
-        assert len(set(out)) == p**d
+        if len(set(out)) != p**d:
+            raise VerificationError(f"subfield basis spans fewer than {p}^{d} elements")
         return out
 
     def iter_elements(self) -> Iterator[Coeffs]:
         """All field elements in lexicographic coefficient order, lazily."""
-        return itertools.product(range(self.p), repeat=self.degree) \
-            if self.degree == 1 else map(tuple, self._iter_tuples())
-
-    def _iter_tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(self.p), repeat=self.degree)
 
     def mult_order(self, a: Coeffs, cap: int = 2**21) -> int:
@@ -514,10 +519,6 @@ def enumerate_subfield(field: AmbientField, d: int) -> list[FieldElement]:
 # subgroup; no general discrete-logarithm machinery is involved.
 
 
-def _order_of_small(field: AmbientField, a: Coeffs, cap: int) -> int:
-    return field.mult_order(a, cap=cap)
-
-
 def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
     """Deterministic search for an element of exact multiplicative order t.
 
@@ -559,7 +560,7 @@ def subfield_generator(field: AmbientField, d: int) -> Coeffs:
 
 
 def _prime_root(field: AmbientField, x: Coeffs, ell: int, order_cap: int) -> Optional[Coeffs]:
-    r = _order_of_small(field, x, order_cap)
+    r = field.mult_order(x, cap=order_cap)
     if r % ell:
         # x stays inside its own cyclic group: invert ell modulo ord(x)
         return field.pow(x, pow(ell, -1, r))
@@ -594,5 +595,6 @@ def kth_root(field: AmbientField, x: Coeffs, k: int, *,
             y = _prime_root(field, y, ell, order_cap)
             if y is None:
                 return None
-    assert field.pow(y, k) == x
+    if field.pow(y, k) != x:
+        raise VerificationError(f"extracted root is not a {k}-th root")
     return y

@@ -30,14 +30,15 @@ degree helpers on each isogeny make a pure integer computation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import census
-from .ffield import AmbientField, Coeffs, kth_root, _element_of_order
+from .ffield import AmbientField, VerificationError, kth_root, _element_of_order
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, rational_points)
+                       NormTorusSpec, rational_points, _cube_root_of_unity,
+                       _norm_det, _norm_from_eigenvalues, _norm_matrix)
 
 
 class KernelNotCaptured(RuntimeError):
@@ -156,7 +157,7 @@ class PowerIsogeny(Isogeny):
             raise ValueError("power isogenies are defined on torus specs")
         if k < 1:
             raise ValueError("power exponent must be positive")
-        if _gcd(k, spec.q) != 1:
+        if gcd(k, spec.q) != 1:
             raise ValueError(f"power map with k={k} is not an isogeny over q={spec.q}")
         super().__init__(spec, spec)
         self.k = k
@@ -168,42 +169,44 @@ class PowerIsogeny(Isogeny):
     def _is_plane_torus(self) -> bool:
         return isinstance(self.domain_spec, NormTorusSpec)
 
+    def _needs_cube_root(self) -> bool:
+        return self._is_plane_torus() and self.domain_spec.p != 3
+
     def kernel_order(self) -> int:
-        if not self._is_plane_torus():
-            return self.k
-        return self.k if self.domain_spec.p == 3 else self.k * self.k
+        return self.k * self.k if self._needs_cube_root() else self.k
 
     def kernel_field_degree(self) -> int:
         s = _mult_ord(self.q, self.k)
-        if self._is_plane_torus() and self.domain_spec.p != 3:
+        if self._needs_cube_root():
             s_xi = 1 if (self.q - 1) % 3 == 0 else 2
-            s = _lcm(s, s_xi)
+            s = lcm(s, s_xi)
         return s
 
     def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
         k = self.k
-        if (ambient.order - 1) % k:
+        roots_of_unity = lcm(k, 3) if self._needs_cube_root() else k
+        if (ambient.order - 1) % roots_of_unity:
             raise KernelNotCaptured(
-                f"mu_{k} not contained in field of order {ambient.order}")
+                f"mu_{roots_of_unity} not contained in field of order {ambient.order}")
         delta = ambient.one if k == 1 else _element_of_order(ambient, k)
-        assert delta is not None
+        if delta is None:
+            raise VerificationError(f"no element of order {k} despite mu_{k} in field")
         roots = [ambient.one]
         for _ in range(k - 1):
             roots.append(ambient.mul(roots[-1], delta))
         if not self._is_plane_torus():
             return [Matrix(ambient, ((r,),)) for r in roots]
         if self.domain_spec.p == 3:
-            return [_plane_torus_matrix(ambient, r, ambient.zero) for r in roots]
-        xi = _cube_root(ambient)
-        return [_plane_from_eigenvalues(ambient, u, v, xi)
+            return [_norm_matrix(ambient, r, ambient.zero) for r in roots]
+        xi = _cube_root_of_unity(ambient)
+        return [_norm_from_eigenvalues(ambient, u, v, xi)
                 for u in roots for v in roots]
 
     def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
         if s_search is None:
             s_search = self._default_s_search()
         q, k = self.q, self.k
-        nonsplit = self._is_plane_torus() and self.domain_spec.p != 3 \
-            and (q**n - 1) % 3 != 0
+        nonsplit = self._needs_cube_root() and (q**n - 1) % 3 != 0
         # over a non-split level the eigenvalues live in the quadratic
         # extension, and the two roots are extracted independently there
         level, scale = (2 * n, 2) if nonsplit else (n, 1)
@@ -228,9 +231,12 @@ class PowerIsogeny(Isogeny):
             # unipotent part: solve k * root^(k-1) * f = b
             scale = ambient.mul(ambient.from_int(k), ambient.pow(root, k - 1))
             f = ambient.mul(b, ambient.inv(scale))
-            y = _plane_torus_matrix(ambient, ambient.sub(root, f), f)
+            y = _norm_matrix(ambient, ambient.sub(root, f), f)
         else:
-            xi = _cube_root(ambient)
+            if (ambient.order - 1) % 3:
+                raise KernelNotCaptured(
+                    "ambient field lacks a primitive cube root of unity")
+            xi = _cube_root_of_unity(ambient)
             xi2 = ambient.mul(xi, xi)
             u = ambient.add(a, ambient.mul(xi, b))
             v = ambient.add(a, ambient.mul(xi2, b))
@@ -238,8 +244,9 @@ class PowerIsogeny(Isogeny):
             rv = kth_root(ambient, v, k)
             if ru is None or rv is None:
                 return None
-            y = _plane_from_eigenvalues(ambient, ru, rv, xi)
-        assert self.apply(y) == x
+            y = _norm_from_eigenvalues(ambient, ru, rv, xi)
+        if self.apply(y) != x:
+            raise VerificationError(f"{self.name}: extracted section is not a preimage")
         return y
 
 
@@ -277,7 +284,7 @@ class NormCoverIsogeny(Isogeny):
 
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
         a, b = x.rows[0][0], x.rows[1][0]
-        det = _plane_norm_form(ambient, a, b)
+        det = _norm_det(ambient, a, b)
         c = kth_root(ambient, det, 2)
         if c is None:
             return None
@@ -308,8 +315,8 @@ class CompositeIsogeny(Isogeny):
 
     def kernel_field_degree(self) -> int:
         so = self.outer.kernel_field_degree()
-        return _lcm(self.inner.kernel_field_degree(),
-                    so * self.inner.section_degree(so))
+        return lcm(self.inner.kernel_field_degree(),
+                   so * self.inner.section_degree(so))
 
     def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
         inner_kernel = self.inner.kernel_matrices(ambient)
@@ -331,39 +338,6 @@ class CompositeIsogeny(Isogeny):
         if mid is None:
             return None
         return self.inner.section_over(mid, ambient)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
-
-
-def _plane_norm_form(field: AmbientField, a: Coeffs, b: Coeffs) -> Coeffs:
-    return field.add(field.sub(field.mul(a, a), field.mul(a, b)), field.mul(b, b))
-
-
-def _plane_torus_matrix(field: AmbientField, a: Coeffs, b: Coeffs) -> Matrix:
-    return Matrix(field, ((a, field.neg(b)), (b, field.sub(a, b))))
-
-
-def _cube_root(field: AmbientField) -> Coeffs:
-    xi = _element_of_order(field, 3)
-    if xi is None:
-        raise KernelNotCaptured("ambient field lacks a primitive cube root of unity")
-    return xi
-
-
-def _plane_from_eigenvalues(field: AmbientField, u: Coeffs, v: Coeffs,
-                            xi: Coeffs) -> Matrix:
-    xi2 = field.mul(xi, xi)
-    b = field.mul(field.sub(u, v), field.inv(field.sub(xi, xi2)))
-    a = field.sub(u, field.mul(xi, b))
-    return _plane_torus_matrix(field, a, b)
 
 
 def power_isogeny(spec: GroupSpec, k: int) -> PowerIsogeny:
@@ -393,12 +367,8 @@ def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int
         while cur != g:
             cur = cur.frobenius(e)
             t += 1
-        m = _lcm(m, t)
+        m = lcm(m, t)
     return group, m
-
-
-def rational_kernel_size(iso: Isogeny, domain: FiniteGroup) -> int:
-    return sum(1 for g in domain.elements if iso.apply(g).is_identity())
 
 
 def _enumerate(spec: GroupSpec, n: int, ambient: AmbientField,
@@ -421,8 +391,8 @@ def image_ids(iso: Isogeny, n: int, ambient: AmbientField, *,
         img = iso.apply(g)
         j = codomain.index.get(img)
         if j is None:
-            raise AssertionError(f"{iso.name} maps a rational point outside "
-                                 "the codomain point group")
+            raise VerificationError(f"{iso.name} maps a rational point outside "
+                                    "the codomain point group")
         ids.add(j)
     return tuple(sorted(ids))
 
@@ -452,8 +422,8 @@ def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
         img = iso.apply(g)
         j = codomain.index.get(img)
         if j is None:
-            raise AssertionError(f"{iso.name} maps a rational point outside "
-                                 "the codomain point group")
+            raise VerificationError(f"{iso.name} maps a rational point outside "
+                                    "the codomain point group")
         image.add(j)
         if img.is_identity():
             ker_n += 1
@@ -491,6 +461,7 @@ class CokernelData:
     mu_table: dict[int, int] = dataclass_field(default_factory=dict)
     sections: Optional[list[Matrix]] = None
     section_lang_ids: Optional[list[int]] = None
+    section_gens: Optional[list[int]] = None
 
     def rep_id_of(self, x_id: int) -> int:
         """Parent id of the canonical coset representative of element x."""
@@ -503,12 +474,16 @@ class CokernelData:
 
 def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
                    codomain: FiniteGroup, kernel_group: FiniteGroup,
-                   seed: int) -> tuple[list[Matrix], list[int]]:
-    """A preimage of every codomain point, plus its Lang value's kernel id.
+                   seed: int) -> tuple[list[Matrix], list[int], list[int]]:
+    """A preimage of every codomain point, its Lang value's kernel id, and
+    the codomain generators the table is built from.
 
     Sections of a generating set are extended multiplicatively along the
     breadth-first order, one product per element; the codomain must be
-    abelian for the extension to stay a preimage.
+    abelian for the extension to stay a preimage.  Lang values follow the
+    same products: lang(y*s) = s^(-1) lang(y) s lang(s), and lang(y) lies in
+    the kernel, so lang(y*s) = lang(y) lang(s) for every y exactly when each
+    kernel element commutes with each generator section s, which is checked.
     """
     gens = census.small_generating_set(codomain, seed=seed)
     if any(codomain.mult(a, b) != codomain.mult(b, a)
@@ -527,7 +502,9 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     for y in ygens:
         kid = kernel_group.index.get(lang_map(y, q, n))
         if kid is None:
-            raise AssertionError("lang value of a section must lie in the kernel")
+            raise VerificationError("lang value of a section must lie in the kernel")
+        if any(a * y != y * a for a in kernel_group.elements):
+            raise VerificationError("a kernel element does not commute with a section")
         ygen_lang.append(kid)
     size = len(codomain)
     sections: list[Optional[Matrix]] = [None] * size
@@ -542,15 +519,11 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
             child = codomain.mult(x, g)
             if sections[child] is None:
                 sections[child] = sx * yg
-                # lang is multiplicative here since its values are central
                 lang_ids[child] = kernel_group.mult(lx, lg)
                 queue.append(child)
     if any(s is None for s in sections):
         raise ValueError("generators do not generate the codomain points")
-    for probe in (size // 3, size - 1):
-        lam = lang_map(sections[probe], q, n)
-        assert kernel_group.index.get(lam) == lang_ids[probe]
-    return sections, lang_ids
+    return sections, lang_ids, gens
 
 
 def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
@@ -580,7 +553,7 @@ def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
     kq, kproj = census.quotient_group(kernel_group, lam_ids, check=False)
     rhs = census.invariant_factors_abelian(kq)
     if lhs != rhs:
-        raise AssertionError(
+        raise VerificationError(
             f"cokernel invariants {lhs} differ from kernel-side invariants {rhs}")
 
     data = CokernelData(invariants=lhs, codomain=codomain, image_ids=ids,
@@ -592,91 +565,92 @@ def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
         return data
 
     iso.section_degree(n, s_search)  # enforce the configured search ceiling
-    sections, lang_ids = _section_table(iso, n, ambient, codomain,
-                                        kernel_group, seed)
+    sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
+                                              kernel_group, seed)
     data.sections = sections
     data.section_lang_ids = lang_ids
+    data.section_gens = gens
     for rep_elem in quotient.elements:
         rep_id = codomain.index[rep_elem]
-        assert iso.apply(sections[rep_id]) == rep_elem
+        if iso.apply(sections[rep_id]) != rep_elem:
+            raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
         data.mu_table[rep_id] = kproj[lang_ids[rep_id]]
     return data
 
 
-def verify_mu(data: CokernelData, *, sample: Optional[int] = None,
-              seed: int = 0) -> bool:
+def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
+                            values: Sequence[int], gens: Sequence[int]) -> bool:
+    """Whether the id map x -> values[x] is a homomorphism src -> dst.
+
+    It is exactly when it fixes the identity, gens generate src, and
+    values[x*s] = values[x] values[s] for every x and every s in gens: then
+    values[x*w] = values[x] values[w] for every word w in the generators, by
+    induction on its length (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005).  Costs |src| * |gens| products.
+    """
+    if values[src.identity_id] != dst.identity_id:
+        return False
+    if len(src.closure_ids(gens)) != len(src):
+        return False
+    return all(values[src.mult(x, s)] == dst.mult(values[x], values[s])
+               for x in range(len(src)) for s in gens)
+
+
+def verify_mu(data: CokernelData) -> bool:
     """mu is a surjective homomorphism with kernel the image subgroup.
 
-    Uses the per-element sections, so this also confirms that mu is constant
-    on image cosets.  Multiplicativity is checked on every element pair, or
-    on `sample` seeded random pairs when given (for larger levels).
+    Uses the per-element sections.  Multiplicativity is proved on the
+    generators the section table was built from, which covers every pair of
+    elements; with the kernel equal to the image, this also makes mu
+    constant on image cosets.
     """
-    g, kq = data.codomain, data.kernel_quotient
-    kproj = data.kernel_proj
-    values = [kproj[k] for k in data.section_lang_ids]
-    if any(values[data.rep_id_of(i)] != v for i, v in enumerate(values)):
-        return False
+    kq = data.kernel_quotient
+    values = [data.kernel_proj[k] for k in data.section_lang_ids]
     if set(values) != set(range(len(kq))):
         return False
     if {i for i, v in enumerate(values) if v == kq.identity_id} != set(data.image_ids):
         return False
-    if sample is None:
-        pairs = ((a, b) for a in range(len(g)) for b in range(len(g)))
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(len(g)), rng.randrange(len(g)))
-                 for _ in range(sample))
-    for a, b in pairs:
-        if values[g.mult(a, b)] != kq.mult(values[a], values[b]):
-            return False
-    return True
+    return _multiplicative_on_gens(data.codomain, kq, values, data.section_gens)
 
 
-def quotient_by_central(group: FiniteGroup, central_ids: Sequence[int], *,
-                        sample: int = 64, seed: int = 0
+def quotient_by_central(group: FiniteGroup, central_ids: Sequence[int]
                         ) -> tuple[FiniteGroup, list[int]]:
     """Quotient by a central subgroup, with the projection map.
 
-    Centrality is checked against every element for small groups and a
-    seeded sample above that.
+    Centrality is checked against every element of the group.
     """
     ids = sorted(set(central_ids))
     if not census.is_subgroup(group, ids):
         raise ValueError("central quotient needs a subgroup")
-    n = len(group)
-    if n <= 4096:
-        probes = range(n)
-    else:
-        probes = random.Random(seed).sample(range(n), sample)
     for k in ids:
-        for g in probes:
-            if group.mult(k, g) != group.mult(g, k):
-                raise ValueError("subgroup is not central")
+        if k != group.identity_id and any(group.mult(k, g) != group.mult(g, k)
+                                          for g in range(len(group))):
+            raise ValueError("subgroup is not central")
     return census.quotient_group(group, ids, check=False)
 
 
-def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup,
-                  psi, pi, *, spot_checks: int = 64, seed: int = 0
+def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup, psi, pi
                   ) -> tuple[FiniteGroup, dict, dict]:
     """The subgroup of A x B of pairs with psi(a) = pi(b), with projections.
 
-    psi: A -> C and pi: B -> C act on elements; both are spot-checked for
-    multiplicativity on seeded random pairs and must match identities.
+    psi: A -> C and pi: B -> C act on elements; each must map into C and is
+    proved a homomorphism on a generating set of its source.
     Returns (group of pairs, projection dicts pair -> a and pair -> b).
     """
-    rng = random.Random(seed)
+    maps = []
     for hom, src, tag in ((psi, a, "psi"), (pi, b, "pi")):
-        if hom(src.identity) != c.identity:
-            raise ValueError(f"{tag} does not preserve the identity")
-        for _ in range(min(spot_checks, len(src) ** 2)):
-            x = src.elements[rng.randrange(len(src))]
-            y = src.elements[rng.randrange(len(src))]
-            if hom(src.op(x, y)) != c.op(hom(x), hom(y)):
-                raise ValueError(f"{tag} fails a multiplicativity spot-check")
+        values = [c.index.get(hom(x)) for x in src.elements]
+        if None in values:
+            raise ValueError(f"{tag} maps an element outside C")
+        if not _multiplicative_on_gens(src, c, values,
+                                       census.small_generating_set(src)):
+            raise ValueError(f"{tag} is not a homomorphism")
+        maps.append(values)
+    psi_ids, pi_ids = maps
     buckets: dict = {}
-    for x in a.elements:
-        buckets.setdefault(psi(x), []).append(x)
-    pairs = [(x, y) for y in b.elements for x in buckets.get(pi(y), ())]
+    for x, v in zip(a.elements, psi_ids):
+        buckets.setdefault(v, []).append(x)
+    pairs = [(x, y) for y, v in zip(b.elements, pi_ids) for x in buckets.get(v, ())]
 
     def op(u, v):
         return (a.op(u[0], v[0]), b.op(u[1], v[1]))
@@ -738,8 +712,9 @@ def induced_isogeny_reaches(iso: Isogeny, h_ids: Sequence[int], n: int,
     y_group = FiniteGroup(set(y_elems), Matrix.__mul__, ident, inv=Matrix.inv,
                           label=f"preimage group of {iso.name} at n={n}")
     k_in_y = [y_group.index[kernel.elements[i]] for i in k_ids]
-    quotient, _ = quotient_by_central(y_group, k_in_y, seed=seed)
-    assert len(quotient) * len(k_ids) == len(y_group)
+    quotient, _ = quotient_by_central(y_group, k_in_y)
+    if len(quotient) * len(k_ids) != len(y_group):
+        raise VerificationError("quotient of the preimage group by K has the wrong order")
 
     reached = {codomain.index[iso.apply(y)] for y in y_group.elements}
     return k_ids, reached == hset

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .ffield import (AmbientField, Coeffs, FieldElement, factorize,
-                     subfield_generator)
+from .ffield import (AmbientField, Coeffs, FieldElement, VerificationError,
+                     _element_of_order, factorize, subfield_generator)
 
 DEFAULT_ORDER_BOUND = 200_000
 
@@ -449,12 +449,19 @@ def _cube_root_of_unity(field: AmbientField) -> Coeffs:
     """A primitive third root of unity; scalar 1 in characteristic 3."""
     if field.p == 3:
         return field.one
-    t = field.order - 1
-    assert t % 3 == 0, "ambient field must contain cube roots of unity"
-    from .ffield import _element_of_order
     xi = _element_of_order(field, 3)
-    assert xi is not None
+    if xi is None:
+        raise VerificationError("ambient field must contain cube roots of unity")
     return xi
+
+
+def _norm_from_eigenvalues(field: AmbientField, u: Coeffs, v: Coeffs,
+                           xi: Coeffs) -> Matrix:
+    """The norm-torus matrix with eigenvalues a + xi*b = u and a + xi^2*b = v."""
+    xi2 = field.mul(xi, xi)
+    b = field.mul(field.sub(u, v), field.inv(field.sub(xi, xi2)))
+    a = field.sub(u, field.mul(xi, b))
+    return _norm_matrix(field, a, b)
 
 
 class NormTorusSpec(GroupSpec):
@@ -484,13 +491,6 @@ class NormTorusSpec(GroupSpec):
                 if any(_norm_det(field, a, b)):
                     yield _norm_matrix(field, a, b)
 
-    def _from_eigenvalues(self, field: AmbientField, u: Coeffs, v: Coeffs,
-                          xi: Coeffs) -> Matrix:
-        xi2 = field.mul(xi, xi)
-        b = field.mul(field.sub(u, v), field.inv(field.sub(xi, xi2)))
-        a = field.sub(u, field.mul(xi, b))
-        return _norm_matrix(field, a, b)
-
     def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
         d = self.entry_degree(n)
         p = field.p
@@ -512,18 +512,14 @@ class NormTorusSpec(GroupSpec):
                 return []
             g = subfield_generator(field, d)
             one = field.one
-            return [self._from_eigenvalues(field, g, one, xi),
-                    self._from_eigenvalues(field, one, g, xi)]
+            return [_norm_from_eigenvalues(field, g, one, xi),
+                    _norm_from_eigenvalues(field, one, g, xi)]
         # non-split: point group is cyclic via a <-> a + xi*b in F_{q^{2n}}
         if field.degree % (2 * d):
             return None
         xi = _cube_root_of_unity(field)
         gamma = subfield_generator(field, 2 * d)
-        conj = field.frobenius(gamma, d)
-        xi2 = field.mul(xi, xi)
-        b = field.mul(field.sub(gamma, conj), field.inv(field.sub(xi, xi2)))
-        a = field.sub(gamma, field.mul(xi, b))
-        return [_norm_matrix(field, a, b)]
+        return [_norm_from_eigenvalues(field, gamma, field.frobenius(gamma, d), xi)]
 
 
 class NormTorusCoverSpec(GroupSpec):

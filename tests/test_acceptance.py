@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,10 @@ from corpus import build_corpus
 from isocensus import census
 from isocensus.experiments import ExperimentConfig, Runner
 from isocensus.ffield import is_prime
+
+# `isocensus all` output for the criterion-10 config, recorded before the
+# refactors it guards; every later change must reproduce it byte for byte
+GOLDEN = Path(__file__).parent / "golden"
 
 SKIP_REASONS = {"k shares a factor with q", "group order exceeds bound",
                 "cover is disconnected in characteristic 3",
@@ -207,6 +212,10 @@ def test_criterion_10_deterministic_reports(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(dirs[0], dirs[1], names,
                                                shallow=False)
     assert sorted(match) == names and not mismatch and not errors
+    assert names == sorted(os.listdir(GOLDEN))
+    match, mismatch, errors = filecmp.cmpfiles(GOLDEN, dirs[0], names,
+                                               shallow=False)
+    assert sorted(match) == names and not mismatch and not errors, mismatch
     summary = json.loads((dirs[0] / "summary.json").read_text())
     assert summary["all_pass"] is True
     print("ACCEPTANCE 10 (deterministic reports): PASS")

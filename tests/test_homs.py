@@ -1,6 +1,10 @@
 """Isogeny kernels, images, Lang maps, cokernels, and induced isogenies."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -310,13 +314,85 @@ def test_isogenies_are_multiplicative_on_random_pairs():
 
 
 def test_mu_sampled_verification_above_small_cells():
-    # Gm over F_3 at level 6 has 728 elements: past the all-pairs bound,
-    # the transversal map is spot-checked on seeded random pairs instead
+    # Gm over F_3 at level 6 has 728 elements, above the E2 mu bound of 512;
+    # the proof on generators stays cheap at this size
     iso = homs.power_isogeny(GmSpec(3), 2)
     amb = make_field(3, 12)
     data = homs.cokernel(iso, 6, amb)
     assert data.invariants == [2]
-    assert homs.verify_mu(data, sample=300, seed=1)
+    assert homs.verify_mu(data)
+
+
+def _order_swap(group):
+    """Swap an element of order 2 with one of order 4 in a cyclic group of
+    order 4: a bijection of ids that fixes the identity but is no
+    automorphism."""
+    by_order = sorted(range(len(group)), key=group.element_order)
+    low, high = by_order[1], by_order[-1]
+    return {low: high, high: low}
+
+
+def _relabelled_mu():
+    """A cokernel C4 with its mu table, and a copy whose mu values are
+    relabelled by _order_swap."""
+    data = homs.cokernel(homs.power_isogeny(GmSpec(5), 4), 1, make_field(5, 4))
+    swap = _order_swap(data.kernel_quotient)
+    bad = dataclasses.replace(
+        data, kernel_proj=[swap.get(v, v) for v in data.kernel_proj])
+    return data, bad
+
+
+def _swapping_map():
+    """Gm(F_5), cyclic of order 4, and _order_swap acting on its elements."""
+    group = rational_points(GmSpec(5), 1, make_field(5, 1))
+    swap = _order_swap(group)
+    return group, lambda mat: group.elements[
+        swap.get(group.index[mat], group.index[mat])]
+
+
+def test_verify_mu_rejects_relabelled_values():
+    data, bad = _relabelled_mu()
+    assert data.invariants == [4]
+    assert homs.verify_mu(data)
+    assert not homs.verify_mu(bad)
+
+
+def test_fiber_product_rejects_non_multiplicative_map():
+    group, twisted = _swapping_map()
+    assert twisted(group.identity) == group.identity
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        homs.fiber_product(group, group, group, twisted, lambda mat: mat)
+    outside = make_field(5, 2)
+    with pytest.raises(ValueError, match="outside C"):
+        homs.fiber_product(group, group, group,
+                           lambda mat: Matrix.identity(outside, 1),
+                           lambda mat: mat)
+
+
+def test_rejections_hold_under_python_O():
+    # the checks are explicit raises and returns, not asserts, so they
+    # survive -O; the script itself checks without assert for that reason
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+        "from isocensus import homs",
+        "from test_homs import _relabelled_mu, _swapping_map",
+        "if not sys.flags.optimize:",
+        "    sys.exit('not running under -O')",
+        "data, bad = _relabelled_mu()",
+        "if not homs.verify_mu(data) or homs.verify_mu(bad):",
+        "    sys.exit('verify_mu missed the relabelling')",
+        "group, twisted = _swapping_map()",
+        "try:",
+        "    homs.fiber_product(group, group, group, twisted, lambda m: m)",
+        "except ValueError:",
+        "    pass",
+        "else:",
+        "    sys.exit('fiber_product accepted a non-homomorphism')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_arithmetic_progression_of_full_kernel_levels():
