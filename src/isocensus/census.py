@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .ffield import factorize
+from .ffield import VerificationError, factorize
 from .matgroup import EnumerationBound, FiniteGroup
 
 DEFAULT_CANDIDATE_BOUND = 10**6
@@ -265,7 +265,7 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
                for ids, core in sorted(found.items())]
     for h in handles:
         if not (k <= h.core_index <= _factorial(k)):
-            raise AssertionError(
+            raise VerificationError(
                 f"core index {h.core_index} outside [k, k!] for k={k}")
     return handles
 
@@ -532,8 +532,8 @@ def conjugacy_classes_of_subgroups(parent: FiniteGroup,
                     queue.append(conj)
         members = sorted(orbit & set(by_ids))
         if orbit - set(by_ids):
-            raise AssertionError("conjugate of a census subgroup is missing "
-                                 "from the census")
+            raise VerificationError("conjugate of a census subgroup is missing "
+                                    "from the census")
         seen.update(members)
         classes.append([by_ids[m] for m in members])
     return classes

@@ -11,6 +11,20 @@ All computations are exact.  Subfields F_{p^d} for d | D are never built as
 separate objects: they are the fixed sets of the d-th Frobenius power
 x -> x^(p^d), and can be tested for membership or enumerated in place.
 
+Arithmetic takes one of two paths, fixed when the field is built:
+
+* Table path, for 1 < D and p^D <= TABLE_SIZE_LIMIT: exp, log and Zech
+  tables over the first primitive element g in canonical order (Huber,
+  "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  A product
+  is a sum of two logs, a sum a Zech lookup log(1 + g^n), and an inverse,
+  power, Frobenius image or multiplicative order one log lookup.  Results
+  are the tables' own canonical tuples, so equality, hashing and ordering
+  are those of the coefficient tuples.  Zero has no log and is handled
+  explicitly; a tuple that is not a field element raises.
+* Polynomial path, for prime fields and fields above the limit: schoolbook
+  products reduced modulo the modulus, extended Euclid for inverses.  It is
+  also the reference the tables are built and tested against.
+
 The raw tuple API on :class:`AmbientField` is the fast path used by the rest
 of the package; :class:`FieldElement` is a thin operator-overloading wrapper
 around it.
@@ -19,6 +33,7 @@ around it.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Iterator, Optional
 
 Coeffs = tuple[int, ...]
@@ -28,6 +43,9 @@ DEFAULT_SIZE_LIMIT = 2**64
 
 #: bound on p^d for operations that materialize a full subfield
 DEFAULT_SCAN_LIMIT = 2**24
+
+#: fields with 1 < D and p^D at most this get exp/log/Zech tables
+TABLE_SIZE_LIMIT = 2**10
 
 
 class VerificationError(AssertionError):
@@ -170,7 +188,7 @@ def _smallest_irreducible(p: int, degree: int) -> Coeffs:
             f = [c0, *rest, 1]
             if _is_irreducible(f, p):
                 return tuple(f)
-    raise AssertionError(f"no irreducible of degree {degree} over F_{p}")
+    raise VerificationError(f"no irreducible of degree {degree} over F_{p}")
 
 
 class AmbientField:
@@ -179,6 +197,10 @@ class AmbientField:
     Immutable after construction; every method is pure, so instances are safe
     to share across threads.  Raw-tuple methods (`add`, `mul`, ...) operate on
     coefficient tuples of length D.
+
+    When 1 < D and p^D <= TABLE_SIZE_LIMIT, construction also builds exp/log/
+    Zech tables and the raw-tuple methods use them; prime fields and larger
+    fields use polynomial arithmetic.  Both paths return the same tuples.
     """
 
     def __init__(self, p: int, degree: int, *,
@@ -209,6 +231,39 @@ class AmbientField:
                     first = tails[0]
                     cur = [(x + top * y) % p for x, y in zip(cur, first)]
         self._tails = tails
+        self._exp: Optional[list[Coeffs]] = None
+        self._log: Optional[dict[Coeffs, Optional[int]]] = None
+        self._zech: Optional[list[Optional[int]]] = None
+        self._half = 0
+        if degree > 1 and p**degree <= TABLE_SIZE_LIMIT:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        """exp/log/Zech tables over the first primitive element.
+
+        exp[i] = g^i for i < 2(q-1) (doubled, so a sum of two logs indexes it
+        directly); log maps each element to its exponent and zero to None;
+        zech[i] = log(1 + g^i), None where 1 + g^i = 0.  The polynomial path
+        computes every entry, and the build fails unless g^i reaches q - 1
+        distinct elements.
+        """
+        n, p = self.order - 1, self.p
+        g = subfield_generator(self, self.degree)
+        exp: list[Coeffs] = []
+        cur = self.one
+        for _ in range(n):
+            exp.append(cur)
+            cur = self._poly_mul(cur, g)
+        log: dict[Coeffs, Optional[int]] = {t: i for i, t in enumerate(exp)}
+        if len(log) != n:
+            raise VerificationError(
+                f"powers of the primitive element reach {len(log)} of {n} units")
+        log[self.zero] = None
+        self._zech = [log[((t[0] + 1) % p,) + t[1:]] for t in exp]
+        self._exp = exp + exp
+        self._log = log
+        # -1 = g^((q-1)/2) in odd characteristic, 1 in characteristic 2
+        self._half = n // 2 if p != 2 else 0
 
     @property
     def order(self) -> int:
@@ -236,22 +291,56 @@ class AmbientField:
         return t + (0,) * (self.degree - len(t))
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        log = self._log
+        if log is not None:
+            la, lb = log[a], log[b]
+            if la is None:
+                return self.zero if lb is None else self._exp[lb]
+            if lb is None:
+                return self._exp[la]
+            # g^la + g^lb = g^la * (1 + g^(lb - la))
+            z = self._zech[lb - la]
+            return self.zero if z is None else self._exp[la + z]
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        log = self._log
+        if log is not None:
+            la, lb = log[a], log[b]
+            if lb is None:
+                return self.zero if la is None else self._exp[la]
+            lb += self._half  # -b = g^(lb + half)
+            if la is None:
+                return self._exp[lb]
+            z = self._zech[(lb - la) % (self.order - 1)]
+            return self.zero if z is None else self._exp[la + z]
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a: Coeffs) -> Coeffs:
+        log = self._log
+        if log is not None:
+            la = log[a]
+            return self.zero if la is None else self._exp[la + self._half]
         p = self.p
         return tuple(-x % p for x in a)
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        if self.degree == 1:
+            return (a[0] * b[0] % self.p,)
+        log = self._log
+        if log is not None:
+            la, lb = log[a], log[b]
+            if la is None or lb is None:
+                return self.zero
+            return self._exp[la + lb]
+        return self._poly_mul(a, b)
+
+    def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
+        """Product on the polynomial path (D > 1)."""
         p = self.p
         d = self.degree
-        if d == 1:
-            return (a[0] * b[0] % p,)
         # schoolbook product with deferred reduction; coefficients stay small
         # enough that one final modulo suffices
         acc = [0] * (2 * d - 1)
@@ -270,7 +359,14 @@ class AmbientField:
         return tuple(x % p for x in out)
 
     def inv(self, a: Coeffs) -> Coeffs:
-        """Multiplicative inverse by extended Euclid on representatives."""
+        """Multiplicative inverse: one log lookup on the table path, extended
+        Euclid on representatives otherwise."""
+        log = self._log
+        if log is not None:
+            la = log[a]
+            if la is None:
+                raise ZeroDivisionError("inverse of zero field element")
+            return self._exp[self.order - 1 - la]
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
         if self.degree == 1:
@@ -301,7 +397,16 @@ class AmbientField:
         return tuple(t0) + (0,) * (self.degree - len(t0))
 
     def pow(self, a: Coeffs, e: int) -> Coeffs:
-        """a^e by square-and-multiply; negative e inverts first."""
+        """a^e: one log lookup on the table path, square-and-multiply
+        otherwise; negative e inverts first."""
+        log = self._log
+        if log is not None:
+            la = log[a]
+            if la is None:
+                if e < 0:
+                    raise ZeroDivisionError("inverse of zero field element")
+                return self.one if e == 0 else self.zero
+            return self._exp[la * e % (self.order - 1)]
         if e < 0:
             a, e = self.inv(a), -e
         result, base = self.one, a
@@ -331,6 +436,12 @@ class AmbientField:
     def frobenius(self, a: Coeffs, e: int) -> Coeffs:
         """a^(p^e), reduced along the Frobenius orbit (period divides D)."""
         e %= self.degree
+        log = self._log
+        if log is not None:
+            la = log[a]
+            if la is None:
+                return self.zero
+            return self._exp[la * self.p**e % (self.order - 1)]
         if e == 0:
             return a
         rows = self._frobenius_rows(e)
@@ -393,7 +504,19 @@ class AmbientField:
         return itertools.product(range(self.p), repeat=self.degree)
 
     def mult_order(self, a: Coeffs, cap: int = 2**21) -> int:
-        """Multiplicative order by power iteration; raises past cap."""
+        """Multiplicative order; raises past cap.
+
+        One log lookup on the table path, power iteration otherwise.
+        """
+        log = self._log
+        if log is not None:
+            la = log[a]
+            if la is None:
+                raise ZeroDivisionError("order of zero")
+            n = (self.order - 1) // gcd(la, self.order - 1)
+            if n > cap:
+                raise ValueError(f"multiplicative order exceeds cap {cap}")
+            return n
         if not any(a):
             raise ZeroDivisionError("order of zero")
         cur, n = a, 1
@@ -551,12 +674,15 @@ def subfield_generator(field: AmbientField, d: int) -> Coeffs:
     if target == 0:
         raise ValueError("F_p^0 has no multiplicative generator")
     checks = [target // ell for ell in factorize(target)] if target > 1 else []
-    for a in field.enumerate_subfield(d):
+    # the whole field is walked lazily: its canonical order is lexicographic
+    elements = field.iter_elements() if d == field.degree \
+        else field.enumerate_subfield(d)
+    for a in elements:
         if not any(a):
             continue
         if all(field.pow(a, c) != field.one for c in checks):
             return a
-    raise AssertionError("multiplicative group of a finite field is cyclic")
+    raise VerificationError("multiplicative group of a finite field is cyclic")
 
 
 def _prime_root(field: AmbientField, x: Coeffs, ell: int, order_cap: int) -> Optional[Coeffs]:

@@ -759,14 +759,14 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
         ids = []
         for g in pg:
             if g not in group.index:
-                raise AssertionError(f"declared generator not a rational point of {spec!r}")
+                raise VerificationError(f"declared generator not a rational point of {spec!r}")
             ids.append(group.index[g])
         # a full closure audit of the declared generators is run here only for
         # small groups; every consumer that walks generator words (the census
         # word program, transversal tables) re-validates generation and raises
         if len(group) <= TABLE_THRESHOLD and \
                 group.closure_ids(ids) != tuple(range(len(group))):
-            raise AssertionError(f"declared generators do not generate {group!r}")
+            raise VerificationError(f"declared generators do not generate {group!r}")
         group.gens_hint = tuple(ids)
     return group
 

@@ -1,12 +1,14 @@
 """Field arithmetic: deterministic moduli, Frobenius, subfields, roots."""
 
 import itertools
+import random
 
 import pytest
 
-from isocensus.ffield import (FieldElement, enumerate_subfield, factorize,
-                              frobenius_power, in_subfield, is_prime, kth_root,
-                              make_field, subfield_generator)
+from isocensus import ffield
+from isocensus.ffield import (FieldElement, VerificationError, enumerate_subfield,
+                              factorize, frobenius_power, in_subfield, is_prime,
+                              kth_root, make_field, subfield_generator)
 
 
 def sieve_smallest_irreducible(p, degree):
@@ -214,3 +216,95 @@ def test_is_prime_and_factorize():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
+
+
+# ---------------------------------------------------------------------------
+# exp/log/Zech tables against the polynomial path
+
+
+def polynomial_field(monkeypatch, p, degree):
+    """The same field with its tables switched off: the reference path."""
+    with monkeypatch.context() as m:
+        m.setattr(ffield, "TABLE_SIZE_LIMIT", 0)
+        return make_field(p, degree)
+
+
+def assert_unary_ops_agree(field, ref, a, exponents):
+    assert field.neg(a) == ref.neg(a)
+    for e in range(field.degree + 1):
+        assert field.frobenius(a, e) == ref.frobenius(a, e)
+    if any(a):
+        assert field.inv(a) == ref.inv(a)
+        assert field.mult_order(a) == ref.mult_order(a)
+        for e in exponents:
+            assert field.pow(a, e) == ref.pow(a, e)
+    else:
+        for e in exponents:
+            if e >= 0:
+                assert field.pow(a, e) == ref.pow(a, e)
+        for fn in (field.inv, field.mult_order, lambda x: field.pow(x, -1)):
+            with pytest.raises(ZeroDivisionError):
+                fn(a)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 4), (3, 3), (5, 2)])
+def test_tables_match_polynomial_path_on_every_pair(monkeypatch, p, degree):
+    field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
+    assert field._log is not None and ref._log is None
+    elements = list(field.iter_elements())
+    for a, b in itertools.product(elements, repeat=2):
+        assert field.mul(a, b) == ref.mul(a, b)
+        assert field.add(a, b) == ref.add(a, b)
+        assert field.sub(a, b) == ref.sub(a, b)
+    for a in elements:
+        assert_unary_ops_agree(field, ref, a, range(-3, field.order + 2))
+
+
+def test_tables_match_polynomial_path_at_the_size_limit(monkeypatch):
+    # F_{2^10} is the largest field with tables
+    field, ref = make_field(2, 10), polynomial_field(monkeypatch, 2, 10)
+    assert field.order == ffield.TABLE_SIZE_LIMIT and field._log is not None
+    rng = random.Random(3)
+    elements = [field.zero, field.one] + [
+        tuple(rng.randrange(2) for _ in range(10)) for _ in range(300)]
+    for _ in range(3000):
+        a, b = rng.choice(elements), rng.choice(elements)
+        assert field.mul(a, b) == ref.mul(a, b)
+        assert field.add(a, b) == ref.add(a, b)
+        assert field.sub(a, b) == ref.sub(a, b)
+    q = field.order
+    for a in elements[:40]:
+        assert_unary_ops_agree(field, ref, a,
+                               [*range(-3, 10), q - 2, q - 1, q, 10**6 + 3])
+
+
+def test_tables_stop_at_the_size_limit():
+    assert ffield.TABLE_SIZE_LIMIT == 2**10
+    for p, degree in [(2, 10), (31, 2), (2, 2)]:
+        assert make_field(p, degree)._log is not None
+    # one field above the limit, and prime fields of any size
+    for p, degree in [(2, 11), (37, 2), (1021, 1), (2, 1)]:
+        assert make_field(p, degree)._log is None
+
+
+def test_tables_reject_tuples_outside_the_field():
+    field = make_field(3, 2)
+    one = field.one
+    for bad in [(3, 0), (1, 0, 0), (1,), (-1, 0)]:
+        for fn in (field.mul, field.add, field.sub):
+            with pytest.raises(KeyError):
+                fn(bad, one)
+            with pytest.raises(KeyError):
+                fn(one, bad)
+        for fn in (field.inv, field.neg, field.mult_order,
+                   lambda x: field.pow(x, 2), lambda x: field.frobenius(x, 1)):
+            with pytest.raises(KeyError):
+                fn(bad)
+
+
+def test_table_build_rejects_a_non_primitive_element(monkeypatch):
+    # an element of order 5 in F_16^* reaches 5 of the 15 units
+    monkeypatch.setattr(ffield, "subfield_generator",
+                        lambda field, d: field.pow(field.element_of((0, 1)), 3))
+    with pytest.raises(VerificationError):
+        make_field(2, 4)

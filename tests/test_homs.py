@@ -184,6 +184,39 @@ def test_section_degree_plans():
     assert homs.power_isogeny(NormTorusSpec(5), 2).section_degree(1) == 4
 
 
+@pytest.mark.parametrize("p,degree", [(7, 1), (3, 2)])
+def test_matrix_pow_matches_repeated_products(p, degree):
+    amb = make_field(p, degree)
+    x = amb.element_of((2, 1)[:degree])
+    one, zero = amb.one, amb.zero
+    mats = [Matrix(amb, ((x,),)),
+            Matrix(amb, ((x, one), (zero, amb.add(x, one)))),
+            Matrix(amb, ((one, one), (zero, one)))]
+    for mat in mats:
+        for base, sign in ((mat, 1), (mat.inv(), -1)):
+            want = Matrix.identity(amb, mat.m)
+            for k in range(10):
+                if -3 <= sign * k <= 9:
+                    assert homs._matrix_pow(mat, sign * k) == want
+                want = want * base
+
+
+@pytest.mark.parametrize("k,products", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
+def test_matrix_pow_spends_no_extra_products(monkeypatch, k, products):
+    amb = make_field(5, 1)
+    mat = Matrix(amb, ((amb.from_int(2), amb.one), (amb.zero, amb.from_int(3))))
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    homs._matrix_pow(mat, k)
+    assert len(calls) == products
+
+
 def test_quotient_by_central():
     amb = make_field(3, 1)
     sl = rational_points(__import__("isocensus.matgroup", fromlist=["SLSpec"])
