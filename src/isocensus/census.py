@@ -2,21 +2,22 @@
 
 Subgroups of index k in a concrete finite group G correspond to transitive
 actions of G on k points with a marked basepoint: the subgroup is the
-basepoint stabilizer.  The census therefore enumerates candidate images of a
-small generating set in Sym(k), extends each candidate along breadth-first
-generator words, validates the homomorphism condition phi(g s) = phi(g) phi(s)
-for every element g and generator s, keeps candidates whose image moves the
-basepoint through all k points, pulls back the stabilizer, and deduplicates
-by canonical element-id lists.  This finds all subgroups of index exactly k,
-not just one per conjugacy class.
+basepoint stabilizer.  The census finds these actions by Sims' low-index
+backtracking (Sims, *Computation with Finitely Presented Groups*, 1994,
+ch. 5) over the right Cayley graph of a small generating set: it labels
+each element with the point of its coset, builds the generators' partial
+permutations edge by edge in breadth-first order, and backtracks on any
+edge where they disagree.  Points are numbered in order of first
+appearance, so each subgroup is produced exactly once; the census finds all
+subgroups of index exactly k, not just one per conjugacy class.
 
 An independent oracle (`subgroup_lattice_oracle`) computes the full subgroup
-lattice of small groups by closing the set of cyclic subgroups under joins;
-it exists purely to cross-check the census.
+lattice of small groups by closing the cyclic subgroups under joins with
+cyclic subgroups; it exists purely to cross-check the census.
 
-The normal core of every subgroup found at index k is reported and must have
-index between k and k! (the coset action embeds G/core into Sym(k); the
-weaker k^k bound is implied).
+The normal core of every subgroup found at index k is the kernel of its
+coset action and must have index between k and k! (the action embeds
+G/core into Sym(k); the weaker k^k bound is implied).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .ffield import VerificationError, factorize
@@ -35,7 +36,7 @@ DEFAULT_ORACLE_BOUND = 200
 
 
 class CensusBoundExceeded(EnumerationBound):
-    """The candidate space for a census cell exceeds the configured bound."""
+    """A census search visits more branch points than the configured bound."""
 
 
 class SubgroupHandle:
@@ -155,16 +156,16 @@ def small_generating_set(group: FiniteGroup, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# index-k census via transitive actions
+# index-k census by low-index backtracking
 
 
 def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
     """Breadth-first word structure of the group over the generators.
 
     Returns (bfs_ids, program): bfs_ids lists element ids in discovery order
-    (identity first); program entries (is_check, gpos, spos, tpos) replay the
-    multiplication table restricted to right products by generators, with
-    tree edges assigning and non-tree edges checking.
+    (identity first); program entries (is_check, gpos, spos, tpos) are the
+    edges g -> g*s of the right Cayley graph in BFS order, with tree edges
+    (the first edge into each element) assigning and the others checking.
     """
     pos_of: dict[int, int] = {group.identity_id: 0}
     bfs_ids = [group.identity_id]
@@ -191,13 +192,19 @@ def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
 def index_k_subgroups(group: FiniteGroup, k: int, *,
                       gens: Optional[Sequence[int]] = None, seed: int = 0,
                       candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> list[SubgroupHandle]:
-    """All subgroups of index exactly k, as canonical handles.
+    """All subgroups of index exactly k, as handles sorted by their ids.
 
-    Candidate generator images are prefiltered by order divisibility (the
-    image of g must have order dividing ord(g)), which shrinks the raw
-    (k!)^#gens space without losing any homomorphism; the bound applies to
-    the filtered candidate count and exceeding it raises rather than
-    truncating.
+    Sims' low-index search over the right Cayley graph of `gens`: each
+    element g gets the point pt[g] of its coset, pt[e] = 0, and each
+    generator s a partial permutation of k points, grown edge by edge in
+    BFS order.  A tree edge g -> g*s whose image pt[g]^s is still undefined
+    is a branch point: it tries every point without an s-preimage, then
+    the next unused point.  Any other edge must agree with the partial
+    permutation: an undefined pt[g]^s becomes pt[g*s] unless that point
+    already has an s-preimage, and any conflict backtracks.  New points
+    are numbered in order of first appearance, so each subgroup comes out
+    once.  `candidate_bound` caps the branch points visited; passing it
+    raises `CensusBoundExceeded` rather than truncating.
     """
     if k < 1:
         raise ValueError("index must be positive")
@@ -213,114 +220,105 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
         if n > 1:
             raise ValueError("empty generating set for a nontrivial group")
         return []  # trivial group, k > 1
-    bfs_ids, program = _bfs_program(group, gens)
-    perms = list(itertools.permutations(range(k)))
-    perm_index = {p: i for i, p in enumerate(perms)}
-    comp = [[perm_index[tuple(a[b[x]] for x in range(k))] for b in perms]
-            for a in perms]
-    perm_order = [_perm_order(p) for p in perms]
-    allowed = []
-    for sid in gens:
-        o = group.element_order(sid)
-        allowed.append([pi for pi in range(len(perms)) if o % perm_order[pi] == 0])
-    total = 1
-    for slot in allowed:
-        total *= len(slot)
-    if total > candidate_bound:
-        raise CensusBoundExceeded(
-            f"census cell needs {total} candidates, bound is {candidate_bound}")
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    npos = len(bfs_ids)
-    for cand in itertools.product(*allowed):
-        phi = [0] * npos
-        ok = True
+    key = tuple(gens)
+    cached = group.bfs_programs.get(key)
+    if cached is None:
+        cached = group.bfs_programs[key] = _bfs_program(group, key)
+    bfs_ids, program = cached
+    fwd = [[-1] * k for _ in key]
+    bwd = [[-1] * k for _ in key]
+    pt = [0] * n
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    branch_points = 0
+
+    def accept() -> None:
+        # fwd is now total: the action of each element follows its tree edge
+        act = [None] * n
+        act[0] = ident = tuple(range(k))
         for is_check, gpos, spos, tpos in program:
-            v = comp[phi[gpos]][cand[spos]]
+            if not is_check:
+                f = fwd[spos]
+                act[tpos] = tuple(f[x] for x in act[gpos])
+        found.append((tuple(sorted(bfs_ids[i] for i in range(n) if pt[i] == 0)),
+                      tuple(sorted(bfs_ids[i] for i in range(n) if act[i] == ident))))
+
+    def walk(start: int, used: int) -> None:
+        nonlocal branch_points
+        defined = []
+        for i in range(start, len(program)):
+            is_check, gpos, spos, tpos = program[i]
+            f, b = fwd[spos], bwd[spos]
+            x = pt[gpos]
+            y = f[x]
             if is_check:
-                if phi[tpos] != v:
-                    ok = False
+                z = pt[tpos]
+                if y == z:
+                    continue
+                if y >= 0 or b[z] >= 0:
                     break
+                f[x], b[z] = z, x
+                defined.append((f, b, x, z))
+            elif y >= 0:
+                pt[tpos] = y
             else:
-                phi[tpos] = v
-        if not ok:
-            continue
-        orbit = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for c in cand:
-                y = perms[c][x]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        if len(orbit) != k:
-            continue
-        stab = tuple(sorted(bfs_ids[pos] for pos in range(npos)
-                            if perms[phi[pos]][0] == 0))
-        if stab not in found:
-            core = tuple(sorted(bfs_ids[pos] for pos in range(npos)
-                                if phi[pos] == 0))
-            found[stab] = core
+                branch_points += 1
+                if branch_points > candidate_bound:
+                    raise CensusBoundExceeded(
+                        f"census cell passed {candidate_bound} branch points")
+                for z in range(min(used + 1, k)):
+                    if b[z] < 0:
+                        f[x], b[z], pt[tpos] = z, x, z
+                        walk(i + 1, used + (z == used))
+                        f[x] = b[z] = -1
+                break
+        else:
+            if used == k:
+                accept()
+        for f, b, x, z in defined:
+            f[x] = b[z] = -1
+
+    walk(0, 1)
     handles = [SubgroupHandle(group, ids, core_ids=core)
-               for ids, core in sorted(found.items())]
+               for ids, core in sorted(found)]
     for h in handles:
-        if not (k <= h.core_index <= _factorial(k)):
+        if not (k <= h.core_index <= factorial(k)):
             raise VerificationError(
                 f"core index {h.core_index} outside [k, k!] for k={k}")
     return handles
 
 
-def _perm_order(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if not seen[i]:
-            length, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            order = lcm(order, length)
-    return order
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 # ---------------------------------------------------------------------------
-# independent oracle: full subgroup lattice by join closure
+# independent oracle: full subgroup lattice by cyclic joins
 
 
 def subgroup_lattice_oracle(group: FiniteGroup,
                             bound: int = DEFAULT_ORACLE_BOUND) -> list[tuple[int, ...]]:
     """Every subgroup of a small group, as sorted id tuples.
 
-    Seeds with all cyclic subgroups and repeatedly joins pairs until no new
-    subgroup appears.  Every subgroup is the join of its cyclic subgroups, so
-    the fixpoint is the complete lattice.
+    Seeds with the cyclic subgroups, one chosen generator c for each, and
+    joins every queued subgroup A with each chosen c outside A.  This is
+    complete: for a subgroup H and a queued A < H, any h in H - A has a
+    chosen generator c of <h> with c in H - A, so <A, c> is queued, lies
+    in H and is larger than A.  Starting from the trivial subgroup, such a
+    chain of cyclic joins reaches H.
     """
     n = len(group)
     if n > bound:
         raise EnumerationBound(f"oracle limited to order {bound}, got {n}")
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    queue: list[tuple[int, ...]] = []
     for i in range(n):
-        sub = group.closure_ids([i])
-        if sub not in gens_of:
-            gens_of[sub] = (i,)
-            queue.append(sub)
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for b in list(gens_of):
-            join = group.closure_ids(gens_of[a] + gens_of[b])
+        gens_of.setdefault(group.closure_ids([i]), (i,))
+    cyclic = [g for (g,) in gens_of.values()]
+    queue = list(gens_of)
+    for a in queue:
+        members = set(a)
+        for c in cyclic:
+            if c in members:
+                continue
+            gens = gens_of[a] + (c,)
+            join = group.closure_ids(gens)
             if join not in gens_of:
-                gens_of[join] = tuple(dict.fromkeys(gens_of[a] + gens_of[b]))
+                gens_of[join] = gens
                 queue.append(join)
     return sorted(gens_of)
 

@@ -265,18 +265,24 @@ class Runner:
         for p, e in cfg.e4_qs:
             q = p**e
             spec = SLSpec(2, p, e)
+            group = lattice = None
             for k in cfg.e4_ks:
                 cell = _cell("E4", spec="SL2", q=q, n=1, k=k)
                 try:
-                    group = self.group(spec, 1, e)
+                    if group is None:
+                        # the lattice serves every k; a failure retries per cell
+                        built = self.group(spec, 1, e)
+                        if len(built) <= cfg.oracle_bound:
+                            lattice = census.subgroup_lattice_oracle(
+                                built, cfg.oracle_bound)
+                        group = built
                     cell["order"] = len(group)
                     subs = census.index_k_subgroups(
                         group, k, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
                     cell["count"] = len(subs)
                     want = expected.get(q, {}).get(k, 0)
                     flags = {"expected": want}
-                    if len(group) <= cfg.oracle_bound:
-                        lattice = census.subgroup_lattice_oracle(group, cfg.oracle_bound)
+                    if lattice is not None:
                         oracle_count = sum(1 for s in lattice
                                            if len(group) // len(s) == k)
                         flags["oracle_count"] = oracle_count

@@ -215,6 +215,8 @@ class FiniteGroup:
         self._mult_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
         self._order_cache: dict[int, int] = {}
+        # census._bfs_program results, keyed by the generator id tuple
+        self.bfs_programs: dict[tuple[int, ...], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,5 +1,7 @@
 """Index-k censuses against the lattice oracle and known group theory."""
 
+import random
+
 import pytest
 
 from corpus import build_corpus
@@ -11,8 +13,9 @@ from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
                               normal_core, quotient_group, small_generating_set,
                               subgroup_as_group, subgroup_lattice_oracle)
 from isocensus.ffield import make_field
-from isocensus.matgroup import (GaSpec, GmSpec, NormTorusSpec, SLSpec,
-                                rational_points)
+from isocensus.matgroup import (EnumerationBound, GaSpec, GmSpec, Matrix,
+                                NormTorusSpec, SLSpec, direct_product,
+                                from_generators, rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -83,6 +86,103 @@ def test_census_matches_oracle_on_corpus():
             expected = {ids for ids in lattice if len(group) // len(ids) == k
                         and len(group) % len(ids) == 0}
             assert found == expected, (label, k)
+
+
+def test_census_matches_oracle_on_corpus_at_k7_and_k8():
+    for label, group in build_corpus():
+        lattice = subgroup_lattice_oracle(group)
+        for k in (7, 8):
+            found = {h.ids for h in index_k_subgroups(group, k)}
+            expected = {ids for ids in lattice if len(ids) * k == len(group)}
+            assert found == expected, (label, k)
+
+
+def test_census_has_no_duplicate_ids():
+    for label, group in build_corpus():
+        for k in range(2, 7):
+            ids = [h.ids for h in index_k_subgroups(group, k)]
+            assert len(ids) == len(set(ids)), (label, k)
+            assert ids == sorted(ids), (label, k)
+
+
+def test_census_cores_match_normal_core_on_corpus():
+    for label, group in build_corpus():
+        for k in range(2, 7):
+            for h in index_k_subgroups(group, k):
+                assert h.core_ids == normal_core(group, h.ids).ids, (label, k)
+
+
+def test_census_is_independent_of_the_generating_set():
+    for label, group in build_corpus()[-12:]:
+        gens = small_generating_set(group)
+        other = list(reversed(gens)) + [gens[0]]
+        for k in range(2, 7):
+            want = [(h.ids, h.core_ids) for h in index_k_subgroups(group, k)]
+            got = [(h.ids, h.core_ids)
+                   for h in index_k_subgroups(group, k, gens=other)]
+            assert got == want, (label, k)
+        # one Cayley-graph program per generating set, reused across k
+        assert set(group.bfs_programs) == {tuple(gens), tuple(other)}, label
+
+
+def _random_matrix_group(rng):
+    """<one or two random invertible 2x2 matrices over F_p>, of order <= 200."""
+    while True:
+        field = make_field(rng.choice((2, 3, 5, 7)), 1)
+        count, gens = rng.randint(1, 2), []
+        while len(gens) < count:
+            rows = tuple(tuple(field.from_int(rng.randrange(field.p))
+                               for _ in range(2)) for _ in range(2))
+            m = Matrix(field, rows)
+            if any(m.det()):
+                gens.append(m)
+        try:
+            return from_generators(gens, Matrix.__mul__,
+                                   Matrix.identity(field, 2), inv=Matrix.inv,
+                                   bound=200)
+        except EnumerationBound:
+            continue
+
+
+def test_census_matches_oracle_on_random_groups():
+    rng = random.Random(5)
+    groups = [_random_matrix_group(rng) for _ in range(10)]
+    while len(groups) < 14:
+        a, b = _random_matrix_group(rng), _random_matrix_group(rng)
+        if len(a) * len(b) <= 200:
+            groups.append(direct_product(a, b))
+    for group in groups:
+        lattice = subgroup_lattice_oracle(group)
+        for k in range(1, 7):
+            found = [h.ids for h in index_k_subgroups(group, k)]
+            expected = [ids for ids in lattice if len(ids) * k == len(group)]
+            assert found == expected, (group, k)
+
+
+def _pairwise_oracle(group):
+    """The lattice by joining every pair of known subgroups to a fixpoint."""
+    gens_of = {}
+    queue = []
+    for i in range(len(group)):
+        sub = group.closure_ids([i])
+        if sub not in gens_of:
+            gens_of[sub] = (i,)
+            queue.append(sub)
+    qi = 0
+    while qi < len(queue):
+        a = queue[qi]
+        qi += 1
+        for b in list(gens_of):
+            join = group.closure_ids(gens_of[a] + gens_of[b])
+            if join not in gens_of:
+                gens_of[join] = tuple(dict.fromkeys(gens_of[a] + gens_of[b]))
+                queue.append(join)
+    return sorted(gens_of)
+
+
+def test_oracle_matches_pairwise_reference_on_corpus():
+    for label, group in build_corpus():
+        assert subgroup_lattice_oracle(group) == _pairwise_oracle(group), label
 
 
 def test_core_bounds_on_corpus_sample():
