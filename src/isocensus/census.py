@@ -579,26 +579,3 @@ def run_census(group: FiniteGroup, k: int, *, seed: int = 0,
                         order=len(group), count=len(subs),
                         subgroups=subs if len(group) <= list_bound else None)
 
-
-def reached_by(parent: FiniteGroup, h_ids: Sequence[int], isogenies: Sequence,
-               n: int, ambient) -> dict[str, Optional[bool]]:
-    """For each catalog isogeny into the parent's spec: does its induced
-    isogeny reach the subgroup?  False when the image is not contained in H;
-    None when the isogeny does not apply to this parent."""
-    from . import homs  # local import: census <-> homs would otherwise cycle
-
-    spec = parent.meta.get("spec")
-    flags: dict[str, Optional[bool]] = {}
-    hset = set(h_ids)
-    for iso in isogenies:
-        if spec is None or not iso.applies_to(spec):
-            flags[iso.name] = None
-            continue
-        image = homs.image_ids(iso, n, ambient, codomain_points=parent)
-        if not set(image).issubset(hset):
-            flags[iso.name] = False
-            continue
-        _, ok = homs.induced_isogeny_reaches(iso, h_ids, n, ambient,
-                                             codomain_points=parent)
-        flags[iso.name] = ok
-    return flags

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd, lcm
 
 from . import census, homs, orderform
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
@@ -53,16 +52,9 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _spec_degree(spec, n: int) -> int:
-    d = spec.entry_degree(n)
-    if spec.tag == "NormTorus" and (spec.q**n - 1) % 3 != 0 and spec.p != 3:
-        d = lcm(d, 2 * spec.e * n)  # non-split point generators live upstairs
-    return d
-
-
 def cmd_points(args) -> int:
     spec = make_spec(args.spec, args.p, args.e, args.m)
-    amb = make_field(args.p, _spec_degree(spec, args.n))
+    amb = make_field(args.p, spec.entry_degree(args.n))
     group = rational_points(spec, args.n, amb)
     payload = {"spec": args.spec, "q": spec.q, "n": args.n,
                "order": len(group)}
@@ -87,7 +79,7 @@ def cmd_order(args) -> int:
 
 def cmd_kernel(args) -> int:
     iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
-    amb = make_field(args.p, args.e * iso.kernel_field_degree())
+    amb = make_field(args.p, homs.plan_degree(iso))
     group, min_level = homs.kernel_points(iso, amb)
     _emit({"isogeny": iso.name, "q": iso.q, "kernel_order": len(group),
            "minimal_level": min_level,
@@ -97,7 +89,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_image(args) -> int:
     iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
-    amb = make_field(args.p, _spec_degree(iso.codomain_spec, args.n))
+    amb = make_field(args.p, homs.plan_degree(iso, n=args.n))
     index, ker_n, equal = homs.check_image_index(iso, args.n, amb)
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n, "image_index": index,
            "kernel_rational": ker_n, "index_equals_kernel": equal})
@@ -106,11 +98,7 @@ def cmd_image(args) -> int:
 
 def cmd_cokernel(args) -> int:
     iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
-    e = args.e
-    degree = lcm(_spec_degree(iso.codomain_spec, args.n),
-                 e * lcm(args.n * iso.section_degree(args.n),
-                         iso.kernel_field_degree()))
-    amb = make_field(args.p, degree)
+    amb = make_field(args.p, homs.plan_degree(iso, n=args.n, sections=True))
     data = homs.cokernel(iso, args.n, amb, seed=args.seed)
     mu_ok = homs.verify_mu(data)
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n,
@@ -124,23 +112,22 @@ def cmd_cokernel(args) -> int:
 
 def cmd_census(args) -> int:
     spec = make_spec(args.spec, args.p, args.e, args.m)
-    degree = _spec_degree(spec, args.n)
     catalog = []
     if args.reached:
         if spec.tag != "NormTorus":
             raise ValueError("--reached supports the NormTorus spec only")
         catalog.append(homs.NormCoverIsogeny(args.p, args.e))
-        if gcd(2, spec.q) == 1:
+        if spec.q % 2:
             catalog.append(homs.power_isogeny(spec, 2))
-        for iso in catalog:
-            degree = lcm(degree, args.e * lcm(
-                args.n * iso.section_degree(args.n), iso.kernel_field_degree()))
+    degree = homs.plan_degree(*catalog, n=args.n, sections=True) if catalog \
+        else spec.entry_degree(args.n)
     amb = make_field(args.p, degree)
     group = rational_points(spec, args.n, amb)
     report = census.run_census(group, args.k, seed=args.seed)
     if catalog and report.subgroups:
-        report.reached = [census.reached_by(group, h.ids, catalog, args.n, amb)
-                          for h in report.subgroups]
+        report.reached = homs.reached_by(
+            group, [h.ids for h in report.subgroups], catalog, args.n, amb,
+            seed=args.seed)
     if args.classes and report.subgroups:
         report.classes = census.conjugacy_classes_of_subgroups(group,
                                                                report.subgroups)
@@ -164,16 +151,16 @@ def cmd_experiment(args) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             config = ExperimentConfig.from_json(fh.read())
     else:
         config = ExperimentConfig()
-    if getattr(args, "out", None):
+    if args.out:
         config.out_dir = args.out
-    if getattr(args, "format", None):
+    if args.format:
         config.fmt = args.format
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
     return config
 
@@ -185,6 +172,14 @@ def _add_spec_args(sub, with_n=True):
     sub.add_argument("--m", type=int, default=2, help="matrix dimension")
     if with_n:
         sub.add_argument("--n", type=int, default=1, help="extension level")
+
+
+def _add_report_args(sub):
+    sub.add_argument("--config", help="JSON config path")
+    sub.add_argument("--out", help="report directory")
+    sub.add_argument("--format", choices=("json", "csv", "both"))
+    sub.add_argument("--seed", type=int)
+    sub.set_defaults(func=cmd_experiment)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,19 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     se = subs.add_parser("experiment", help="run one experiment (E1..E8)")
     se.add_argument("id", choices=[*EXPERIMENT_IDS,
                                    *[e.lower() for e in EXPERIMENT_IDS], "all"])
-    for s in (se,):
-        s.add_argument("--config", help="JSON config path")
-        s.add_argument("--out", help="report directory")
-        s.add_argument("--format", choices=("json", "csv", "both"))
-        s.add_argument("--seed", type=int)
-    se.set_defaults(func=cmd_experiment)
+    _add_report_args(se)
 
     sa = subs.add_parser("all", help="run every experiment")
-    sa.add_argument("--config", help="JSON config path")
-    sa.add_argument("--out", help="report directory")
-    sa.add_argument("--format", choices=("json", "csv", "both"))
-    sa.add_argument("--seed", type=int)
-    sa.set_defaults(func=cmd_experiment, id="all")
+    _add_report_args(sa)
+    sa.set_defaults(id="all")
     return parser
 
 

@@ -18,10 +18,11 @@ payloads, seeded randomness.
     E7  characteristic scan: SL_2(F_p) has no small-index subgroups
     E8  additive counterexample: hyperplane counts in G_a
 
-Ambient fields are planned per cell by integer arithmetic: level-n points
-need degree e*n, geometric kernels degree e*s_ker, and transversal preimages
-degree e*n*s_section; the kernel side of E2 lives in its own small field on
-cells too large for the transversal check.
+Ambient fields are planned per cell by `homs.plan_degree`, the planner the
+CLI uses too: level-n points need degree e*n, geometric kernels degree
+e*s_ker, and transversal preimages degree e*n*s_section; the kernel side of
+E2 lives in its own small field on cells too large for the transversal
+check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from . import census, homs, orderform
@@ -185,15 +186,11 @@ class Runner:
     def _run_e12_cell(self, experiment: str, cell: dict, family: str,
                       iso_name: str, q: int, n: int, k: Optional[int]) -> None:
         cfg = self.config
-        p, e = _prime_power(q)
         iso = self._make_isogeny(family, iso_name, q, k)
+        p = iso.codomain_spec.p
         with_mu = experiment == "E2" and cell["order"] <= cfg.mu_order_bound
-        if experiment == "E1" or not with_mu:
-            level_units = n
-        else:
-            level_units = lcm(n * iso.section_degree(n, cfg.s_search),
-                              iso.kernel_field_degree())
-        degree = e * level_units
+        degree = homs.plan_degree(iso, n=n, sections=with_mu,
+                                  s_search=cfg.s_search)
         amb = self.field(p, degree)
         codomain = self.group(iso.codomain_spec, n, degree)
         domain = codomain if iso.domain_spec is iso.codomain_spec \
@@ -208,7 +205,7 @@ class Runner:
                 cell.update(status="fail", reason="index differs from kernel size")
             return
 
-        kernel_amb = None if with_mu else self.field(p, e * iso.kernel_field_degree())
+        kernel_amb = None if with_mu else self.field(p, homs.plan_degree(iso))
         data = homs.cokernel(iso, n, amb, s_search=cfg.s_search, with_mu=with_mu,
                              seed=cfg.seed, kernel_ambient=kernel_amb,
                              domain_points=domain, codomain_points=codomain)
@@ -309,28 +306,18 @@ class Runner:
                 cells.append(cell)
                 continue
             try:
-                degree = 2
-                amb = self.field(p, degree)
-                spec = NormTorusSpec(p)
-                group = self.group(spec, 1, degree)
+                cover = homs.NormCoverIsogeny(p)
+                degree = homs.plan_degree(cover, n=1, sections=True)
+                group = self.group(cover.codomain_spec, 1, degree)
                 cell["order"] = len(group)
                 subs = census.index_k_subgroups(
                     group, 2, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
                 cell["count"] = len(subs)
-                cover = homs.NormCoverIsogeny(p)
-                cover_domain = self.group(cover.domain_spec, 1, degree)
-                data = homs.cokernel(cover, 1, amb, seed=cfg.seed,
-                                     domain_points=cover_domain,
-                                     codomain_points=group)
-                reach = []
-                for sub in subs:
-                    if not set(data.image_ids).issubset(sub.ids):
-                        flag = False
-                    else:
-                        _, flag = homs.induced_isogeny_reaches(
-                            cover, sub.ids, 1, amb, seed=cfg.seed, data=data)
-                    reach.append({"subgroup_order": sub.order, "normcover": flag})
-                cover_hits = sum(1 for r in reach if r.get("normcover"))
+                flags = homs.reached_by(group, [sub.ids for sub in subs], [cover],
+                                        1, self.field(p, degree), seed=cfg.seed)
+                reach = [{"subgroup_order": sub.order, **f}
+                         for sub, f in zip(subs, flags)]
+                cover_hits = sum(1 for r in reach if r["normcover"])
                 cell["flags"].update({"reached": reach, "cover_reached": cover_hits})
                 want = 3 if split else (1 if p % 2 else 0)
                 if len(subs) != want:

@@ -25,9 +25,9 @@ Arithmetic takes one of two paths, fixed when the field is built:
   products reduced modulo the modulus, extended Euclid for inverses.  It is
   also the reference the tables are built and tested against.
 
-The raw tuple API on :class:`AmbientField` is the fast path used by the rest
-of the package; :class:`FieldElement` is a thin operator-overloading wrapper
-around it.
+The tuple API on :class:`AmbientField` is the only field API: every other
+module passes coefficient tuples to its methods, and there is no element
+wrapper with operator overloading.
 """
 
 from __future__ import annotations
@@ -527,9 +527,6 @@ class AmbientField:
                 raise ValueError(f"multiplicative order exceeds cap {cap}")
         return n
 
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.element_of(coeffs))
-
 
 def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : matrix . v = 0} over F_p (matrix given as list of rows)."""
@@ -564,48 +561,6 @@ def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-class FieldElement:
-    """A single element of an :class:`AmbientField`, with operator sugar."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: AmbientField, coeffs: Coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.sub(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.coeffs, other.coeffs))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field,
-                            self.field.mul(self.coeffs, self.field.inv(other.coeffs)))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.coeffs, e))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldElement) and self.coeffs == other.coeffs \
-            and self.field == other.field
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"FieldElement{self.coeffs}"
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # spec-level operations
 
@@ -615,22 +570,6 @@ def make_field(p: int, degree: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
     """Construct F_{p^degree} with the deterministic modulus."""
     return AmbientField(p, degree, size_limit=size_limit, scan_limit=scan_limit)
 
-
-def frobenius_power(x: FieldElement, e: int) -> FieldElement:
-    """x^(p^e); a field automorphism for every e >= 0."""
-    if e < 0:
-        raise ValueError("Frobenius exponent must be nonnegative")
-    return FieldElement(x.field, x.field.frobenius(x.coeffs, e))
-
-
-def in_subfield(x: FieldElement, d: int) -> bool:
-    """True iff x lies in F_{p^d}, i.e. x^(p^d) = x."""
-    return x.field.in_subfield(x.coeffs, d)
-
-
-def enumerate_subfield(field: AmbientField, d: int) -> list[FieldElement]:
-    """The p^d elements of F_{p^d} inside the ambient field, in coeff order."""
-    return [FieldElement(field, c) for c in field.enumerate_subfield(d)]
 
 
 # ---------------------------------------------------------------------------

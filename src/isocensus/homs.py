@@ -20,12 +20,14 @@ Central objects:
   preimage y of x.
 * induced_isogeny_reaches: the bootstrap that quotients the domain by a
   sigma-stable subgroup K of the kernel so that the induced isogeny's
-  rational image grows to a prescribed subgroup H.
+  rational image grows to a prescribed subgroup H; reached_by asks it for
+  every subgroup of a census at once.
 
 Preimages are found by k-th root extraction in the ambient field (power
 maps diagonalize over the splitting field of the torus), so no large-field
-scans occur; the ambient field must be planned large enough, which the
-degree helpers on each isogeny make a pure integer computation.
+scans occur; the ambient field must be planned large enough.  plan_degree
+is the one planner: it turns the degree helpers on each isogeny into the
+ambient degree by integer arithmetic, for the CLI and the experiments alike.
 """
 
 from __future__ import annotations
@@ -348,6 +350,30 @@ class CompositeIsogeny(Isogeny):
 def power_isogeny(spec: GroupSpec, k: int) -> PowerIsogeny:
     """The k-th power map on a torus spec; requires gcd(k, q) = 1."""
     return PowerIsogeny(spec, k)
+
+
+def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
+                sections: bool = False, s_search: Optional[int] = None) -> int:
+    """Degree over F_p of the one ambient field a computation needs.
+
+    Without n: the geometric kernel, e * kernel_field_degree().  With n: the
+    level-n points of domain and codomain, the lcm of their entry degrees
+    (e*n for the catalog).  With sections as well: the points, the kernel
+    and rational sections, e * lcm(n * section_degree(n, s_search),
+    kernel_field_degree()).  Several isogenies get the lcm of their plans.
+    """
+    degree = 1
+    for iso in isogenies:
+        e = iso.base_e
+        if n is None:
+            degree = lcm(degree, e * iso.kernel_field_degree())
+            continue
+        degree = lcm(degree, iso.domain_spec.entry_degree(n),
+                     iso.codomain_spec.entry_degree(n))
+        if sections:
+            degree = lcm(degree, e * lcm(n * iso.section_degree(n, s_search),
+                                         iso.kernel_field_degree()))
+    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -729,3 +755,28 @@ def induced_isogeny_reaches(iso: Isogeny, h_ids: Sequence[int], n: int,
 
     reached = {codomain.index[iso.apply(y)] for y in y_group.elements}
     return k_ids, reached == hset
+
+
+def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
+               isogenies: Sequence[Isogeny], n: int, ambient: AmbientField, *,
+               seed: int = 0) -> list[dict[str, Optional[bool]]]:
+    """For each subgroup H of the codomain points, one flag per isogeny:
+    does its induced isogeny reach H?
+
+    False when the level-n image is not contained in H; None when the
+    isogeny does not apply to the codomain's spec.  The cokernel data, with
+    its section table, is built once per isogeny and shared by every H.
+    """
+    spec = codomain.meta.get("spec")
+    flags: list[dict[str, Optional[bool]]] = [{} for _ in subgroups]
+    for iso in isogenies:
+        if spec is None or not iso.applies_to(spec):
+            for f in flags:
+                f[iso.name] = None
+            continue
+        data = cokernel(iso, n, ambient, seed=seed, codomain_points=codomain)
+        image = set(data.image_ids)
+        for f, h_ids in zip(flags, subgroups):
+            f[iso.name] = image.issubset(h_ids) and induced_isogeny_reaches(
+                iso, h_ids, n, ambient, data=data)[1]
+    return flags

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .ffield import (AmbientField, Coeffs, FieldElement, VerificationError,
+from .ffield import (AmbientField, Coeffs, VerificationError,
                      _element_of_order, factorize, subfield_generator)
 
 DEFAULT_ORDER_BOUND = 200_000
@@ -43,9 +43,9 @@ class EnumerationBound(RuntimeError):
 class Matrix:
     """Immutable square matrix over an ambient field.
 
-    Entries are stored as raw coefficient tuples (`rows`); `entries` exposes
-    them as FieldElement objects.  Equality and ordering ignore the field
-    object itself: matrices are only ever compared within one ambient field.
+    Entries are stored as coefficient tuples (`rows`) and handled with the
+    field's tuple API.  Equality and ordering ignore the field object
+    itself: matrices are only ever compared within one ambient field.
     """
 
     __slots__ = ("field", "m", "rows")
@@ -66,14 +66,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, tuple(tuple(one if i == j else zero for j in range(m))
                                 for i in range(m)))
-
-    @property
-    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
-        return tuple(tuple(FieldElement(self.field, x) for x in row)
-                     for row in self.rows)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f, m = self.field, self.m
@@ -171,11 +163,6 @@ class Matrix:
                     aug[r] = [f.sub(x, f.mul(factor, y))
                               for x, y in zip(aug[r], aug[col])]
         return Matrix(f, tuple(tuple(aug[i][m:]) for i in range(m)))
-
-
-def frobenius_map(g: Matrix, e: int) -> Matrix:
-    """Entrywise Frobenius power x -> x^(p^e); a group automorphism."""
-    return g.frobenius(e)
 
 
 def element_sort_key(x):
@@ -384,10 +371,6 @@ class GroupSpec:
         return f"{type(self).__name__}(m={self.m}, q={self.q})"
 
 
-def _subfield_list(field: AmbientField, d: int) -> list[Coeffs]:
-    return field.enumerate_subfield(d)
-
-
 class GmSpec(GroupSpec):
     """Multiplicative group as invertible 1x1 matrices."""
 
@@ -401,7 +384,7 @@ class GmSpec(GroupSpec):
         return any(mat.rows[0][0])
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
-        for c in _subfield_list(field, self.entry_degree(n)):
+        for c in field.enumerate_subfield(self.entry_degree(n)):
             if any(c):
                 yield Matrix(field, ((c,),))
 
@@ -429,7 +412,7 @@ class GaSpec(GroupSpec):
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
         one, zero = field.one, field.zero
-        for t in _subfield_list(field, self.entry_degree(n)):
+        for t in field.enumerate_subfield(self.entry_degree(n)):
             yield Matrix(field, ((one, t), (zero, one)))
 
     def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
@@ -487,7 +470,7 @@ class NormTorusSpec(GroupSpec):
             and any(_norm_det(field, a, b))
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
-        sub = _subfield_list(field, self.entry_degree(n))
+        sub = field.enumerate_subfield(self.entry_degree(n))
         for a in sub:
             for b in sub:
                 if any(_norm_det(field, a, b)):
@@ -552,7 +535,7 @@ class NormTorusCoverSpec(GroupSpec):
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
         d = self.entry_degree(n)
-        sub = _subfield_list(field, d)
+        sub = field.enumerate_subfield(d)
         roots: dict[Coeffs, list[Coeffs]] = {}
         for c in sub:
             roots.setdefault(field.mul(c, c), []).append(c)
@@ -703,7 +686,7 @@ def make_spec(name: str, p: int, e: int = 1, m: int = 2) -> GroupSpec:
 def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
                        scan_limit: int) -> Iterator[Matrix]:
     d = spec.entry_degree(n)
-    sub = _subfield_list(field, d)
+    sub = field.enumerate_subfield(d)
     if len(sub) ** (spec.m**2) > scan_limit:
         raise EnumerationBound(
             f"full scan of {len(sub)}^{spec.m**2} matrices exceeds bound {scan_limit}")

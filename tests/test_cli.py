@@ -60,6 +60,61 @@ def test_census_subcommand_with_reached(capsys):
     assert cover_hits == 1
 
 
+# payloads the CLI printed before the degree planner was shared, when it
+# raised non-split NormTorus to 2en; NormTorus(F_5) is non-split at n = 1
+NONSPLIT_F5_PAYLOADS = [
+    (("image", "--iso", "pow:2"),
+     {"image_index": 2, "index_equals_kernel": True, "isogeny": "pow:2",
+      "kernel_rational": 2, "n": 1, "q": 5}),
+    (("image", "--iso", "normcover"),
+     {"image_index": 2, "index_equals_kernel": True, "isogeny": "normcover",
+      "kernel_rational": 2, "n": 1, "q": 5}),
+    (("cokernel", "--iso", "pow:2"),
+     {"invariants": [2], "isogeny": "pow:2", "kernel_minimal_level": 2,
+      "kernel_order": 4, "lang_kernel_image_order": 2, "mu_verified": True,
+      "n": 1, "q": 5}),
+    (("cokernel", "--iso", "normcover"),
+     {"invariants": [2], "isogeny": "normcover", "kernel_minimal_level": 1,
+      "kernel_order": 2, "lang_kernel_image_order": 1, "mu_verified": True,
+      "n": 1, "q": 5}),
+    (("census", "--k", "2", "--reached"),
+     {"count": 1, "k": 2, "n": 1, "order": 24, "q": 5,
+      "reached": [{"normcover": True, "pow:2": True}], "spec": "NormTorus",
+      "subgroups": [{"core_index": 2, "normal": True, "order": 12}]}),
+    (("census", "--k", "3", "--reached"),
+     {"count": 1, "k": 3, "n": 1, "order": 24, "q": 5,
+      "reached": [{"normcover": False, "pow:2": False}], "spec": "NormTorus",
+      "subgroups": [{"core_index": 3, "normal": True, "order": 8}]}),
+]
+
+
+@pytest.mark.parametrize("argv,want", NONSPLIT_F5_PAYLOADS,
+                         ids=[" ".join(a) for a, _ in NONSPLIT_F5_PAYLOADS])
+def test_nonsplit_norm_torus_payloads_are_unchanged(capsys, argv, want):
+    code = main([*argv, "--spec", "NormTorus", "--p", "5", "--n", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("spec,p,e,n", [("NormTorus", 5, 1, 1),
+                                        ("NormTorus", 2, 1, 3),
+                                        ("NormTorus", 7, 1, 1),
+                                        ("Gm", 2, 2, 2), ("SL", 3, 1, 1)])
+def test_points_list_entries_live_in_the_level_field(capsys, spec, p, e, n):
+    code, payload = run_cli(capsys, "points", "--spec", spec, "--p", str(p),
+                            "--e", str(e), "--n", str(n), "--list", "4")
+    assert code == 0 and payload["elements"]
+    for rows in payload["elements"]:
+        assert all(len(c) == e * n for row in rows for c in row)
+
+
+def test_every_exported_name_imports():
+    import isocensus
+    assert len(set(isocensus.__all__)) == len(isocensus.__all__)
+    for name in isocensus.__all__:
+        assert getattr(isocensus, name) is not None
+
+
 def test_composite_isogeny_parsing():
     iso = _parse_isogeny("compose:(pow:2,pow:3)", 5, 1, "Gm")
     assert iso.name == "compose:(pow:2,pow:3)"

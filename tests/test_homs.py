@@ -257,7 +257,7 @@ def test_reached_by_on_split_torus():
     group = rational_points(NormTorusSpec(7), 1, amb)
     subs = census.index_k_subgroups(group, 2)
     catalog = [homs.NormCoverIsogeny(7), homs.power_isogeny(NormTorusSpec(7), 2)]
-    flags = [census.reached_by(group, h.ids, catalog, 1, amb) for h in subs]
+    flags = homs.reached_by(group, [h.ids for h in subs], catalog, 1, amb)
     assert sum(1 for f in flags if f["normcover"]) == 1
     assert all(f["pow:2"] for f in flags)
 
@@ -265,9 +265,93 @@ def test_reached_by_on_split_torus():
 def test_reached_by_skips_inapplicable_isogeny():
     amb = make_field(3, 1)
     group = rational_points(GmSpec(3), 1, amb)
-    flags = census.reached_by(group, tuple(range(len(group))),
+    [flags] = homs.reached_by(group, [tuple(range(len(group)))],
                               [homs.NormCoverIsogeny(3)], 1, amb)
     assert flags["normcover"] is None
+
+
+def test_reached_by_matches_one_cokernel_per_subgroup():
+    # sharing one CokernelData across subgroups gives the flags that a fresh
+    # cokernel per subgroup gives
+    spec = NormTorusSpec(7)
+    amb = make_field(7, 2)
+    group = rational_points(spec, 1, amb)
+    subs = [h.ids for k in (2, 3) for h in census.index_k_subgroups(group, k)]
+    catalog = [homs.NormCoverIsogeny(7), homs.power_isogeny(spec, 2)]
+    flags = homs.reached_by(group, subs, catalog, 1, amb)
+    for h_ids, f in zip(subs, flags):
+        for iso in catalog:
+            image = homs.image_ids(iso, 1, amb, codomain_points=group)
+            want = set(image) <= set(h_ids) and homs.induced_isogeny_reaches(
+                iso, h_ids, 1, amb, codomain_points=group)[1]
+            assert f[iso.name] is want
+    assert any(f["normcover"] for f in flags)
+    assert not all(f["normcover"] for f in flags)
+
+
+def _catalog_isogeny(family, name, p, e):
+    spec = GmSpec(p, e) if family == "Gm" else NormTorusSpec(p, e)
+    if name == "normcover":
+        return homs.NormCoverIsogeny(p, e)
+    if name == "compose":
+        return homs.CompositeIsogeny(homs.power_isogeny(spec, 2),
+                                     homs.power_isogeny(spec, 3))
+    return homs.power_isogeny(spec, int(name.split(":")[1]))
+
+
+# (family, isogeny, p, e, n, s_search, kernel, points, points+kernel+sections):
+# the degrees the experiment runner planned before plan_degree existed.  The
+# old CLI agreed except on non-split NormTorus points, which it raised to
+# 2en, and so also on the p = 2 norm cover with sections.
+PLAN_CASES = [
+    ("Gm", "pow:2", 5, 1, 1, None, 1, 1, 2),
+    ("Gm", "pow:3", 2, 1, 2, None, 2, 2, 6),
+    ("Gm", "pow:3", 2, 2, 1, None, 2, 2, 6),
+    ("Gm", "pow:4", 7, 1, 3, 32, 2, 3, 6),
+    ("NormTorus", "pow:2", 7, 1, 1, None, 1, 1, 2),     # split
+    ("NormTorus", "pow:2", 5, 1, 1, None, 2, 1, 4),     # non-split
+    ("NormTorus", "pow:2", 5, 1, 2, None, 2, 2, 4),     # split at level 2
+    ("NormTorus", "pow:5", 2, 1, 1, 32, 4, 1, 4),       # non-split
+    ("NormTorus", "pow:2", 3, 1, 1, None, 1, 1, 2),     # characteristic 3
+    ("NormTorus", "pow:4", 3, 1, 2, 32, 2, 2, 8),       # characteristic 3
+    ("NormTorus", "normcover", 2, 1, 1, None, 1, 1, 1),
+    ("NormTorus", "normcover", 2, 1, 2, None, 1, 2, 2),
+    ("NormTorus", "normcover", 5, 1, 1, None, 1, 1, 2),
+    ("NormTorus", "normcover", 7, 1, 3, 32, 1, 3, 6),
+    ("Gm", "compose", 5, 1, 1, None, 2, 1, 6),
+    ("Gm", "compose", 7, 1, 2, 32, 3, 2, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "family,name,p,e,n,s_search,kernel,points,sections", PLAN_CASES,
+    ids=[f"{c[1]}-{c[0]}-q{c[2] ** c[3]}-n{c[4]}" for c in PLAN_CASES])
+def test_plan_degree_matches_the_earlier_plans(family, name, p, e, n, s_search,
+                                               kernel, points, sections):
+    iso = _catalog_isogeny(family, name, p, e)
+    assert homs.plan_degree(iso) == kernel
+    assert homs.plan_degree(iso, n=n) == points
+    assert homs.plan_degree(iso, n=n, sections=True, s_search=s_search) == sections
+
+
+def test_plan_degree_takes_the_lcm_over_isogenies():
+    # the census --reached catalog on NormTorus(F_5): cover 2, squaring 4
+    spec = NormTorusSpec(5)
+    catalog = [homs.NormCoverIsogeny(5), homs.power_isogeny(spec, 2)]
+    assert homs.plan_degree(*catalog, n=1, sections=True) == 4
+
+
+def test_plan_degree_with_sections_covers_the_kernel():
+    # in the catalog the kernel is always rational where the sections are,
+    # so a stand-in isogeny whose kernel needs level 3 checks that term
+    class FarKernel(homs.IdentityIsogeny):
+        def kernel_field_degree(self):
+            return 3
+
+    iso = FarKernel(GmSpec(5, 2))
+    assert homs.plan_degree(iso) == 6
+    assert homs.plan_degree(iso, n=2) == 4
+    assert homs.plan_degree(iso, n=2, sections=True) == 12
 
 
 def test_fiber_product_examples():

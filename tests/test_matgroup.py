@@ -10,7 +10,7 @@ from isocensus.ffield import make_field
 from isocensus.matgroup import (EnumerationBound, GaSpec, GLSpec, GmSpec,
                                 Matrix, NormTorusCoverSpec, NormTorusSpec,
                                 SLSpec, SOSpec, SpSpec, SUSpec, builtin_specs,
-                                direct_product, fixed_subgroup, frobenius_map,
+                                direct_product, fixed_subgroup,
                                 from_generators, make_spec, rational_points)
 
 F2 = make_field(2, 1)
@@ -160,16 +160,16 @@ def test_matrix_inverse_roundtrip():
 
 def test_frobenius_map_examples():
     ident = Matrix.identity(F4, 2)
-    assert frobenius_map(ident, 1) == ident
+    assert ident.frobenius(1) == ident
     group = rational_points(SLSpec(2, 2), 2, F4)
-    x = F4.element((0, 1))
-    g = Matrix.from_entries(F4, ((x.coeffs, F4.one), (F4.one, F4.zero)))
+    x = F4.element_of((0, 1))
+    g = Matrix.from_entries(F4, ((x, F4.one), (F4.one, F4.zero)))
     assert g in group.index
-    mapped = frobenius_map(g, 1)
-    assert mapped.rows[0][0] == F4.mul(x.coeffs, x.coeffs)
+    mapped = g.frobenius(1)
+    assert mapped.rows[0][0] == F4.mul(x, x)
     # rational points are exactly the fixed points of their own Frobenius
     for h in group.elements:
-        assert frobenius_map(h, 2) == h
+        assert h.frobenius(2) == h
 
 
 def test_fixed_subgroup_of_extension():
