@@ -481,29 +481,6 @@ def _ilog(x: int, p: int) -> int:
     return e
 
 
-def index_formula_check(group: FiniteGroup, h_ids: Sequence[int],
-                        n_ids: Sequence[int]) -> tuple[int, int, bool]:
-    """Evaluate [G:H] against [G/N : HN/N] * [N : H meet N] for normal N."""
-    hset, nset = set(h_ids), set(n_ids)
-    if not is_normal(group, nset):
-        raise ValueError("N must be normal")
-    lhs = len(group) // len(hset)
-    hn = {group.mult(h, n) for h in hset for n in nset}
-    rhs = (len(group) // len(hn)) * (len(nset) // len(hset & nset))
-    return lhs, rhs, lhs == rhs
-
-
-def minimal_proper_index(group: FiniteGroup, k_max: int, *, seed: int = 0,
-                         candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> Optional[int]:
-    """Smallest k in [2, k_max] with a nonempty census, else None."""
-    gens = small_generating_set(group, seed=seed)
-    for k in range(2, k_max + 1):
-        if index_k_subgroups(group, k, gens=gens, seed=seed,
-                             candidate_bound=candidate_bound):
-            return k
-    return None
-
-
 def conjugacy_classes_of_subgroups(parent: FiniteGroup,
                                    handles: Sequence[SubgroupHandle]
                                    ) -> list[list[SubgroupHandle]]:

@@ -36,7 +36,7 @@ from math import gcd
 from typing import Optional
 
 from . import census, homs, orderform
-from .ffield import AmbientField, is_prime, make_field
+from .ffield import AmbientField, is_prime, make_field, prime_power
 from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec,
                        NormTorusSpec, SLSpec, rational_points)
 
@@ -177,7 +177,7 @@ class Runner:
         return out
 
     def _make_isogeny(self, family: str, iso_name: str, q: int, k: Optional[int]):
-        p, e = _prime_power(q)
+        p, e = prime_power(q)
         if iso_name == "normcover":
             return homs.NormCoverIsogeny(p, e)
         spec = GmSpec(p, e) if family == "Gm" else NormTorusSpec(p, e)
@@ -228,7 +228,7 @@ class Runner:
     def e3(self) -> tuple[list[dict], dict]:
         cfg = self.config
         q, k = cfg.e3_q, cfg.e3_k
-        p, e = _prime_power(q)
+        p, e = prime_power(q)
         cells = []
         hits = []
         for n in range(1, cfg.e3_n_max + 1):
@@ -335,7 +335,7 @@ class Runner:
         cells = []
         data = orderform.BN_CATALOG["SL2"]
         for q in cfg.e6_qs:
-            p, e = _prime_power(q)
+            p, e = prime_power(q)
             cell = _cell("E6", spec="SL2", q=q, n=1)
             try:
                 group = self.group(SLSpec(2, p, e), 1, e)
@@ -427,19 +427,6 @@ class Runner:
                 "summary": {"all_pass": overall,
                             "experiments": {eid: reports[eid]["summary"]
                                             for eid in EXPERIMENT_IDS}}}
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise ValueError("q is not a prime power")
-            return p, e
-    raise ValueError("q is not a prime power")
 
 
 def _summarize(cells: list[dict]) -> dict:

@@ -95,6 +95,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e and e >= 1; ValueError unless q is a prime power."""
+    factors = factorize(q) if q > 1 else {}
+    if len(factors) != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    [(p, e)] = factors.items()
+    return p, e
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (lists of ints, low degree first)
 

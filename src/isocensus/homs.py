@@ -10,8 +10,8 @@ Central objects:
 
 * kernel_points: the full geometric kernel as a finite group, together with
   the minimal level m at which it is entirely rational.
-* image_of_rational / check_image_index: the image subgroup at level n and
-  the identity [G : image] = #rational kernel.
+* image_ids / check_image_index: the image subgroup at level n and the
+  identity [G : image] = #rational kernel.
 * lang_map: the twisted translation y -> y^(-1) sigma_{q^n}(y), surjective
   over the closure; its restriction to the kernel drives the cokernel.
 * cokernel: the quotient of the codomain points by the image, its abelian
@@ -20,8 +20,10 @@ Central objects:
   preimage y of x.
 * induced_isogeny_reaches: the bootstrap that quotients the domain by a
   sigma-stable subgroup K of the kernel so that the induced isogeny's
-  rational image grows to a prescribed subgroup H; reached_by asks it for
-  every subgroup of a census at once.
+  rational image grows to a prescribed subgroup H, decided by id arithmetic
+  on one cokernel.  reached_by proves its premises once per isogeny (every
+  section is a preimage, the kernel is abelian) and asks it for every
+  subgroup of a census.
 
 Preimages are found by k-th root extraction in the ambient field (power
 maps diagonalize over the splitting field of the torus), so no large-field
@@ -37,7 +39,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import census
-from .ffield import AmbientField, VerificationError, kth_root, _element_of_order
+from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
+                     _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
                        NormTorusSpec, rational_points, _cube_root_of_unity,
                        _norm_det, _norm_from_eigenvalues, _norm_matrix)
@@ -382,11 +385,14 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
 
 def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int]:
     """The full geometric kernel as a group, and the minimal level m with
-    kernel = kernel(F_{q^m})."""
+    kernel = kernel(F_{q^m}).  Every element is checked to map to the
+    identity; the cokernel and every induced isogeny rest on this."""
     mats = iso.kernel_matrices(ambient)
     group = FiniteGroup(mats, Matrix.__mul__, Matrix.identity(ambient, iso.domain_spec.m),
                         inv=Matrix.inv, label=f"ker({iso.name})",
                         meta={"isogeny": iso.name})
+    if not all(iso.apply(a).is_identity() for a in group.elements):
+        raise VerificationError(f"{iso.name}: a kernel point does not map to the identity")
     if len(group) != iso.kernel_order():
         raise KernelNotCaptured(
             f"{iso.name}: found {len(group)} kernel points, expected {iso.kernel_order()}")
@@ -428,16 +434,6 @@ def image_ids(iso: Isogeny, n: int, ambient: AmbientField, *,
     return tuple(sorted(ids))
 
 
-def image_of_rational(iso: Isogeny, n: int, ambient: AmbientField, *,
-                      domain_points: Optional[FiniteGroup] = None,
-                      codomain_points: Optional[FiniteGroup] = None) -> FiniteGroup:
-    """The subgroup phi(G'(F_{q^n})) of the codomain points, as a group."""
-    codomain = _enumerate(iso.codomain_spec, n, ambient, codomain_points)
-    ids = image_ids(iso, n, ambient, domain_points=domain_points,
-                    codomain_points=codomain)
-    return census.subgroup_as_group(codomain, ids, label=f"im({iso.name}, n={n})")
-
-
 def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
                       domain_points: Optional[FiniteGroup] = None,
                       codomain_points: Optional[FiniteGroup] = None
@@ -464,14 +460,9 @@ def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
 
 def lang_map(y: Matrix, q: int, n: int) -> Matrix:
     """The twisted translation y -> y^(-1) sigma_{q^n}(y)."""
-    p = y.field.p
-    e = 0
-    qq = q
-    while qq > 1 and qq % p == 0:
-        qq //= p
-        e += 1
-    if qq != 1 or e == 0:
-        raise ValueError(f"q={q} is not a power of the field characteristic {p}")
+    p, e = prime_power(q)
+    if p != y.field.p:
+        raise ValueError(f"q={q} is not a power of the field characteristic {y.field.p}")
     return y.inv() * y.frobenius(e * n)
 
 
@@ -644,27 +635,20 @@ def verify_mu(data: CokernelData) -> bool:
     return _multiplicative_on_gens(data.codomain, kq, values, data.section_gens)
 
 
-def _central_subgroup(group: FiniteGroup, ids: Sequence[int]) -> list[int]:
-    """The sorted ids, after checking that they form a central subgroup.
-
-    Centrality is checked against every element of the group.
-    """
-    ids = sorted(set(ids))
-    if not census.is_subgroup(group, ids):
-        raise ValueError("central quotient needs a subgroup")
-    for k in ids:
-        if k != group.identity_id and any(group.mult(k, g) != group.mult(g, k)
-                                          for g in range(len(group))):
-            raise ValueError("subgroup is not central")
-    return ids
-
-
 def quotient_by_central(group: FiniteGroup, central_ids: Sequence[int]
                         ) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a central subgroup, checked as in _central_subgroup, with
-    the projection map."""
-    return census.quotient_group(group, _central_subgroup(group, central_ids),
-                                 check=False)
+    """Quotient by a central subgroup, with the projection map.
+
+    Raises ValueError unless the ids form a subgroup whose elements commute
+    with every element of the group.
+    """
+    ids = sorted(set(central_ids))
+    if not census.is_subgroup(group, ids):
+        raise ValueError("central quotient needs a subgroup")
+    if any(group.mult(k, g) != group.mult(g, k)
+           for k in ids if k != group.identity_id for g in range(len(group))):
+        raise ValueError("subgroup is not central")
+    return census.quotient_group(group, ids, check=False)
 
 
 def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup, psi, pi
@@ -703,57 +687,36 @@ def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup, psi, pi
     return group, proj_a, proj_b
 
 
-def induced_isogeny_reaches(iso: Isogeny, h_ids: Sequence[int], n: int,
-                            ambient: AmbientField, *, seed: int = 0,
-                            s_search: Optional[int] = None,
-                            domain_points: Optional[FiniteGroup] = None,
-                            codomain_points: Optional[FiniteGroup] = None,
-                            data: Optional[CokernelData] = None
+def induced_isogeny_reaches(data: CokernelData, h_ids: Sequence[int]
                             ) -> tuple[tuple[int, ...], bool]:
     """Quotient the domain by K = mu(H) pulled back into the kernel, and
-    verify that the induced isogeny's rational image is exactly H.
+    decide whether the induced isogeny's rational image is exactly H.
 
-    Returns (kernel ids of K inside the geometric kernel group, verified).
-    Requires image(level n) <= H.  A precomputed CokernelData (with the
-    section table) may be passed to share work across several subgroups H.
+    Returns (kernel ids of K inside the geometric kernel group, reached == H).
+    Requires image(level n) <= H and data with its section table.  The
+    argument below also needs every section to be a preimage and the kernel
+    to be abelian; reached_by proves both once per isogeny, before it calls
+    this for each H.
+
+    The rational points of G'/K are the cosets yK with lang(y) in K.  Such a
+    y maps to a rational x, as lang(phi(y)) = phi(lang(y)) = 1 (kernel_points
+    checks that kernel elements map to the identity), so y = section(x) a
+    for a kernel element a, and lang(y) = lang(section(x)) lang(a) because
+    lang(section(x)) lies in the abelian kernel.  K is a union of lang(ker)-cosets, so some a puts lang(y)
+    in K exactly when lang(section(x)) lies in K.  Kernel elements commute
+    with the generator sections (_section_table), so K is central in the
+    group of sections times kernel elements, and the cosets form a group.
+    Everything is therefore id arithmetic in the kernel group.
     """
-    if data is None:
-        codomain = _enumerate(iso.codomain_spec, n, ambient, codomain_points)
-        data = cokernel(iso, n, ambient, s_search=s_search, with_mu=True,
-                        seed=seed, domain_points=domain_points,
-                        codomain_points=codomain)
-    codomain = data.codomain
+    if data.section_lang_ids is None:
+        raise ValueError("induced isogeny needs the cokernel's section table")
     hset = set(h_ids)
-    if not set(data.image_ids).issubset(hset):
+    if not hset.issuperset(data.image_ids):
         raise ValueError("induced isogeny needs image contained in H")
-
     kbar = {data.mu_value(h) for h in hset}
-    k_ids = tuple(i for i in range(len(data.kernel_group))
-                  if data.kernel_proj[i] in kbar)
-    kernel = data.kernel_group
-    q = iso.q
-
-    # rational points of the quotient G'/K are the cosets yK with lang(y) in
-    # K; every coset has a representative section(x) * a with x rational and
-    # a in the geometric kernel, so Y below is their union and Y/K realizes
-    # the induced isogeny's rational points
-    lam_of_kernel = [kernel.index[lang_map(a, q, n)] for a in kernel.elements]
-    k_idset = set(k_ids)
-    y_elems = []
-    for x_id, y0 in enumerate(data.sections):
-        lam0 = data.section_lang_ids[x_id]
-        for a_id, a in enumerate(kernel.elements):
-            # lang(y0 * a) = lang(y0) * lang(a) since the kernel is central
-            if kernel.mult(lam0, lam_of_kernel[a_id]) in k_idset:
-                y_elems.append(y0 * a)
-    ident = Matrix.identity(ambient, iso.domain_spec.m)
-    y_group = FiniteGroup(set(y_elems), Matrix.__mul__, ident, inv=Matrix.inv,
-                          label=f"preimage group of {iso.name} at n={n}")
-    # Y/K is a group exactly when K is a central subgroup of Y; its order
-    # |Y|/|K| then follows from Lagrange, so the cosets are never built
-    _central_subgroup(y_group, [y_group.index[kernel.elements[i]] for i in k_ids])
-
-    reached = {codomain.index[iso.apply(y)] for y in y_group.elements}
+    k_ids = tuple(i for i, c in enumerate(data.kernel_proj) if c in kbar)
+    reached = {x for x, lam in enumerate(data.section_lang_ids)
+               if data.kernel_proj[lam] in kbar}
     return k_ids, reached == hset
 
 
@@ -766,6 +729,8 @@ def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
     False when the level-n image is not contained in H; None when the
     isogeny does not apply to the codomain's spec.  The cokernel data, with
     its section table, is built once per isogeny and shared by every H.
+    Before any H, this proves what induced_isogeny_reaches assumes: every
+    section maps to its point, and the geometric kernel is abelian.
     """
     spec = codomain.meta.get("spec")
     flags: list[dict[str, Optional[bool]]] = [{} for _ in subgroups]
@@ -775,8 +740,13 @@ def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
                 f[iso.name] = None
             continue
         data = cokernel(iso, n, ambient, seed=seed, codomain_points=codomain)
+        kernel = data.kernel_group
+        if any(kernel.mult(a, b) != kernel.mult(b, a)
+               for a in range(len(kernel)) for b in range(a)):
+            raise VerificationError(f"ker({iso.name}) is not abelian")
+        if any(iso.apply(y) != x for y, x in zip(data.sections, data.codomain.elements)):
+            raise VerificationError(f"{iso.name}: a section is not a preimage")
         image = set(data.image_ids)
         for f, h_ids in zip(flags, subgroups):
-            f[iso.name] = image.issubset(h_ids) and induced_isogeny_reaches(
-                iso, h_ids, n, ambient, data=data)[1]
+            f[iso.name] = image.issubset(h_ids) and induced_isogeny_reaches(data, h_ids)[1]
     return flags

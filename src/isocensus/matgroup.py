@@ -754,10 +754,3 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
             raise VerificationError(f"declared generators do not generate {group!r}")
         group.gens_hint = tuple(ids)
     return group
-
-
-def fixed_subgroup(group: FiniteGroup, e: int) -> FiniteGroup:
-    """Subgroup of elements fixed by the entrywise Frobenius x -> x^(p^e)."""
-    fixed = [g for g in group.elements if g.frobenius(e) == g]
-    return FiniteGroup(fixed, group.op, group.identity, inv=group._inv_fn,
-                       label=f"{group.label}^frob{e}", meta=dict(group.meta))

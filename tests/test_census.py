@@ -7,10 +7,9 @@ import pytest
 from corpus import build_corpus
 from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
                               abelianization_invariants, center,
-                              derived_subgroup, index_formula_check,
-                              index_k_subgroups, invariant_factors_abelian,
-                              is_normal, is_subgroup, minimal_proper_index,
-                              normal_core, quotient_group, small_generating_set,
+                              derived_subgroup, index_k_subgroups,
+                              invariant_factors_abelian, is_normal,
+                              is_subgroup, normal_core, quotient_group, small_generating_set,
                               subgroup_as_group, subgroup_lattice_oracle)
 from isocensus.ffield import make_field
 from isocensus.matgroup import (EnumerationBound, GaSpec, GmSpec, Matrix,
@@ -236,26 +235,6 @@ def test_normal_core_of_nonnormal_subgroup():
     sub = next(h for h in index_k_subgroups(SL2F2, 3) if not h.normal)
     core = normal_core(SL2F2, sub.ids)
     assert core.ids == (SL2F2.identity_id,)
-
-
-def test_index_formula_on_cyclic_and_sl2():
-    gm7 = rational_points(GmSpec(7), 1, F7)
-    orders = {gm7.element_order(i): i for i in range(len(gm7))}
-    h = gm7.closure_ids([orders[2]])
-    n = gm7.closure_ids([orders[3]])
-    assert index_formula_check(gm7, h, n) == (3, 3, True)
-    assert index_formula_check(gm7, h, (gm7.identity_id,))[2]
-    assert index_formula_check(gm7, h, tuple(range(len(gm7))))[2]
-    q8 = index_k_subgroups(SL2F3, 3)[0]
-    z = center(SL2F3)
-    assert index_formula_check(SL2F3, q8.ids, z)[2]
-
-
-def test_minimal_proper_index():
-    assert minimal_proper_index(SL2F4, 5) == 5
-    assert minimal_proper_index(SL2F2, 5) == 2
-    trivial = rational_points(GmSpec(2), 1, F2)
-    assert minimal_proper_index(trivial, 4) is None
 
 
 def test_small_generating_set_paths():

@@ -7,7 +7,7 @@ import pytest
 
 from isocensus import ffield
 from isocensus.ffield import (VerificationError, factorize, is_prime, kth_root,
-                              make_field, subfield_generator)
+                              make_field, prime_power, subfield_generator)
 
 
 def sieve_smallest_irreducible(p, degree):
@@ -208,6 +208,19 @@ def test_is_prime_and_factorize():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
+
+
+@pytest.mark.parametrize("q,split", [(2, (2, 1)), (4, (2, 2)), (7, (7, 1)),
+                                     (81, (3, 4)), (1024, (2, 10)),
+                                     (97**3, (97, 3))])
+def test_prime_power_splits_prime_powers(q, split):
+    assert prime_power(q) == split
+
+
+@pytest.mark.parametrize("q", [0, 1, 12, 36, -4])
+def test_prime_power_rejects_other_integers(q):
+    with pytest.raises(ValueError):
+        prime_power(q)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 from isocensus import census, homs
-from isocensus.ffield import make_field
-from isocensus.matgroup import (GaSpec, GmSpec, Matrix, NormTorusSpec,
-                                rational_points)
+from isocensus.ffield import VerificationError, make_field
+from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
+                                NormTorusSpec, SLSpec, rational_points)
 
 
 def test_power_isogeny_requires_coprime_exponent():
@@ -95,8 +95,8 @@ def test_image_of_identity_isogeny_is_everything():
     amb = make_field(3, 1)
     iso = homs.IdentityIsogeny(GmSpec(3))
     group = rational_points(GmSpec(3), 1, amb)
-    image = homs.image_of_rational(iso, 1, amb, codomain_points=group)
-    assert len(image) == len(group)
+    assert homs.image_ids(iso, 1, amb, codomain_points=group) == \
+        tuple(range(len(group)))
 
 
 def test_image_is_normal_subgroup():
@@ -233,13 +233,11 @@ def test_induced_isogeny_boundary_cases():
     amb = make_field(3, 2)
     iso = homs.power_isogeny(GmSpec(3), 2)
     group = rational_points(GmSpec(3), 1, amb)
+    data = homs.cokernel(iso, 1, amb, codomain_points=group)
     whole = tuple(range(len(group)))
-    k_ids, ok = homs.induced_isogeny_reaches(iso, whole, 1, amb,
-                                             codomain_points=group)
+    k_ids, ok = homs.induced_isogeny_reaches(data, whole)
     assert ok and len(k_ids) == 2  # K = full kernel: rational isomorphism
-    image = homs.image_ids(iso, 1, amb, codomain_points=group)
-    k_ids, ok = homs.induced_isogeny_reaches(iso, image, 1, amb,
-                                             codomain_points=group)
+    k_ids, ok = homs.induced_isogeny_reaches(data, data.image_ids)
     assert ok and len(k_ids) == 1  # K = lang(kernel): same image
 
 
@@ -247,9 +245,12 @@ def test_induced_isogeny_rejects_subgroup_missing_the_image():
     amb = make_field(5, 2)
     iso = homs.power_isogeny(GmSpec(5), 2)
     group = rational_points(GmSpec(5), 1, amb)
+    data = homs.cokernel(iso, 1, amb, codomain_points=group)
     with pytest.raises(ValueError):
-        homs.induced_isogeny_reaches(iso, (group.identity_id,), 1, amb,
-                                     codomain_points=group)
+        homs.induced_isogeny_reaches(data, (group.identity_id,))
+    without_table = homs.cokernel(iso, 1, amb, codomain_points=group, with_mu=False)
+    with pytest.raises(ValueError):
+        homs.induced_isogeny_reaches(without_table, tuple(range(len(group))))
 
 
 def test_reached_by_on_split_torus():
@@ -281,13 +282,120 @@ def test_reached_by_matches_one_cokernel_per_subgroup():
     flags = homs.reached_by(group, subs, catalog, 1, amb)
     for h_ids, f in zip(subs, flags):
         for iso in catalog:
-            image = homs.image_ids(iso, 1, amb, codomain_points=group)
-            want = set(image) <= set(h_ids) and homs.induced_isogeny_reaches(
-                iso, h_ids, 1, amb, codomain_points=group)[1]
+            data = homs.cokernel(iso, 1, amb, codomain_points=group)
+            want = set(data.image_ids) <= set(h_ids) and \
+                homs.induced_isogeny_reaches(data, h_ids)[1]
             assert f[iso.name] is want
     assert any(f["normcover"] for f in flags)
     assert not all(f["normcover"] for f in flags)
 
+
+
+def _reach_by_preimage_group(iso, data, h_ids, n, amb):
+    """Matrix-domain reference for induced_isogeny_reaches: (|K|, reached == H).
+
+    K is found from the Lang value of each section of H.  Y is the group of
+    all section * kernel products whose Lang value lies in K; K must be a
+    central subgroup of Y, and the isogeny is applied to every element of Y.
+    """
+    kernel = data.kernel_group
+
+    def lang_class(y):
+        return data.kernel_proj[kernel.index[homs.lang_map(y, iso.q, n)]]
+
+    kbar = {lang_class(data.sections[h]) for h in h_ids}
+    k_mats = {a for i, a in enumerate(kernel.elements) if data.kernel_proj[i] in kbar}
+    y_elems = {y0 * a for y0 in data.sections for a in kernel.elements
+               if homs.lang_map(y0 * a, iso.q, n) in k_mats}
+    y_group = FiniteGroup(y_elems, Matrix.__mul__,
+                          Matrix.identity(amb, iso.domain_spec.m), inv=Matrix.inv)
+    homs.quotient_by_central(y_group, [y_group.index[a] for a in k_mats])
+    reached = {data.codomain.index[iso.apply(y)] for y in y_group.elements}
+    return len(k_mats), reached == set(h_ids)
+
+
+REFERENCE_CASES = [("NormTorus", name, p)
+                   for p in (2, 5, 7, 11, 13)
+                   for name in ("normcover", "pow:2", "pow:3")
+                   if name == "normcover" or p % int(name[-1])]
+REFERENCE_CASES += [("Gm", name, p) for p in (7, 13) for name in ("pow:2", "pow:3")]
+
+
+@pytest.mark.parametrize("family,name,p", REFERENCE_CASES)
+def test_reached_by_matches_preimage_group_reference(family, name, p):
+    iso = _catalog_isogeny(family, name, p, 1)
+    amb = make_field(p, homs.plan_degree(iso, n=1, sections=True))
+    group = rational_points(iso.codomain_spec, 1, amb)
+    subs = [tuple(range(len(group)))]
+    subs += [h.ids for k in (2, 3) for h in census.index_k_subgroups(group, k)]
+    flags = homs.reached_by(group, subs, [iso], 1, amb)
+    data = homs.cokernel(iso, 1, amb, codomain_points=group)
+    compared = 0
+    for h_ids, f in zip(subs, flags):
+        if not set(data.image_ids) <= set(h_ids):
+            assert f[iso.name] is False
+            continue
+        k_ids, ok = homs.induced_isogeny_reaches(data, h_ids)
+        assert (len(k_ids), ok) == _reach_by_preimage_group(iso, data, h_ids, 1, amb)
+        assert f[iso.name] is ok
+        compared += 1
+    assert compared
+
+
+def _mutated_reached_by(monkeypatch, mutate):
+    """reached_by for pow:2 on NormTorus(F_7), after mutate edits the
+    cokernel data it builds."""
+    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
+    group = rational_points(iso.codomain_spec, 1, amb)
+    real = homs.cokernel
+
+    def mutated(*args, **kw):
+        data = real(*args, **kw)
+        mutate(data)
+        return data
+
+    monkeypatch.setattr(homs, "cokernel", mutated)
+    return homs.reached_by(group, [tuple(range(len(group)))], [iso], 1, amb)
+
+
+def test_reached_by_rejects_a_wrong_non_generator_section(monkeypatch):
+    def mutate(data):
+        reps = {data.codomain.index[r] for r in data.quotient.elements}
+        x = next(x for x in range(len(data.codomain))
+                 if x not in reps and x not in data.section_gens)
+        data.sections[x] = data.sections[x] * data.sections[data.section_gens[0]]
+
+    with pytest.raises(VerificationError, match="section is not a preimage"):
+        _mutated_reached_by(monkeypatch, mutate)
+
+
+def test_reached_by_rejects_a_nonabelian_kernel(monkeypatch):
+    s3 = rational_points(SLSpec(2, 2), 1, make_field(2, 1))
+
+    def mutate(data):
+        data.kernel_group = s3
+
+    with pytest.raises(VerificationError, match="not abelian"):
+        _mutated_reached_by(monkeypatch, mutate)
+
+
+class _WrongKernel(homs.PowerIsogeny):
+    """pow:2 on Gm whose kernel lists 2, which squares to 4, in place of -1."""
+
+    def kernel_matrices(self, ambient):
+        one = super().kernel_matrices(ambient)[0]
+        return [one, Matrix(ambient, ((ambient.from_int(2),),))]
+
+
+def test_kernel_points_reject_a_point_outside_the_kernel():
+    iso = _WrongKernel(GmSpec(5), 2)
+    amb = make_field(5, homs.plan_degree(iso, n=1, sections=True))
+    with pytest.raises(VerificationError, match="does not map to the identity"):
+        homs.kernel_points(iso, amb)
+    group = rational_points(GmSpec(5), 1, amb)
+    with pytest.raises(VerificationError, match="does not map to the identity"):
+        homs.reached_by(group, [tuple(range(len(group)))], [iso], 1, amb)
 
 def _catalog_isogeny(family, name, p, e):
     spec = GmSpec(p, e) if family == "Gm" else NormTorusSpec(p, e)
