@@ -368,14 +368,6 @@ def derived_subgroup(group: FiniteGroup) -> tuple[int, ...]:
         sub = set(group.closure_ids(current))
 
 
-def subgroup_as_group(group: FiniteGroup, ids: Sequence[int],
-                      label: str = "") -> FiniteGroup:
-    """The subgroup on the given ids as a standalone FiniteGroup."""
-    elems = [group.elements[i] for i in ids]
-    return FiniteGroup(elems, group.op, group.identity, inv=group._inv_fn,
-                       label=label or f"subgroup of {group.label}")
-
-
 def quotient_group(group: FiniteGroup, normal_ids: Sequence[int], *,
                    check: bool = True) -> tuple[FiniteGroup, list[int]]:
     """Quotient by a normal subgroup, on minimal canonical coset reps.

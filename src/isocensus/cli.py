@@ -17,36 +17,6 @@ from .experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
 from .ffield import make_field
 from .matgroup import builtin_specs, make_spec, rational_points
 
-TORUS_SPECS = ("Gm", "NormTorus")
-
-
-def _parse_isogeny(text: str, p: int, e: int, spec_name: str):
-    text = text.strip()
-    if text == "normcover":
-        return homs.NormCoverIsogeny(p, e)
-    if text == "id":
-        return homs.IdentityIsogeny(make_spec(spec_name, p, e))
-    if text.startswith("pow:"):
-        k = int(text.split(":", 1)[1])
-        if spec_name not in TORUS_SPECS:
-            raise ValueError(f"pow:{k} needs --spec Gm or NormTorus")
-        return homs.power_isogeny(make_spec(spec_name, p, e), k)
-    if text.startswith("compose:(") and text.endswith(")"):
-        inner = text[len("compose:("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                first = _parse_isogeny(inner[:i], p, e, spec_name)
-                second = _parse_isogeny(inner[i + 1:], p, e, spec_name)
-                return homs.CompositeIsogeny(first, second)
-        raise ValueError(f"malformed composite {text!r}")
-    raise ValueError(f"unknown isogeny {text!r}; use pow:K, normcover, id, "
-                     "or compose:(a,b)")
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -78,7 +48,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
+    iso = homs.parse_isogeny(args.iso, make_spec(args.spec, args.p, args.e, args.m))
     amb = make_field(args.p, homs.plan_degree(iso))
     group, min_level = homs.kernel_points(iso, amb)
     _emit({"isogeny": iso.name, "q": iso.q, "kernel_order": len(group),
@@ -88,7 +58,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_image(args) -> int:
-    iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
+    iso = homs.parse_isogeny(args.iso, make_spec(args.spec, args.p, args.e, args.m))
     amb = make_field(args.p, homs.plan_degree(iso, n=args.n))
     index, ker_n, equal = homs.check_image_index(iso, args.n, amb)
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n, "image_index": index,
@@ -97,7 +67,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_cokernel(args) -> int:
-    iso = _parse_isogeny(args.iso, args.p, args.e, args.spec)
+    iso = homs.parse_isogeny(args.iso, make_spec(args.spec, args.p, args.e, args.m))
     amb = make_field(args.p, homs.plan_degree(iso, n=args.n, sections=True))
     data = homs.cokernel(iso, args.n, amb, seed=args.seed)
     mu_ok = homs.verify_mu(data)

@@ -8,8 +8,8 @@ continues.  Reports are deterministic: fixed iteration order, integer-only
 payloads, seeded randomness.
 
     E1  image-index identity  [G(F_{q^n}) : image] = #rational kernel
-    E2  cokernel invariants match ker/lang(ker); transversal map checked as
-        a surjective homomorphism on small cells
+    E2  cokernel invariants match ker/lang(ker); the connecting map mu
+        checked as a surjective homomorphism on small cells
     E3  arithmetic-progression detector for index-3 subgroups of Gm over F_2
     E4  vanishing censuses for SL_2 over small prime powers
     E5  norm torus: split/non-split index-2 counts and which subgroups the
@@ -20,9 +20,8 @@ payloads, seeded randomness.
 
 Ambient fields are planned per cell by `homs.plan_degree`, the planner the
 CLI uses too: level-n points need degree e*n, geometric kernels degree
-e*s_ker, and transversal preimages degree e*n*s_section; the kernel side of
-E2 lives in its own small field on cells too large for the transversal
-check.
+e*s_ker, and the sections behind mu degree e*n*s_section; the kernel side
+of E2 lives in its own small field on cells too large for the mu check.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import Optional
 
 from . import census, homs, orderform
 from .ffield import AmbientField, is_prime, make_field, prime_power
-from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec,
-                       NormTorusSpec, SLSpec, rational_points)
+from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec, SLSpec, make_spec,
+                       rational_points)
 
 EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 
@@ -84,7 +83,6 @@ class ExperimentConfig:
     census_order_bound: int = 100_000
     candidate_bound: int = 10**6
     oracle_bound: int = 200
-    s_search: int = 32
 
     def __post_init__(self):
         for f in fields(self):
@@ -170,27 +168,19 @@ class Runner:
                 out.append(cell)
                 continue
             try:
-                self._run_e12_cell(experiment, cell, family, iso_name, q, n, k)
+                self._run_e12_cell(experiment, cell, family, iso_name, q, n)
             except Exception as exc:  # cell failures must not stop the grid
                 cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
             out.append(cell)
         return out
 
-    def _make_isogeny(self, family: str, iso_name: str, q: int, k: Optional[int]):
-        p, e = prime_power(q)
-        if iso_name == "normcover":
-            return homs.NormCoverIsogeny(p, e)
-        spec = GmSpec(p, e) if family == "Gm" else NormTorusSpec(p, e)
-        return homs.power_isogeny(spec, k)
-
     def _run_e12_cell(self, experiment: str, cell: dict, family: str,
-                      iso_name: str, q: int, n: int, k: Optional[int]) -> None:
+                      iso_name: str, q: int, n: int) -> None:
         cfg = self.config
-        iso = self._make_isogeny(family, iso_name, q, k)
-        p = iso.codomain_spec.p
+        p, e = prime_power(q)
+        iso = homs.parse_isogeny(iso_name, make_spec(family, p, e))
         with_mu = experiment == "E2" and cell["order"] <= cfg.mu_order_bound
-        degree = homs.plan_degree(iso, n=n, sections=with_mu,
-                                  s_search=cfg.s_search)
+        degree = homs.plan_degree(iso, n=n, sections=with_mu)
         amb = self.field(p, degree)
         codomain = self.group(iso.codomain_spec, n, degree)
         domain = codomain if iso.domain_spec is iso.codomain_spec \
@@ -206,7 +196,7 @@ class Runner:
             return
 
         kernel_amb = None if with_mu else self.field(p, homs.plan_degree(iso))
-        data = homs.cokernel(iso, n, amb, s_search=cfg.s_search, with_mu=with_mu,
+        data = homs.cokernel(iso, n, amb, with_mu=with_mu,
                              seed=cfg.seed, kernel_ambient=kernel_amb,
                              domain_points=domain, codomain_points=codomain)
         mu_ok = homs.verify_mu(data) if with_mu else None

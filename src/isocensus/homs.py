@@ -11,13 +11,13 @@ Central objects:
 * kernel_points: the full geometric kernel as a finite group, together with
   the minimal level m at which it is entirely rational.
 * image_ids / check_image_index: the image subgroup at level n and the
-  identity [G : image] = #rational kernel.
+  identity [G : image] = #rational kernel, both read off one image map.
 * lang_map: the twisted translation y -> y^(-1) sigma_{q^n}(y), surjective
   over the closure; its restriction to the kernel drives the cokernel.
 * cokernel: the quotient of the codomain points by the image, its abelian
-  invariants checked against ker/lang(ker), and the transversal table of the
-  connecting map mu sending a coset rep x to the class of lang(y) for any
-  preimage y of x.
+  invariants checked against ker/lang(ker), and the connecting map mu,
+  defined on every codomain point x as the class of lang(section(x)) in
+  ker/lang(ker) for the tabulated preimage section(x) of x.
 * induced_isogeny_reaches: the bootstrap that quotients the domain by a
   sigma-stable subgroup K of the kernel so that the induced isogeny's
   rational image grows to a prescribed subgroup H, decided by id arithmetic
@@ -34,7 +34,7 @@ ambient degree by integer arithmetic, for the CLI and the experiments alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -42,8 +42,9 @@ from . import census
 from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
                      _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, rational_points, _cube_root_of_unity,
-                       _norm_det, _norm_from_eigenvalues, _norm_matrix)
+                       NormTorusSpec, rational_points, _cover_matrix,
+                       _cube_root_of_unity, _norm_det, _norm_from_eigenvalues,
+                       _norm_matrix)
 
 
 class KernelNotCaptured(RuntimeError):
@@ -51,7 +52,8 @@ class KernelNotCaptured(RuntimeError):
 
 
 class PreimageNotFound(RuntimeError):
-    """No rational preimage was found within the configured search degree."""
+    """A section generator has no preimage in the ambient field, which was
+    planned smaller than the isogeny's section_degree requires."""
 
 
 def _mult_ord(a: int, mod: int) -> int:
@@ -122,14 +124,11 @@ class Isogeny:
         """Some preimage of the codomain point x inside the ambient field."""
         raise NotImplementedError
 
-    def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
-        """Minimal s (up to s_search) such that every level-n codomain point
-        is guaranteed a preimage rational at level n*s; integer arithmetic
-        only.  Raises PreimageNotFound past the bound."""
+    def section_degree(self, n: int) -> int:
+        """An s with the whole preimage of the level-n codomain points
+        rational at level n*s, so root extraction at that level finds every
+        section; integer arithmetic only."""
         raise NotImplementedError
-
-    def _default_s_search(self) -> int:
-        return max(2, self.kernel_order() ** 2)
 
     def __repr__(self) -> str:
         return f"<isogeny {self.name}: {self.domain_spec!r} -> {self.codomain_spec!r}>"
@@ -155,7 +154,7 @@ class IdentityIsogeny(Isogeny):
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
         return x
 
-    def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
+    def section_degree(self, n: int) -> int:
         return 1
 
 
@@ -212,20 +211,17 @@ class PowerIsogeny(Isogeny):
         return [_norm_from_eigenvalues(ambient, u, v, xi)
                 for u in roots for v in roots]
 
-    def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
-        if s_search is None:
-            s_search = self._default_s_search()
+    def section_degree(self, n: int) -> int:
         q, k = self.q, self.k
         nonsplit = self._needs_cube_root() and (q**n - 1) % 3 != 0
         # over a non-split level the eigenvalues live in the quadratic
         # extension, and the two roots are extracted independently there
         level, scale = (2 * n, 2) if nonsplit else (n, 1)
-        target = k * (q**level - 1)
-        for s in range(1, s_search + 1):
-            if (q ** (level * s) - 1) % target == 0:
-                return scale * s
-        raise PreimageNotFound(
-            f"{self.name}: no preimage degree within s_search={s_search} at level n={n}")
+        # the k-th roots of F_Q^* form a cyclic group of order k(Q-1), inside
+        # F_{Q^s} exactly when k(Q-1) divides Q^s - 1; the least such s is
+        # the order of Q mod k(Q-1), at most k
+        big_q = q**level
+        return scale * _mult_ord(big_q, k * (big_q - 1))
 
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
         k = self.k
@@ -287,7 +283,7 @@ class NormCoverIsogeny(Isogeny):
                                          (zero, zero, minus))))
         return mats
 
-    def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
+    def section_degree(self, n: int) -> int:
         # c^2 = det lands in the quadratic extension; in characteristic 2
         # squaring is bijective and the cover is one-to-one on points
         return 1 if self.q % 2 == 0 else 2
@@ -296,12 +292,7 @@ class NormCoverIsogeny(Isogeny):
         a, b = x.rows[0][0], x.rows[1][0]
         det = _norm_det(ambient, a, b)
         c = kth_root(ambient, det, 2)
-        if c is None:
-            return None
-        zero = ambient.zero
-        return Matrix(ambient, ((a, ambient.neg(b), zero),
-                                (b, ambient.sub(a, b), zero),
-                                (zero, zero, c)))
+        return None if c is None else _cover_matrix(ambient, a, b, c)
 
 
 class CompositeIsogeny(Isogeny):
@@ -339,9 +330,9 @@ class CompositeIsogeny(Isogeny):
             out.extend(y0 * a for a in inner_kernel)
         return out
 
-    def section_degree(self, n: int, s_search: Optional[int] = None) -> int:
-        so = self.outer.section_degree(n, s_search)
-        return so * self.inner.section_degree(n * so, s_search)
+    def section_degree(self, n: int) -> int:
+        so = self.outer.section_degree(n)
+        return so * self.inner.section_degree(n * so)
 
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
         mid = self.outer.section_over(x, ambient)
@@ -355,14 +346,41 @@ def power_isogeny(spec: GroupSpec, k: int) -> PowerIsogeny:
     return PowerIsogeny(spec, k)
 
 
+def parse_isogeny(text: str, spec: GroupSpec) -> Isogeny:
+    """The catalog isogeny named pow:K, normcover, id or compose:(outer,inner)
+    over spec; normcover takes only its p and e.  Raises ValueError on any
+    other name and on pow:K over a spec that is not a torus."""
+    text = text.strip()
+    if text == "normcover":
+        return NormCoverIsogeny(spec.p, spec.e)
+    if text == "id":
+        return IdentityIsogeny(spec)
+    if text.startswith("pow:"):
+        return power_isogeny(spec, int(text[len("pow:"):]))
+    if text.startswith("compose:(") and text.endswith(")"):
+        inner = text[len("compose:("):-1]
+        depth = 0
+        for i, ch in enumerate(inner):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                return CompositeIsogeny(parse_isogeny(inner[:i], spec),
+                                        parse_isogeny(inner[i + 1:], spec))
+        raise ValueError(f"malformed composite {text!r}")
+    raise ValueError(f"unknown isogeny {text!r}; use pow:K, normcover, id, "
+                     "or compose:(a,b)")
+
+
 def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
-                sections: bool = False, s_search: Optional[int] = None) -> int:
+                sections: bool = False) -> int:
     """Degree over F_p of the one ambient field a computation needs.
 
     Without n: the geometric kernel, e * kernel_field_degree().  With n: the
     level-n points of domain and codomain, the lcm of their entry degrees
     (e*n for the catalog).  With sections as well: the points, the kernel
-    and rational sections, e * lcm(n * section_degree(n, s_search),
+    and rational sections, e * lcm(n * section_degree(n),
     kernel_field_degree()).  Several isogenies get the lcm of their plans.
     """
     degree = 1
@@ -374,7 +392,7 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
         degree = lcm(degree, iso.domain_spec.entry_degree(n),
                      iso.codomain_spec.entry_degree(n))
         if sections:
-            degree = lcm(degree, e * lcm(n * iso.section_degree(n, s_search),
+            degree = lcm(degree, e * lcm(n * iso.section_degree(n),
                                          iso.kernel_field_degree()))
     return degree
 
@@ -408,30 +426,33 @@ def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int
     return group, m
 
 
-def _enumerate(spec: GroupSpec, n: int, ambient: AmbientField,
-               given: Optional[FiniteGroup], **kw) -> FiniteGroup:
-    if given is not None:
-        return given
-    return rational_points(spec, n, ambient, **kw)
+def _image_values(iso: Isogeny, n: int, ambient: AmbientField,
+                  domain_points: Optional[FiniteGroup],
+                  codomain_points: Optional[FiniteGroup]
+                  ) -> tuple[list[int], FiniteGroup]:
+    """The codomain id of phi(g) for every level-n domain point g, and the
+    codomain points.  A point group not given is enumerated, except that a
+    domain with the codomain's spec reuses the codomain points."""
+    codomain = codomain_points
+    if codomain is None:
+        codomain = rational_points(iso.codomain_spec, n, ambient)
+    domain = domain_points
+    if domain is None:
+        domain = codomain if iso.domain_spec is iso.codomain_spec \
+            else rational_points(iso.domain_spec, n, ambient)
+    values = [codomain.index.get(iso.apply(g)) for g in domain.elements]
+    if None in values:
+        raise VerificationError(f"{iso.name} maps a rational point outside "
+                                "the codomain point group")
+    return values, codomain
 
 
 def image_ids(iso: Isogeny, n: int, ambient: AmbientField, *,
               domain_points: Optional[FiniteGroup] = None,
               codomain_points: Optional[FiniteGroup] = None) -> tuple[int, ...]:
     """Sorted codomain ids of the image of the level-n domain points."""
-    if iso.domain_spec is iso.codomain_spec and domain_points is None:
-        domain_points = codomain_points
-    domain = _enumerate(iso.domain_spec, n, ambient, domain_points)
-    codomain = _enumerate(iso.codomain_spec, n, ambient, codomain_points)
-    ids = set()
-    for g in domain.elements:
-        img = iso.apply(g)
-        j = codomain.index.get(img)
-        if j is None:
-            raise VerificationError(f"{iso.name} maps a rational point outside "
-                                    "the codomain point group")
-        ids.add(j)
-    return tuple(sorted(ids))
+    values, _ = _image_values(iso, n, ambient, domain_points, codomain_points)
+    return tuple(sorted(set(values)))
 
 
 def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
@@ -439,22 +460,9 @@ def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
                       codomain_points: Optional[FiniteGroup] = None
                       ) -> tuple[int, int, bool]:
     """([G : image], #rational kernel, equality flag) at level n."""
-    if iso.domain_spec is iso.codomain_spec and domain_points is None:
-        domain_points = codomain_points
-    domain = _enumerate(iso.domain_spec, n, ambient, domain_points)
-    codomain = _enumerate(iso.codomain_spec, n, ambient, codomain_points)
-    image: set[int] = set()
-    ker_n = 0
-    for g in domain.elements:
-        img = iso.apply(g)
-        j = codomain.index.get(img)
-        if j is None:
-            raise VerificationError(f"{iso.name} maps a rational point outside "
-                                    "the codomain point group")
-        image.add(j)
-        if img.is_identity():
-            ker_n += 1
-    index = len(codomain) // len(image)
+    values, codomain = _image_values(iso, n, ambient, domain_points, codomain_points)
+    index = len(codomain) // len(set(values))
+    ker_n = values.count(codomain.identity_id)
     return index, ker_n, index == ker_n
 
 
@@ -474,24 +482,20 @@ class CokernelData:
     codomain: FiniteGroup
     image_ids: tuple[int, ...]
     quotient: FiniteGroup
-    quotient_proj: list[int]
     kernel_group: FiniteGroup
     kernel_min_level: int
     lang_image_ids: tuple[int, ...]
     kernel_quotient: FiniteGroup
     kernel_proj: list[int]
-    mu_table: dict[int, int] = dataclass_field(default_factory=dict)
     sections: Optional[list[Matrix]] = None
     section_lang_ids: Optional[list[int]] = None
     section_gens: Optional[list[int]] = None
 
-    def rep_id_of(self, x_id: int) -> int:
-        """Parent id of the canonical coset representative of element x."""
-        return self.codomain.index[self.quotient.elements[self.quotient_proj[x_id]]]
-
-    def mu_value(self, x_id: int) -> int:
-        """mu(x) as an id in ker/lang(ker); constant on image cosets."""
-        return self.mu_table[self.rep_id_of(x_id)]
+    def mu(self, x_id: int) -> int:
+        """mu(x) as an id in ker/lang(ker): the class of lang(section(x)).
+        Needs the section table; verify_mu proves it constant on image
+        cosets."""
+        return self.kernel_proj[self.section_lang_ids[x_id]]
 
 
 def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
@@ -549,23 +553,24 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
 
 
 def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
-             s_search: Optional[int] = None, with_mu: bool = True, seed: int = 0,
+             with_mu: bool = True, seed: int = 0,
              kernel_ambient: Optional[AmbientField] = None,
              domain_points: Optional[FiniteGroup] = None,
              codomain_points: Optional[FiniteGroup] = None) -> CokernelData:
     """The cokernel G(F_{q^n}) / image at level n, checked against
-    ker / lang(ker), with the connecting transversal table when requested.
+    ker / lang(ker), with the section table behind the connecting map mu
+    when requested.
 
     Requires the full geometric kernel inside the ambient field; preimages
-    for the table are searched by root extraction in the ambient, whose
-    degree must cover section_degree(n, s_search).  Without the table, the
-    kernel side may live in its own (smaller) ambient field, since the two
-    sides of the isomorphism only exchange abelian invariants.
+    for the table are found by root extraction in the ambient, whose degree
+    must cover section_degree(n), or PreimageNotFound is raised.  The section
+    of every coset representative is checked to be a preimage.  Without the
+    table, the kernel side may live in its own (smaller) ambient field, since
+    the two sides of the isomorphism only exchange abelian invariants.
     """
-    codomain = _enumerate(iso.codomain_spec, n, ambient, codomain_points)
-    ids = image_ids(iso, n, ambient, domain_points=domain_points,
-                    codomain_points=codomain)
-    quotient, proj = census.quotient_group(codomain, ids, check=False)
+    values, codomain = _image_values(iso, n, ambient, domain_points, codomain_points)
+    ids = tuple(sorted(set(values)))
+    quotient, _ = census.quotient_group(codomain, ids, check=False)
     lhs = census.invariant_factors_abelian(quotient)
 
     kernel_field = ambient if (with_mu or kernel_ambient is None) else kernel_ambient
@@ -579,24 +584,19 @@ def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
             f"cokernel invariants {lhs} differ from kernel-side invariants {rhs}")
 
     data = CokernelData(invariants=lhs, codomain=codomain, image_ids=ids,
-                        quotient=quotient, quotient_proj=proj,
-                        kernel_group=kernel_group, kernel_min_level=min_level,
-                        lang_image_ids=tuple(lam_ids), kernel_quotient=kq,
-                        kernel_proj=kproj)
+                        quotient=quotient, kernel_group=kernel_group,
+                        kernel_min_level=min_level, lang_image_ids=tuple(lam_ids),
+                        kernel_quotient=kq, kernel_proj=kproj)
     if not with_mu:
         return data
 
-    iso.section_degree(n, s_search)  # enforce the configured search ceiling
     sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
                                               kernel_group, seed)
+    if any(iso.apply(sections[codomain.index[x]]) != x for x in quotient.elements):
+        raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
     data.sections = sections
     data.section_lang_ids = lang_ids
     data.section_gens = gens
-    for rep_elem in quotient.elements:
-        rep_id = codomain.index[rep_elem]
-        if iso.apply(sections[rep_id]) != rep_elem:
-            raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
-        data.mu_table[rep_id] = kproj[lang_ids[rep_id]]
     return data
 
 
@@ -621,13 +621,13 @@ def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
 def verify_mu(data: CokernelData) -> bool:
     """mu is a surjective homomorphism with kernel the image subgroup.
 
-    Uses the per-element sections.  Multiplicativity is proved on the
+    Reads mu on every element.  Multiplicativity is proved on the
     generators the section table was built from, which covers every pair of
     elements; with the kernel equal to the image, this also makes mu
     constant on image cosets.
     """
     kq = data.kernel_quotient
-    values = [data.kernel_proj[k] for k in data.section_lang_ids]
+    values = [data.mu(x) for x in range(len(data.codomain))]
     if set(values) != set(range(len(kq))):
         return False
     if {i for i, v in enumerate(values) if v == kq.identity_id} != set(data.image_ids):
@@ -713,10 +713,9 @@ def induced_isogeny_reaches(data: CokernelData, h_ids: Sequence[int]
     hset = set(h_ids)
     if not hset.issuperset(data.image_ids):
         raise ValueError("induced isogeny needs image contained in H")
-    kbar = {data.mu_value(h) for h in hset}
+    kbar = {data.mu(h) for h in hset}
     k_ids = tuple(i for i, c in enumerate(data.kernel_proj) if c in kbar)
-    reached = {x for x, lam in enumerate(data.section_lang_ids)
-               if data.kernel_proj[lam] in kbar}
+    reached = {x for x in range(len(data.codomain)) if data.mu(x) in kbar}
     return k_ids, reached == hset
 
 

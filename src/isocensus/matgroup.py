@@ -425,6 +425,14 @@ def _norm_matrix(field: AmbientField, a: Coeffs, b: Coeffs) -> Matrix:
     return Matrix(field, ((a, field.neg(b)), (b, field.sub(a, b))))
 
 
+def _cover_matrix(field: AmbientField, a: Coeffs, b: Coeffs, c: Coeffs) -> Matrix:
+    """The norm-torus cover point diag(M(a, b), c)."""
+    zero = field.zero
+    return Matrix(field, ((a, field.neg(b), zero),
+                          (b, field.sub(a, b), zero),
+                          (zero, zero, c)))
+
+
 def _norm_det(field: AmbientField, a: Coeffs, b: Coeffs) -> Coeffs:
     # a^2 - ab + b^2
     return field.add(field.sub(field.mul(a, a), field.mul(a, b)), field.mul(b, b))
@@ -527,12 +535,6 @@ class NormTorusCoverSpec(GroupSpec):
         det = _norm_det(field, a, b)
         return shape_ok and any(det) and field.mul(c, c) == det
 
-    def _lift(self, field: AmbientField, a: Coeffs, b: Coeffs, c: Coeffs) -> Matrix:
-        zero = field.zero
-        return Matrix(field, ((a, field.neg(b), zero),
-                              (b, field.sub(a, b), zero),
-                              (zero, zero, c)))
-
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
         d = self.entry_degree(n)
         sub = field.enumerate_subfield(d)
@@ -544,7 +546,7 @@ class NormTorusCoverSpec(GroupSpec):
                 det = _norm_det(field, a, b)
                 if any(det):
                     for c in roots.get(det, ()):
-                        yield self._lift(field, a, b, c)
+                        yield _cover_matrix(field, a, b, c)
 
 
 class SLSpec(GroupSpec):

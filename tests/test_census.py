@@ -10,7 +10,7 @@ from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
                               derived_subgroup, index_k_subgroups,
                               invariant_factors_abelian, is_normal,
                               is_subgroup, normal_core, quotient_group, small_generating_set,
-                              subgroup_as_group, subgroup_lattice_oracle)
+                              subgroup_lattice_oracle)
 from isocensus.ffield import make_field
 from isocensus.matgroup import (EnumerationBound, GaSpec, GmSpec, Matrix,
                                 NormTorusSpec, SLSpec, direct_product,
@@ -285,6 +285,7 @@ def test_is_subgroup_and_subgroup_as_group():
     ids = index_k_subgroups(SL2F3, 3)[0].ids
     assert is_subgroup(SL2F3, ids)
     assert not is_subgroup(SL2F3, ids[1:])
-    q8 = subgroup_as_group(SL2F3, ids)
+    q8 = from_generators([SL2F3.elements[i] for i in ids], Matrix.__mul__,
+                         SL2F3.identity, inv=Matrix.inv)
     assert len(q8) == 8
     assert invariant_factors_abelian(quotient_group(q8, center(q8))[0]) == [2, 2]

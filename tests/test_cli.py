@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from isocensus.cli import _parse_isogeny, main
+from isocensus import homs
+from isocensus.cli import main
 from isocensus.experiments import ExperimentConfig, Runner, write_reports
+from isocensus.matgroup import GmSpec
 
 
 def run_cli(capsys, *argv):
@@ -116,13 +118,24 @@ def test_every_exported_name_imports():
 
 
 def test_composite_isogeny_parsing():
-    iso = _parse_isogeny("compose:(pow:2,pow:3)", 5, 1, "Gm")
+    spec = GmSpec(5)
+    iso = homs.parse_isogeny("compose:(pow:2,pow:3)", spec)
     assert iso.name == "compose:(pow:2,pow:3)"
     assert iso.kernel_order() == 6
     with pytest.raises(ValueError):
-        _parse_isogeny("compose:(pow:2", 5, 1, "Gm")
+        homs.parse_isogeny("compose:(pow:2", spec)
     with pytest.raises(ValueError):
-        _parse_isogeny("frobnicate", 5, 1, "Gm")
+        homs.parse_isogeny("frobnicate", spec)
+
+
+def test_identity_isogeny_takes_the_matrix_dimension(capsys):
+    # Sp needs an even dimension, so --m 3 must fail rather than fall back to m = 2
+    code = main(["image", "--spec", "Sp", "--m", "3", "--p", "2", "--iso", "id"])
+    assert code == 2
+    assert "even dimension" in capsys.readouterr().err
+    code, payload = run_cli(capsys, "image", "--spec", "Sp", "--m", "2", "--p", "2",
+                            "--iso", "id")
+    assert code == 0 and payload["image_index"] == 1
 
 
 def test_cli_reports_errors_with_exit_2(capsys):
@@ -139,6 +152,8 @@ def test_config_round_trip():
     assert again.to_json() == text
     with pytest.raises(ValueError):
         ExperimentConfig.from_json('{"nonsense": 1}')
+    with pytest.raises(ValueError, match=r"\['s_search'\]"):
+        ExperimentConfig.from_json('{"s_search": 32}')
 
 
 SMALL = dict(e12_qs=(2,), e12_n_max=2, e12_ks=(2, 3), e3_n_max=4,

@@ -407,39 +407,73 @@ def _catalog_isogeny(family, name, p, e):
     return homs.power_isogeny(spec, int(name.split(":")[1]))
 
 
-# (family, isogeny, p, e, n, s_search, kernel, points, points+kernel+sections):
+# (family, isogeny, p, e, n, kernel, points, points+kernel+sections):
 # the degrees the experiment runner planned before plan_degree existed.  The
 # old CLI agreed except on non-split NormTorus points, which it raised to
 # 2en, and so also on the p = 2 norm cover with sections.
 PLAN_CASES = [
-    ("Gm", "pow:2", 5, 1, 1, None, 1, 1, 2),
-    ("Gm", "pow:3", 2, 1, 2, None, 2, 2, 6),
-    ("Gm", "pow:3", 2, 2, 1, None, 2, 2, 6),
-    ("Gm", "pow:4", 7, 1, 3, 32, 2, 3, 6),
-    ("NormTorus", "pow:2", 7, 1, 1, None, 1, 1, 2),     # split
-    ("NormTorus", "pow:2", 5, 1, 1, None, 2, 1, 4),     # non-split
-    ("NormTorus", "pow:2", 5, 1, 2, None, 2, 2, 4),     # split at level 2
-    ("NormTorus", "pow:5", 2, 1, 1, 32, 4, 1, 4),       # non-split
-    ("NormTorus", "pow:2", 3, 1, 1, None, 1, 1, 2),     # characteristic 3
-    ("NormTorus", "pow:4", 3, 1, 2, 32, 2, 2, 8),       # characteristic 3
-    ("NormTorus", "normcover", 2, 1, 1, None, 1, 1, 1),
-    ("NormTorus", "normcover", 2, 1, 2, None, 1, 2, 2),
-    ("NormTorus", "normcover", 5, 1, 1, None, 1, 1, 2),
-    ("NormTorus", "normcover", 7, 1, 3, 32, 1, 3, 6),
-    ("Gm", "compose", 5, 1, 1, None, 2, 1, 6),
-    ("Gm", "compose", 7, 1, 2, 32, 3, 2, 12),
+    ("Gm", "pow:2", 5, 1, 1, 1, 1, 2),
+    ("Gm", "pow:3", 2, 1, 2, 2, 2, 6),
+    ("Gm", "pow:3", 2, 2, 1, 2, 2, 6),
+    ("Gm", "pow:4", 7, 1, 3, 2, 3, 6),
+    ("NormTorus", "pow:2", 7, 1, 1, 1, 1, 2),     # split
+    ("NormTorus", "pow:2", 5, 1, 1, 2, 1, 4),     # non-split
+    ("NormTorus", "pow:2", 5, 1, 2, 2, 2, 4),     # split at level 2
+    ("NormTorus", "pow:5", 2, 1, 1, 4, 1, 4),     # non-split
+    ("NormTorus", "pow:2", 3, 1, 1, 1, 1, 2),     # characteristic 3
+    ("NormTorus", "pow:4", 3, 1, 2, 2, 2, 8),     # characteristic 3
+    ("NormTorus", "normcover", 2, 1, 1, 1, 1, 1),
+    ("NormTorus", "normcover", 2, 1, 2, 1, 2, 2),
+    ("NormTorus", "normcover", 5, 1, 1, 1, 1, 2),
+    ("NormTorus", "normcover", 7, 1, 3, 1, 3, 6),
+    ("Gm", "compose", 5, 1, 1, 2, 1, 6),
+    ("Gm", "compose", 7, 1, 2, 3, 2, 12),
 ]
 
 
 @pytest.mark.parametrize(
-    "family,name,p,e,n,s_search,kernel,points,sections", PLAN_CASES,
+    "family,name,p,e,n,kernel,points,sections", PLAN_CASES,
     ids=[f"{c[1]}-{c[0]}-q{c[2] ** c[3]}-n{c[4]}" for c in PLAN_CASES])
-def test_plan_degree_matches_the_earlier_plans(family, name, p, e, n, s_search,
+def test_plan_degree_matches_the_earlier_plans(family, name, p, e, n,
                                                kernel, points, sections):
     iso = _catalog_isogeny(family, name, p, e)
     assert homs.plan_degree(iso) == kernel
     assert homs.plan_degree(iso, n=n) == points
-    assert homs.plan_degree(iso, n=n, sections=True, s_search=s_search) == sections
+    assert homs.plan_degree(iso, n=n, sections=True) == sections
+
+
+def _search_level(iso, n):
+    """(level, scale) for the brute-force search: roots over F_{q^level},
+    degree times scale.  A non-split level of a plane torus outside
+    characteristic 3 takes its roots upstairs, in F_{q^(2n)}."""
+    nonsplit = iso._needs_cube_root() and (iso.q**n - 1) % 3 != 0
+    return (2 * n, 2) if nonsplit else (n, 1)
+
+
+# Gm, split and non-split NormTorus (p = 2, 5, 11 have non-split levels),
+# and NormTorus in characteristic 3
+SECTION_SPECS = [(GmSpec, p) for p in (2, 3, 5, 7, 11, 13)] + \
+    [(NormTorusSpec, p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+@pytest.mark.parametrize("spec_cls,p", SECTION_SPECS,
+                         ids=[f"{c.__name__}-p{p}" for c, p in SECTION_SPECS])
+def test_section_degree_is_the_least_search_degree(spec_cls, p):
+    scales = set()
+    for k in range(1, 13):
+        if k % p == 0:
+            continue
+        iso = homs.power_isogeny(spec_cls(p), k)
+        for n in range(1, 5):
+            level, scale = _search_level(iso, n)
+            big_q = p**level
+            s = 1
+            while (big_q**s - 1) % (k * (big_q - 1)):
+                s += 1
+            assert iso.section_degree(n) == scale * s, (k, n)
+            assert s <= k
+            scales.add(scale)
+    assert (2 in scales) == (spec_cls is NormTorusSpec and p % 3 == 2)
 
 
 def test_plan_degree_takes_the_lcm_over_isogenies():
