@@ -13,17 +13,23 @@ x -> x^(p^d), and can be tested for membership or enumerated in place.
 
 Arithmetic takes one of two paths, fixed when the field is built:
 
-* Table path, for 1 < D and p^D <= TABLE_SIZE_LIMIT: exp, log and Zech
-  tables over the first primitive element g in canonical order (Huber,
-  "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).  A product
-  is a sum of two logs, a sum a Zech lookup log(1 + g^n), and an inverse,
-  power, Frobenius image or multiplicative order one log lookup.  Results
-  are the tables' own canonical tuples, so equality, hashing and ordering
-  are those of the coefficient tuples.  Zero has no log and is handled
-  explicitly; a tuple that is not a field element raises.
+* Table path, for 1 < D and q * D <= TABLE_COEFF_LIMIT, where q = p^D: exp,
+  log and Zech tables over a primitive element g (Huber, "Some comments on
+  Zech's logarithms", IEEE Trans. IT 36, 1990).  The tables hold q tuples of
+  D coefficients, so q * D tracks their memory.  g is the first primitive
+  x + c, c in [0, p), and each step of the walk over its powers is a shift,
+  plus c times the previous power, plus one reduction of x^D; when no x + c
+  is primitive the walk multiplies by the first primitive element in
+  canonical order instead.  A product is a sum of two logs, a sum a Zech
+  lookup log(1 + g^n), and an inverse, power, Frobenius image or
+  multiplicative order one log lookup.  Results are the tables' own
+  canonical tuples, so equality, hashing and ordering are those of the
+  coefficient tuples, whichever g was chosen.  Zero has no log and is
+  handled explicitly; a tuple that is not a field element raises.
 * Polynomial path, for prime fields and fields above the limit: schoolbook
-  products reduced modulo the modulus, extended Euclid for inverses.  It is
-  also the reference the tables are built and tested against.
+  products reduced modulo the modulus, extended Euclid for inverses, and
+  powers from the leading bit.  It is also the reference the tables are
+  built and tested against.
 
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
@@ -44,8 +50,8 @@ DEFAULT_SIZE_LIMIT = 2**64
 #: bound on p^d for operations that materialize a full subfield
 DEFAULT_SCAN_LIMIT = 2**24
 
-#: fields with 1 < D and p^D at most this get exp/log/Zech tables
-TABLE_SIZE_LIMIT = 2**10
+#: fields with 1 < D and p^D * D at most this get exp/log/Zech tables
+TABLE_COEFF_LIMIT = 2**14
 
 
 class VerificationError(AssertionError):
@@ -207,9 +213,11 @@ class AmbientField:
     to share across threads.  Raw-tuple methods (`add`, `mul`, ...) operate on
     coefficient tuples of length D.
 
-    When 1 < D and p^D <= TABLE_SIZE_LIMIT, construction also builds exp/log/
-    Zech tables and the raw-tuple methods use them; prime fields and larger
-    fields use polynomial arithmetic.  Both paths return the same tuples.
+    When 1 < D and p^D * D <= TABLE_COEFF_LIMIT, construction also builds
+    exp/log/Zech tables, walking the powers of the first primitive x + c (or,
+    when there is none, of the first primitive element), and the raw-tuple
+    methods use them; prime fields and larger fields use polynomial
+    arithmetic.  Both paths return the same tuples.
     """
 
     def __init__(self, p: int, degree: int, *,
@@ -244,25 +252,37 @@ class AmbientField:
         self._log: Optional[dict[Coeffs, Optional[int]]] = None
         self._zech: Optional[list[Optional[int]]] = None
         self._half = 0
-        if degree > 1 and p**degree <= TABLE_SIZE_LIMIT:
+        if degree > 1 and p**degree * degree <= TABLE_COEFF_LIMIT:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """exp/log/Zech tables over the first primitive element.
+        """exp/log/Zech tables over a primitive element g.
 
         exp[i] = g^i for i < 2(q-1) (doubled, so a sum of two logs indexes it
         directly); log maps each element to its exponent and zero to None;
-        zech[i] = log(1 + g^i), None where 1 + g^i = 0.  The polynomial path
-        computes every entry, and the build fails unless g^i reaches q - 1
+        zech[i] = log(1 + g^i), None where 1 + g^i = 0.  g is x + c for the
+        least c that makes it primitive: cur * (x + c) is the shift of cur,
+        plus c * cur, plus its top coefficient times x^D mod the modulus.
+        Without such a c, g is the first primitive element and each step is
+        one polynomial product.  The build fails unless g^i reaches q - 1
         distinct elements.
         """
         n, p = self.order - 1, self.p
-        g = subfield_generator(self, self.degree)
+        c = _linear_generator(self)
         exp: list[Coeffs] = []
         cur = self.one
-        for _ in range(n):
-            exp.append(cur)
-            cur = self._poly_mul(cur, g)
+        if c is not None:
+            head, tail = (0,), self._tails[0]
+            for _ in range(n):
+                exp.append(cur)
+                top = cur[-1]
+                cur = tuple([(s + c * x + top * t) % p for s, x, t in
+                             zip(head + cur[:-1], cur, tail)])
+        else:
+            g = subfield_generator(self, self.degree)
+            for _ in range(n):
+                exp.append(cur)
+                cur = self._poly_mul(cur, g)
         log: dict[Coeffs, Optional[int]] = {t: i for i, t in enumerate(exp)}
         if len(log) != n:
             raise VerificationError(
@@ -406,8 +426,9 @@ class AmbientField:
         return tuple(t0) + (0,) * (self.degree - len(t0))
 
     def pow(self, a: Coeffs, e: int) -> Coeffs:
-        """a^e: one log lookup on the table path, square-and-multiply
-        otherwise; negative e inverts first."""
+        """a^e: one log lookup on the table path, and otherwise binary
+        powering from the leading bit, floor(log2 e) squarings and
+        popcount(e) - 1 further products; negative e inverts first."""
         log = self._log
         if log is not None:
             la = log[a]
@@ -418,12 +439,13 @@ class AmbientField:
             return self._exp[la * e % (self.order - 1)]
         if e < 0:
             a, e = self.inv(a), -e
-        result, base = self.one, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e == 0:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     # -- Frobenius and subfields ----------------------------------------------
@@ -609,6 +631,17 @@ def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
             continue
         if all(field.pow(cand, c) != field.one for c in checks):
             return cand
+    return None
+
+
+def _linear_generator(field: AmbientField) -> Optional[int]:
+    """Least c in [0, p) with x + c primitive in F_{p^D}, or None (D > 1)."""
+    n = field.order - 1
+    checks = [n // ell for ell in factorize(n)]
+    for c in range(field.p):
+        g = (c, 1) + (0,) * (field.degree - 2)
+        if all(field.pow(g, e) != field.one for e in checks):
+            return c
     return None
 
 

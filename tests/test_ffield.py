@@ -230,7 +230,7 @@ def test_prime_power_rejects_other_integers(q):
 def polynomial_field(monkeypatch, p, degree):
     """The same field with its tables switched off: the reference path."""
     with monkeypatch.context() as m:
-        m.setattr(ffield, "TABLE_SIZE_LIMIT", 0)
+        m.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
         return make_field(p, degree)
 
 
@@ -266,12 +266,13 @@ def test_tables_match_polynomial_path_on_every_pair(monkeypatch, p, degree):
 
 
 def test_tables_match_polynomial_path_at_the_size_limit(monkeypatch):
-    # F_{2^10} is the largest field with tables
-    field, ref = make_field(2, 10), polynomial_field(monkeypatch, 2, 10)
-    assert field.order == ffield.TABLE_SIZE_LIMIT and field._log is not None
+    # F_{89^2} has the largest q * D of any field with tables
+    field, ref = make_field(89, 2), polynomial_field(monkeypatch, 89, 2)
+    assert field._log is not None
+    assert field.order * 2 <= ffield.TABLE_COEFF_LIMIT < 97**2 * 2
     rng = random.Random(3)
     elements = [field.zero, field.one] + [
-        tuple(rng.randrange(2) for _ in range(10)) for _ in range(300)]
+        tuple(rng.randrange(89) for _ in range(2)) for _ in range(300)]
     for _ in range(3000):
         a, b = rng.choice(elements), rng.choice(elements)
         assert field.mul(a, b) == ref.mul(a, b)
@@ -284,12 +285,18 @@ def test_tables_match_polynomial_path_at_the_size_limit(monkeypatch):
 
 
 def test_tables_stop_at_the_size_limit():
-    assert ffield.TABLE_SIZE_LIMIT == 2**10
-    for p, degree in [(2, 10), (31, 2), (2, 2)]:
+    limit = ffield.TABLE_COEFF_LIMIT
+    assert limit == 2**14
+    # q * D from 15,842 (F_{89^2}, the largest) down to F_4
+    for p, degree in [(89, 2), (5, 5), (7, 4), (17, 3), (2, 10), (2, 2)]:
+        assert p**degree * degree <= limit
         assert make_field(p, degree)._log is not None
-    # one field above the limit, and prime fields of any size
-    for p, degree in [(2, 11), (37, 2), (1021, 1), (2, 1)]:
+    # fields just above the limit, and prime fields of any size
+    for p, degree in [(2, 11), (2, 12), (97, 2), (19, 3), (5, 6)]:
+        assert p**degree * degree > limit
         assert make_field(p, degree)._log is None
+    for p in (1021, 2):
+        assert make_field(p, 1)._log is None
 
 
 def test_tables_reject_tuples_outside_the_field():
@@ -308,8 +315,90 @@ def test_tables_reject_tuples_outside_the_field():
 
 
 def test_table_build_rejects_a_non_primitive_element(monkeypatch):
-    # an element of order 5 in F_16^* reaches 5 of the 15 units
+    # x + c branch: x has order 4 in F_9^* (modulus x^2 + 1), 4 of 8 units
+    assert make_field(3, 2).modulus == (1, 0, 1)
+    monkeypatch.setattr(ffield, "_linear_generator", lambda field: 0)
+    with pytest.raises(VerificationError):
+        make_field(3, 2)
+    # fallback branch: an element of order 5 in F_16^* reaches 5 of 15 units
+    monkeypatch.setattr(ffield, "_linear_generator", lambda field: None)
     monkeypatch.setattr(ffield, "subfield_generator",
                         lambda field, d: field.pow(field.element_of((0, 1)), 3))
     with pytest.raises(VerificationError):
         make_field(2, 4)
+
+
+# F_{3^4} is under the table limit, but no x + c is primitive there, so its
+# tables come from the polynomial-product walk
+NO_LINEAR_GENERATOR = (3, 4)
+
+
+def test_search_for_fields_without_a_primitive_x_plus_c(monkeypatch):
+    limit = ffield.TABLE_COEFF_LIMIT
+    monkeypatch.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
+    found = [(p, d) for p in range(2, 91) if is_prime(p)
+             for d in range(2, 15) if p**d * d <= limit
+             and ffield._linear_generator(make_field(p, d)) is None]
+    assert found == [(2, 8), (2, 9), (3, 4), (5, 4)]
+    assert NO_LINEAR_GENERATOR in found
+
+
+@pytest.mark.parametrize("p,degree", [(5, 5), (7, 4), (3, 7), (13, 3), (89, 2),
+                                      NO_LINEAR_GENERATOR])
+def test_tables_match_polynomial_path_on_seeded_elements(monkeypatch, p, degree):
+    field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
+    assert field._log is not None and ref._log is None
+    assert (ffield._linear_generator(ref) is None) == ((p, degree) == NO_LINEAR_GENERATOR)
+    rng = random.Random(p * 100 + degree)
+    elements = [field.zero, field.one, field.neg(field.one)] + [
+        tuple(rng.randrange(p) for _ in range(degree)) for _ in range(60)]
+    for _ in range(600):
+        a, b = rng.choice(elements), rng.choice(elements)
+        assert field.mul(a, b) == ref.mul(a, b)
+        assert field.add(a, b) == ref.add(a, b)
+        assert field.sub(a, b) == ref.sub(a, b)
+    q = field.order
+    for a in elements[:15]:
+        assert_unary_ops_agree(field, ref, a,
+                               [*range(-3, 4), q - 2, q - 1, q, -q - 5,
+                                rng.randrange(10**12)])
+    for k in (2, 3, 4):
+        for x in elements[:12]:
+            for f in (field, ref):
+                root = kth_root(f, x, k)
+                if root is not None:
+                    assert f.pow(root, k) == x
+            assert (kth_root(field, x, k) is None) == (kth_root(ref, x, k) is None)
+
+
+@pytest.mark.parametrize("p,degree", [(7, 5), (2, 11), (3, 8)])
+def test_polynomial_pow_squares_from_the_leading_bit(p, degree):
+    field = make_field(p, degree)
+    assert field._log is None
+    a = field.element_of((1, 2, 1))
+    mul = field.mul
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    field.mul = counted
+    for e in [1, 2, 3, 5, 8, 13, 255, 256, 1000, 10**9 + 7]:
+        calls.clear()
+        got = field.pow(a, e)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        assert got == ref_pow(mul, field.one, a, e)
+    calls.clear()
+    assert field.pow(a, 0) == field.one and not calls
+
+
+def ref_pow(mul, one, a, e):
+    """Right-to-left square-and-multiply, independent of the field's pow."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result

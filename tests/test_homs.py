@@ -11,7 +11,8 @@ import pytest
 from isocensus import census, homs
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
-                                NormTorusSpec, SLSpec, rational_points)
+                                NormTorusSpec, SLSpec, matrix_pow,
+                                rational_points)
 
 
 def test_power_isogeny_requires_coprime_exponent():
@@ -197,8 +198,24 @@ def test_matrix_pow_matches_repeated_products(p, degree):
             want = Matrix.identity(amb, mat.m)
             for k in range(10):
                 if -3 <= sign * k <= 9:
-                    assert homs._matrix_pow(mat, sign * k) == want
+                    assert matrix_pow(mat, sign * k) == want
                 want = want * base
+
+
+@pytest.mark.parametrize("p,degree", [(7, 1), (5, 5), (7, 4), (7, 5)])
+def test_matrix_pow_of_1x1_is_one_field_pow(monkeypatch, p, degree):
+    # prime field, two tabled fields and one on the polynomial path
+    amb = make_field(p, degree)
+    mat = Matrix(amb, ((amb.element_of((3, 1, 4, 1, 5)[:degree]),),))
+    inv = mat.inv()
+    want = {0: Matrix.identity(amb, 1)}
+    for k in range(1, 10):
+        want[k] = want[k - 1] * mat
+    for k in range(1, 4):
+        want[-k] = want[1 - k] * inv
+    monkeypatch.setattr(Matrix, "__mul__", None)  # no matrix product is taken
+    for e in range(-3, 10):
+        assert matrix_pow(mat, e) == want[e]
 
 
 @pytest.mark.parametrize("k,products", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
@@ -213,7 +230,7 @@ def test_matrix_pow_spends_no_extra_products(monkeypatch, k, products):
         return mul(a, b)
 
     monkeypatch.setattr(Matrix, "__mul__", counted)
-    homs._matrix_pow(mat, k)
+    matrix_pow(mat, k)
     assert len(calls) == products
 
 
