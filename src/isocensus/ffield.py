@@ -14,17 +14,13 @@ x -> x^(p^d), and can be tested for membership or enumerated in place.
 Arithmetic takes one of two paths, fixed when the field is built:
 
 * Table path, for 1 < D and q * D <= TABLE_COEFF_LIMIT, where q = p^D: exp,
-  log and Zech tables over a primitive element g (Huber, "Some comments on
-  Zech's logarithms", IEEE Trans. IT 36, 1990).  The tables hold q tuples of
-  D coefficients, so q * D tracks their memory.  g is the first primitive
-  x + c, c in [0, p), and each step of the walk over its powers is a shift,
-  plus c times the previous power, plus one reduction of x^D; when no x + c
-  is primitive the walk multiplies by the first primitive element in
-  canonical order instead.  A product is a sum of two logs, a sum a Zech
-  lookup log(1 + g^n), and an inverse, power, Frobenius image or
-  multiplicative order one log lookup.  Results are the tables' own
-  canonical tuples, so equality, hashing and ordering are those of the
-  coefficient tuples, whichever g was chosen.  Zero has no log and is
+  log and Zech tables over the first primitive element g in canonical order
+  (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).
+  The tables hold q tuples of D coefficients, so q * D tracks their memory.
+  A product is a sum of two logs, a sum a Zech lookup log(1 + g^n), and an
+  inverse, power, Frobenius image or multiplicative order one log lookup.
+  Results are the tables' own canonical tuples, so equality, hashing and
+  ordering are those of the coefficient tuples.  Zero has no log and is
   handled explicitly; a tuple that is not a field element raises.
 * Polynomial path, for prime fields and fields above the limit: schoolbook
   products reduced modulo the modulus, extended Euclid for inverses, and
@@ -214,8 +210,7 @@ class AmbientField:
     coefficient tuples of length D.
 
     When 1 < D and p^D * D <= TABLE_COEFF_LIMIT, construction also builds
-    exp/log/Zech tables, walking the powers of the first primitive x + c (or,
-    when there is none, of the first primitive element), and the raw-tuple
+    exp/log/Zech tables over the first primitive element and the raw-tuple
     methods use them; prime fields and larger fields use polynomial
     arithmetic.  Both paths return the same tuples.
     """
@@ -251,46 +246,36 @@ class AmbientField:
         self._exp: Optional[list[Coeffs]] = None
         self._log: Optional[dict[Coeffs, Optional[int]]] = None
         self._zech: Optional[list[Optional[int]]] = None
-        self._half = 0
+        self._units = self._half = 0
         if degree > 1 and p**degree * degree <= TABLE_COEFF_LIMIT:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """exp/log/Zech tables over a primitive element g.
+        """exp/log/Zech tables over the first primitive element g.
 
-        exp[i] = g^i for i < 2(q-1) (doubled, so a sum of two logs indexes it
-        directly); log maps each element to its exponent and zero to None;
-        zech[i] = log(1 + g^i), None where 1 + g^i = 0.  g is x + c for the
-        least c that makes it primitive: cur * (x + c) is the shift of cur,
-        plus c * cur, plus its top coefficient times x^D mod the modulus.
-        Without such a c, g is the first primitive element and each step is
-        one polynomial product.  The build fails unless g^i reaches q - 1
+        exp[i] = g^i for i < q - 1; log maps each element to its exponent and
+        zero to None; zech[i] = log(1 + g^i), None where 1 + g^i = 0.  Sums of
+        logs are not reduced: every index lands in [-(q - 1), q - 1), where
+        Python's negative indexing supplies the wrap.  The polynomial path
+        computes every entry, and the build fails unless g^i reaches q - 1
         distinct elements.
         """
         n, p = self.order - 1, self.p
-        c = _linear_generator(self)
+        g = subfield_generator(self, self.degree)
         exp: list[Coeffs] = []
         cur = self.one
-        if c is not None:
-            head, tail = (0,), self._tails[0]
-            for _ in range(n):
-                exp.append(cur)
-                top = cur[-1]
-                cur = tuple([(s + c * x + top * t) % p for s, x, t in
-                             zip(head + cur[:-1], cur, tail)])
-        else:
-            g = subfield_generator(self, self.degree)
-            for _ in range(n):
-                exp.append(cur)
-                cur = self._poly_mul(cur, g)
+        for _ in range(n):
+            exp.append(cur)
+            cur = self._poly_mul(cur, g)
         log: dict[Coeffs, Optional[int]] = {t: i for i, t in enumerate(exp)}
         if len(log) != n:
             raise VerificationError(
                 f"powers of the primitive element reach {len(log)} of {n} units")
         log[self.zero] = None
         self._zech = [log[((t[0] + 1) % p,) + t[1:]] for t in exp]
-        self._exp = exp + exp
+        self._exp = exp
         self._log = log
+        self._units = n
         # -1 = g^((q-1)/2) in odd characteristic, 1 in characteristic 2
         self._half = n // 2 if p != 2 else 0
 
@@ -329,7 +314,7 @@ class AmbientField:
                 return self._exp[la]
             # g^la + g^lb = g^la * (1 + g^(lb - la))
             z = self._zech[lb - la]
-            return self.zero if z is None else self._exp[la + z]
+            return self.zero if z is None else self._exp[la + z - self._units]
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
@@ -339,11 +324,12 @@ class AmbientField:
             la, lb = log[a], log[b]
             if lb is None:
                 return self.zero if la is None else self._exp[la]
-            lb += self._half  # -b = g^(lb + half)
+            n = self._units
+            lb += self._half - n  # -b = g^(lb + half), index in [-n, n)
             if la is None:
                 return self._exp[lb]
-            z = self._zech[(lb - la) % (self.order - 1)]
-            return self.zero if z is None else self._exp[la + z]
+            z = self._zech[(lb - la) % n]
+            return self.zero if z is None else self._exp[la + z - n]
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
@@ -351,7 +337,9 @@ class AmbientField:
         log = self._log
         if log is not None:
             la = log[a]
-            return self.zero if la is None else self._exp[la + self._half]
+            if la is None:
+                return self.zero
+            return self._exp[la + self._half - self._units]
         p = self.p
         return tuple(-x % p for x in a)
 
@@ -363,7 +351,7 @@ class AmbientField:
             la, lb = log[a], log[b]
             if la is None or lb is None:
                 return self.zero
-            return self._exp[la + lb]
+            return self._exp[la + lb - self._units]
         return self._poly_mul(a, b)
 
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -395,7 +383,7 @@ class AmbientField:
             la = log[a]
             if la is None:
                 raise ZeroDivisionError("inverse of zero field element")
-            return self._exp[self.order - 1 - la]
+            return self._exp[-la]
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
         if self.degree == 1:
@@ -436,7 +424,7 @@ class AmbientField:
                 if e < 0:
                     raise ZeroDivisionError("inverse of zero field element")
                 return self.one if e == 0 else self.zero
-            return self._exp[la * e % (self.order - 1)]
+            return self._exp[la * e % self._units]
         if e < 0:
             a, e = self.inv(a), -e
         if e == 0:
@@ -472,7 +460,7 @@ class AmbientField:
             la = log[a]
             if la is None:
                 return self.zero
-            return self._exp[la * self.p**e % (self.order - 1)]
+            return self._exp[la * self.p**e % self._units]
         if e == 0:
             return a
         rows = self._frobenius_rows(e)
@@ -544,7 +532,7 @@ class AmbientField:
             la = log[a]
             if la is None:
                 raise ZeroDivisionError("order of zero")
-            n = (self.order - 1) // gcd(la, self.order - 1)
+            n = self._units // gcd(la, self._units)
             if n > cap:
                 raise ValueError(f"multiplicative order exceeds cap {cap}")
             return n
@@ -631,17 +619,6 @@ def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
             continue
         if all(field.pow(cand, c) != field.one for c in checks):
             return cand
-    return None
-
-
-def _linear_generator(field: AmbientField) -> Optional[int]:
-    """Least c in [0, p) with x + c primitive in F_{p^D}, or None (D > 1)."""
-    n = field.order - 1
-    checks = [n // ell for ell in factorize(n)]
-    for c in range(field.p):
-        g = (c, 1) + (0,) * (field.degree - 2)
-        if all(field.pow(g, e) != field.one for e in checks):
-            return c
     return None
 
 

@@ -42,7 +42,7 @@ from . import census
 from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
                      _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, matrix_pow, rational_points, _cover_matrix,
+                       NormTorusSpec, rational_points, _cover_matrix,
                        _cube_root_of_unity, _norm_det, _norm_from_eigenvalues,
                        _norm_matrix)
 
@@ -65,6 +65,27 @@ def _mult_ord(a: int, mod: int) -> int:
         cur = cur * a % mod
         t += 1
     return t
+
+
+def _matrix_pow(mat: Matrix, e: int) -> Matrix:
+    """mat^e by left-to-right binary powering from the leading bit.
+
+    Takes floor(log2 |e|) squarings and one product per further set bit;
+    negative e inverts first.  A 1x1 matrix is one `field.pow`, a single log
+    lookup on a tabled field.
+    """
+    if mat.m == 1:
+        f = mat.field
+        return Matrix(f, ((f.pow(mat.rows[0][0], e),),))
+    if e == 0:
+        return Matrix.identity(mat.field, mat.m)
+    base = mat if e > 0 else mat.inv()
+    result = base
+    for bit in bin(abs(e))[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 class Isogeny:
@@ -156,7 +177,7 @@ class PowerIsogeny(Isogeny):
         self.name = f"pow:{k}"
 
     def apply(self, mat: Matrix) -> Matrix:
-        return matrix_pow(mat, self.k)
+        return _matrix_pow(mat, self.k)
 
     def _is_plane_torus(self) -> bool:
         return isinstance(self.domain_spec, NormTorusSpec)

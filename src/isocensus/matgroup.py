@@ -165,27 +165,6 @@ class Matrix:
         return Matrix(f, tuple(tuple(aug[i][m:]) for i in range(m)))
 
 
-def matrix_pow(mat: Matrix, e: int) -> Matrix:
-    """mat^e by left-to-right binary powering from the leading bit.
-
-    Takes floor(log2 |e|) squarings and one product per further set bit;
-    negative e inverts first.  A 1x1 matrix is one `field.pow`, a single log
-    lookup on a tabled field.
-    """
-    if mat.m == 1:
-        f = mat.field
-        return Matrix(f, ((f.pow(mat.rows[0][0], e),),))
-    if e == 0:
-        return Matrix.identity(mat.field, mat.m)
-    base = mat if e > 0 else mat.inv()
-    result = base
-    for bit in bin(abs(e))[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * base
-    return result
-
-
 def element_sort_key(x):
     """Canonical ordering key for group elements (matrices or tuples of them)."""
     if isinstance(x, Matrix):
@@ -529,23 +508,11 @@ class NormTorusSpec(GroupSpec):
             return [_norm_from_eigenvalues(field, g, one, xi),
                     _norm_from_eigenvalues(field, one, g, xi)]
         # non-split: point group is cyclic via a <-> a + xi*b in F_{q^{2n}}
-        if field.degree % (2 * d) == 0:
-            xi = _cube_root_of_unity(field)
-            gamma = subfield_generator(field, 2 * d)
-            return [_norm_from_eigenvalues(field, gamma, field.frobenius(gamma, d), xi)]
-        # without F_{q^{2n}}: the first point of order q^{2n} - 1 in canonical
-        # order, rows ((a, -b), (b, a - b)) compared on a, then on -b
-        order = p**(2 * d) - 1
-        checks = [order // ell for ell in factorize(order)]
-        sub = field.enumerate_subfield(d)
-        for a in sub:
-            for nb in sub:
-                b = field.neg(nb)
-                if any(_norm_det(field, a, b)):
-                    mat = _norm_matrix(field, a, b)
-                    if not any(matrix_pow(mat, c).is_identity() for c in checks):
-                        return [mat]
-        raise VerificationError("the non-split point group is cyclic")
+        if field.degree % (2 * d):
+            return None
+        xi = _cube_root_of_unity(field)
+        gamma = subfield_generator(field, 2 * d)
+        return [_norm_from_eigenvalues(field, gamma, field.frobenius(gamma, d), xi)]
 
 
 class NormTorusCoverSpec(GroupSpec):

@@ -315,40 +315,18 @@ def test_tables_reject_tuples_outside_the_field():
 
 
 def test_table_build_rejects_a_non_primitive_element(monkeypatch):
-    # x + c branch: x has order 4 in F_9^* (modulus x^2 + 1), 4 of 8 units
-    assert make_field(3, 2).modulus == (1, 0, 1)
-    monkeypatch.setattr(ffield, "_linear_generator", lambda field: 0)
-    with pytest.raises(VerificationError):
-        make_field(3, 2)
-    # fallback branch: an element of order 5 in F_16^* reaches 5 of 15 units
-    monkeypatch.setattr(ffield, "_linear_generator", lambda field: None)
+    # an element of order 5 in F_16^* reaches 5 of the 15 units
     monkeypatch.setattr(ffield, "subfield_generator",
                         lambda field, d: field.pow(field.element_of((0, 1)), 3))
     with pytest.raises(VerificationError):
         make_field(2, 4)
 
 
-# F_{3^4} is under the table limit, but no x + c is primitive there, so its
-# tables come from the polynomial-product walk
-NO_LINEAR_GENERATOR = (3, 4)
-
-
-def test_search_for_fields_without_a_primitive_x_plus_c(monkeypatch):
-    limit = ffield.TABLE_COEFF_LIMIT
-    monkeypatch.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
-    found = [(p, d) for p in range(2, 91) if is_prime(p)
-             for d in range(2, 15) if p**d * d <= limit
-             and ffield._linear_generator(make_field(p, d)) is None]
-    assert found == [(2, 8), (2, 9), (3, 4), (5, 4)]
-    assert NO_LINEAR_GENERATOR in found
-
-
 @pytest.mark.parametrize("p,degree", [(5, 5), (7, 4), (3, 7), (13, 3), (89, 2),
-                                      NO_LINEAR_GENERATOR])
+                                      (2, 10)])
 def test_tables_match_polynomial_path_on_seeded_elements(monkeypatch, p, degree):
     field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
     assert field._log is not None and ref._log is None
-    assert (ffield._linear_generator(ref) is None) == ((p, degree) == NO_LINEAR_GENERATOR)
     rng = random.Random(p * 100 + degree)
     elements = [field.zero, field.one, field.neg(field.one)] + [
         tuple(rng.randrange(p) for _ in range(degree)) for _ in range(60)]

@@ -225,16 +225,3 @@ def test_norm_torus_structures():
     assert invariant_factors_abelian(nonsplit) == [24]
     char3 = rational_points(NormTorusSpec(3), 2, make_field(3, 2))
     assert invariant_factors_abelian(char3) == [3, 24]
-
-
-def test_non_split_torus_has_a_generator_at_its_own_degree():
-    # F_11 has no cube root of unity: the 120 points form a cyclic group
-    field = make_field(11, 1)
-    spec = NormTorusSpec(11)
-    [gen] = spec.point_generators(field, 1)
-    group = rational_points(spec, 1, field)
-    assert len(group) == 120 and group.gens_hint == (group.index[gen],)
-    assert group.closure_ids(group.gens_hint) == tuple(range(120))
-    # the first point of order 120 in canonical order
-    first = next(i for i in range(120) if group.element_order(i) == 120)
-    assert group.index[gen] == first
