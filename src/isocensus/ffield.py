@@ -21,11 +21,15 @@ Arithmetic takes one of two paths, fixed when the field is built:
   inverse, power, Frobenius image or multiplicative order one log lookup.
   Results are the tables' own canonical tuples, so equality, hashing and
   ordering are those of the coefficient tuples.  Zero has no log and is
-  handled explicitly; a tuple that is not a field element raises.
+  handled explicitly; a tuple that is not a field element raises.  The
+  tables also serve matrix products (`mat_mul`): each entry's log is looked
+  up once, and every dot product is summed in the log domain.
 * Polynomial path, for prime fields and fields above the limit: schoolbook
   products reduced modulo the modulus, extended Euclid for inverses, and
   powers from the leading bit.  It is also the reference the tables are
-  built and tested against.
+  built and tested against.  A prime field takes its matrix products as
+  integer dot products mod p; a field above the limit takes them through
+  `mul` and `add`.
 
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
@@ -39,6 +43,8 @@ from math import gcd
 from typing import Iterator, Optional
 
 Coeffs = tuple[int, ...]
+#: a square matrix as its tuple of rows
+Rows = tuple[tuple[Coeffs, ...], ...]
 
 #: construction bound on p^D; towers used for preimage searches stay far below
 DEFAULT_SIZE_LIMIT = 2**64
@@ -354,6 +360,78 @@ class AmbientField:
             return self._exp[la + lb - self._units]
         return self._poly_mul(a, b)
 
+    def mat_mul(self, a_rows: Rows, b_rows: Rows) -> Rows:
+        """Rows of the product of two m x m matrices given by their rows.
+
+        On the table path each of the 2m^2 entries is looked up in the log
+        table once.  Each dot product is then built as a log: a product of
+        two entries is a sum of logs, each further term costs one Zech
+        lookup, a zero entry (log None) is skipped, and one exp lookup turns
+        the sum back into an entry.  A prime field takes integer dot
+        products mod p on the single coefficient.  Both unroll m = 1 and
+        m = 2.  Other fields take the schoolbook loop over `mul` and `add`.
+        Every path returns the entries `mul` and `add` would.
+        """
+        m = len(a_rows)
+        log = self._log
+        if log is not None:
+            exp, zech, n, zero = self._exp, self._zech, self._units, self.zero
+            if m == 1:
+                x, y = log[a_rows[0][0]], log[b_rows[0][0]]
+                return ((zero if x is None or y is None else exp[x + y - n],),)
+            if m == 2:
+                (a0, a1), (a2, a3) = a_rows
+                (b0, b1), (b2, b3) = b_rows
+                a0, a1, a2, a3 = log[a0], log[a1], log[a2], log[a3]
+                b0, b1, b2, b3 = log[b0], log[b1], log[b2], log[b3]
+                return ((_log_dot2(a0, b0, a1, b2, exp, zech, n, zero),
+                         _log_dot2(a0, b1, a1, b3, exp, zech, n, zero)),
+                        (_log_dot2(a2, b0, a3, b2, exp, zech, n, zero),
+                         _log_dot2(a2, b1, a3, b3, exp, zech, n, zero)))
+            b_logs = [[log[y] for y in row] for row in b_rows]
+            out = []
+            for row in a_rows:
+                xs = [log[x] for x in row]
+                entries = []
+                for j in range(m):
+                    acc = None  # log of the partial sum, None while it is 0
+                    for x, b_row in zip(xs, b_logs):
+                        y = b_row[j]
+                        if x is None or y is None:
+                            continue
+                        if acc is None:
+                            acc = x + y
+                        else:
+                            z = zech[(x + y - acc) % n]
+                            acc = None if z is None else acc + z
+                    entries.append(zero if acc is None else exp[acc % n])
+                out.append(tuple(entries))
+            return tuple(out)
+        if self.degree == 1:
+            p = self.p
+            if m == 1:
+                return (((a_rows[0][0][0] * b_rows[0][0][0] % p,),),)
+            if m == 2:
+                ((a0,), (a1,)), ((a2,), (a3,)) = a_rows
+                ((b0,), (b1,)), ((b2,), (b3,)) = b_rows
+                return (((a0 * b0 + a1 * b2) % p,), ((a0 * b1 + a1 * b3) % p,)), \
+                       (((a2 * b0 + a3 * b2) % p,), ((a2 * b1 + a3 * b3) % p,))
+            cols = list(zip(*b_rows))
+            return tuple(tuple((sum(x[0] * y[0] for x, y in zip(row, col)) % p,)
+                               for col in cols) for row in a_rows)
+        mul, add = self.mul, self.add
+        out = []
+        for i in range(m):
+            ai = a_rows[i]
+            row = []
+            for j in range(m):
+                acc = mul(ai[0], b_rows[0][j])
+                for l in range(1, m):
+                    acc = add(acc, mul(ai[l], b_rows[l][j]))
+                row.append(acc)
+            out.append(tuple(row))
+        return tuple(out)
+
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         """Product on the polynomial path (D > 1)."""
         p = self.p
@@ -545,6 +623,20 @@ class AmbientField:
             if n > cap:
                 raise ValueError(f"multiplicative order exceeds cap {cap}")
         return n
+
+
+def _log_dot2(x0: Optional[int], y0: Optional[int], x1: Optional[int],
+              y1: Optional[int], exp: list[Coeffs], zech: list[Optional[int]],
+              n: int, zero: Coeffs) -> Coeffs:
+    """g^x0 g^y0 + g^x1 g^y1 from logs, where None stands for log 0."""
+    if x0 is None or y0 is None:
+        return zero if x1 is None or y1 is None else exp[x1 + y1 - n]
+    s = x0 + y0
+    if x1 is None or y1 is None:
+        return exp[s - n]
+    # g^s + g^t = g^s * (1 + g^(t - s))
+    z = zech[(x1 + y1 - s) % n]
+    return zero if z is None else exp[(s + z) % n]
 
 
 def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:

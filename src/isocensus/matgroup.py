@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .ffield import (AmbientField, Coeffs, VerificationError,
+from .ffield import (AmbientField, Coeffs, Rows, VerificationError,
                      _element_of_order, factorize, subfield_generator)
 
 DEFAULT_ORDER_BOUND = 200_000
@@ -44,13 +44,15 @@ class Matrix:
     """Immutable square matrix over an ambient field.
 
     Entries are stored as coefficient tuples (`rows`) and handled with the
-    field's tuple API.  Equality and ordering ignore the field object
-    itself: matrices are only ever compared within one ambient field.
+    field's tuple API; a product is one `AmbientField.mat_mul`, which takes
+    it in the log domain on a tabled field.  Equality and ordering ignore
+    the field object itself: matrices are only ever compared within one
+    ambient field.
     """
 
     __slots__ = ("field", "m", "rows")
 
-    def __init__(self, field: AmbientField, rows: tuple[tuple[Coeffs, ...], ...]):
+    def __init__(self, field: AmbientField, rows: Rows):
         self.field = field
         self.m = len(rows)
         self.rows = rows
@@ -68,20 +70,8 @@ class Matrix:
                                 for i in range(m)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        f, m = self.field, self.m
-        a, b = self.rows, other.rows
-        mul, add = f.mul, f.add
-        out = []
-        for i in range(m):
-            ai = a[i]
-            row = []
-            for j in range(m):
-                acc = mul(ai[0], b[0][j])
-                for l in range(1, m):
-                    acc = add(acc, mul(ai[l], b[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(f, tuple(out))
+        f = self.field
+        return Matrix(f, f.mat_mul(self.rows, other.rows))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -748,11 +738,21 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
             if g not in group.index:
                 raise VerificationError(f"declared generator not a rational point of {spec!r}")
             ids.append(group.index[g])
-        # a full closure audit of the declared generators is run here only for
-        # small groups; every consumer that walks generator words (the census
-        # word program, transversal tables) re-validates generation and raises
-        if len(group) <= TABLE_THRESHOLD and \
-                group.closure_ids(ids) != tuple(range(len(group))):
+        order = len(group)
+        if len(ids) == 1:
+            # <g> = G iff g^|G| = 1 and g^(|G|/ell) != 1 for each prime ell
+            # dividing |G|, which `element_order` tests
+            g = ids[0]
+            generates = group.pow_id(g, order) == group.identity_id and \
+                group.element_order(g) == order
+        else:
+            # a full closure audit of several generators is run here only for
+            # small groups; every consumer that walks generator words (the
+            # census word program, transversal tables) re-validates
+            # generation and raises
+            generates = order > TABLE_THRESHOLD or \
+                group.closure_ids(ids) == tuple(range(order))
+        if not generates:
             raise VerificationError(f"declared generators do not generate {group!r}")
         group.gens_hint = tuple(ids)
     return group

@@ -308,6 +308,10 @@ def test_tables_reject_tuples_outside_the_field():
                 fn(bad, one)
             with pytest.raises(KeyError):
                 fn(one, bad)
+        for m in (1, 2, 3):
+            rows = ((one,) * (m - 1) + (bad,),) * m
+            with pytest.raises(KeyError):
+                field.mat_mul(rows, ((one,) * m,) * m)
         for fn in (field.inv, field.neg, field.mult_order,
                    lambda x: field.pow(x, 2), lambda x: field.frobenius(x, 1)):
             with pytest.raises(KeyError):
@@ -380,3 +384,65 @@ def ref_pow(mul, one, a, e):
         a = mul(a, a)
         e >>= 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# matrix products against the schoolbook mul/add reference
+
+
+def schoolbook(field, a, b):
+    m = len(a)
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = field.zero
+            for l in range(m):
+                acc = field.add(acc, field.mul(a[i][l], b[l][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def random_matrix(field, rng, m):
+    """Entries uniform over the field, with one in three forced to zero."""
+    p, d = field.p, field.degree
+    return tuple(tuple(field.zero if rng.random() < 1 / 3
+                       else tuple(rng.randrange(p) for _ in range(d))
+                       for _ in range(m)) for _ in range(m))
+
+
+def cancelling_pair(field, rng, m):
+    """(a, b) whose (0, 0) entry sums x*u and -x*u, then for m > 2 zero
+    terms 1*0 and a last term 1*u."""
+    a = [list(r) for r in random_matrix(field, rng, m)]
+    b = [list(r) for r in random_matrix(field, rng, m)]
+    x, u = field.element_of((2, 1)), field.element_of((3,))
+    a[0][:2] = [x, field.one]
+    b[0][0], b[1][0] = u, field.neg(field.mul(x, u))
+    for l in range(2, m):
+        a[0][l], b[l][0] = field.one, (field.zero if l < m - 1 else u)
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@pytest.mark.parametrize("p,degree", [(17, 1), (7, 2), (2, 10), (89, 2),
+                                      (97, 2), (7, 5)])
+def test_mat_mul_matches_schoolbook_reference(p, degree):
+    field = make_field(p, degree)
+    tabled = 1 < degree and p**degree * degree <= ffield.TABLE_COEFF_LIMIT
+    assert (field._log is not None) == tabled
+    rng = random.Random(p * 100 + degree)
+    for m in (1, 2, 3, 4):
+        pairs = [(random_matrix(field, rng, m), random_matrix(field, rng, m))
+                 for _ in range(40)]
+        zero_row = (field.zero,) * m
+        pairs.append(((zero_row,) + pairs[0][0][1:], pairs[0][1]))
+        pairs.append((pairs[1][0], pairs[1][1][:-1] + (zero_row,)))
+        if m > 1:
+            pairs.append(cancelling_pair(field, rng, m))
+        for a, b in pairs:
+            assert field.mat_mul(a, b) == schoolbook(field, a, b), (m, a, b)
+        if m > 1:
+            a, b = pairs[-1]
+            u = b[0][0]
+            assert field.mat_mul(a, b)[0][0] == (field.zero if m == 2 else u)

@@ -1,14 +1,15 @@
 """Rational-point enumeration: orders, strategies, canonical structure."""
 
 import random
+from functools import reduce
 
 import pytest
 
 from isocensus import orderform
 from isocensus.census import invariant_factors_abelian
-from isocensus.ffield import make_field
-from isocensus.matgroup import (EnumerationBound, GaSpec, GLSpec, GmSpec,
-                                Matrix, NormTorusCoverSpec, NormTorusSpec,
+from isocensus.ffield import AmbientField, VerificationError, make_field
+from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
+                                GmSpec, Matrix, NormTorusCoverSpec, NormTorusSpec,
                                 SLSpec, SOSpec, SpSpec, SUSpec, builtin_specs,
                                 direct_product, from_generators, make_spec, rational_points)
 
@@ -225,3 +226,46 @@ def test_norm_torus_structures():
     assert invariant_factors_abelian(nonsplit) == [24]
     char3 = rational_points(NormTorusSpec(3), 2, make_field(3, 2))
     assert invariant_factors_abelian(char3) == [3, 24]
+
+
+@pytest.mark.parametrize("spec,field", [(GmSpec(7), F7), (NormTorusSpec(5), F25),
+                                        (GmSpec(5003), make_field(5003, 1))])
+def test_one_declared_generator_is_proved_by_its_order(monkeypatch, spec, field):
+    # the last group is above the product-cache threshold
+    monkeypatch.setattr(FiniteGroup, "closure_ids", None)  # no closure BFS
+    group = rational_points(spec, 1, field)
+    [g] = group.gens_hint
+    assert group.element_order(g) == len(group)
+    # a declared generator of order |G|/2 must not pass
+    [gen] = spec.point_generators(field, 1)
+    monkeypatch.setattr(spec, "point_generators", lambda field, n: [gen * gen])
+    with pytest.raises(VerificationError):
+        rational_points(spec, 1, field)
+
+
+def test_several_declared_generators_are_audited_by_closure(monkeypatch):
+    spec = NormTorusSpec(7)
+    g, _ = spec.point_generators(F7, 1)
+    monkeypatch.setattr(spec, "point_generators", lambda field, n: [g, g * g])
+    with pytest.raises(VerificationError):
+        rational_points(spec, 1, F7)
+
+
+@pytest.mark.parametrize("field", [make_field(7, 2), make_field(17, 1)])
+def test_matrix_products_take_no_field_mul_or_add(monkeypatch, field):
+    # tabled and prime fields multiply matrices without `mul` or `add`
+    rng = random.Random(field.order)
+    elements = list(field.iter_elements())
+    pairs = [tuple(Matrix(field, tuple(tuple(rng.choice(elements) for _ in range(m))
+                                       for _ in range(m))) for _ in range(2))
+             for m in (1, 2, 3) for _ in range(30)]
+    want = [Matrix(field, tuple(
+        tuple(reduce(field.add, (field.mul(x, y) for x, y in zip(row, col)))
+              for col in zip(*b.rows)) for row in a.rows)) for a, b in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("field mul/add called in a matrix product")
+
+    monkeypatch.setattr(AmbientField, "mul", forbidden)
+    monkeypatch.setattr(AmbientField, "add", forbidden)
+    assert [a * b for a, b in pairs] == want
