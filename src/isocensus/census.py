@@ -92,27 +92,26 @@ def is_subgroup(group: FiniteGroup, ids: Iterable[int]) -> bool:
                for a in idset for b in idset)
 
 
-def is_normal(group: FiniteGroup, ids: Iterable[int],
-              gens: Optional[Sequence[int]] = None) -> bool:
+def is_normal(group: FiniteGroup, ids: Iterable[int]) -> bool:
     """Normality via conjugation by a generating set of the parent."""
     idset = set(ids)
-    if gens is None:
-        gens = small_generating_set(group)
-    return all(group.conjugate_id(g, h) in idset for g in gens for h in idset)
+    return all(group.conjugate_id(g, h) in idset
+               for g in small_generating_set(group) for h in idset)
 
 
 # ---------------------------------------------------------------------------
 # generating sets
 
 
-def small_generating_set(group: FiniteGroup, *, seed: int = 0,
-                         sample_size: int = 24) -> list[int]:
-    """A small generating set of element ids.
+def small_generating_set(group: FiniteGroup, *, seed: int = 0) -> list[int]:
+    """A small generating set of element ids, proved to generate.
 
-    Prefers the construction generators when the group carries verified ones;
-    otherwise runs a seeded randomized search biased toward high-order
-    elements, with a deterministic greedy-closure fallback that always
-    succeeds.
+    Prefers the group's declared generators: a pair or triple of them that
+    generates, tested by closure, or else all of them, proved by their
+    Cayley-graph program (VerificationError naming the group if they do not
+    generate).  Without a declaration it runs a seeded randomized search
+    biased toward high-order elements, tested by closure, with a
+    deterministic greedy-closure fallback that always succeeds.
     """
     n = len(group)
     if n == 1:
@@ -121,19 +120,17 @@ def small_generating_set(group: FiniteGroup, *, seed: int = 0,
     hint = group.gens_hint
     if hint:
         live = [i for i in hint if i != group.identity_id]
-        if len(live) <= 2:
-            return live
-        # try to prune a long verified hint down to a pair or triple
-        ordered = sorted(live, key=lambda i: (-group.element_order(i), i))
-        for pair in itertools.combinations(ordered, 2):
-            if group.closure_ids(pair) == full:
-                return list(pair)
-        for triple in itertools.combinations(ordered, 3):
-            if group.closure_ids(triple) == full:
-                return list(triple)
+        if len(live) > 2:
+            # try to prune a long hint down to a pair or triple
+            ordered = sorted(live, key=lambda i: (-group.element_order(i), i))
+            for size in (2, 3):
+                for subset in itertools.combinations(ordered, size):
+                    if group.closure_ids(subset) == full:
+                        return list(subset)
+        _bfs_program(group, live)
         return live
     rng = random.Random(seed)
-    pool = sorted(rng.sample(range(n), min(n, sample_size)))
+    pool = sorted(rng.sample(range(n), min(n, 24)))
     pool = [i for i in pool if i != group.identity_id] or [group.identity_id]
     ranked = sorted(pool, key=lambda i: (-group.element_order(i), i))
     for single in ranked[:8]:
@@ -166,14 +163,20 @@ def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
     (identity first); program entries (is_check, gpos, spos, tpos) are the
     edges g -> g*s of the right Cayley graph in BFS order, with tree edges
     (the first edge into each element) assigning and the others checking.
+    The walk is the one proof that the generators generate (VerificationError
+    otherwise); programs are cached on the group by generator tuple.
     """
+    key = tuple(gen_ids)
+    cached = group.bfs_programs.get(key)
+    if cached is not None:
+        return cached
     pos_of: dict[int, int] = {group.identity_id: 0}
     bfs_ids = [group.identity_id]
     program: list[tuple[bool, int, int, int]] = []
     qi = 0
     while qi < len(bfs_ids):
         gid = bfs_ids[qi]
-        for spos, sid in enumerate(gen_ids):
+        for spos, sid in enumerate(key):
             tid = group.mult(gid, sid)
             tpos = pos_of.get(tid)
             if tpos is None:
@@ -185,8 +188,9 @@ def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
                 program.append((True, qi, spos, tpos))
         qi += 1
     if len(bfs_ids) != len(group):
-        raise ValueError("supplied generators do not generate the group")
-    return bfs_ids, program
+        raise VerificationError(f"generators {list(key)} do not generate {group!r}")
+    cached = group.bfs_programs[key] = bfs_ids, program
+    return cached
 
 
 def index_k_subgroups(group: FiniteGroup, k: int, *,
@@ -220,13 +224,9 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
         if n > 1:
             raise ValueError("empty generating set for a nontrivial group")
         return []  # trivial group, k > 1
-    key = tuple(gens)
-    cached = group.bfs_programs.get(key)
-    if cached is None:
-        cached = group.bfs_programs[key] = _bfs_program(group, key)
-    bfs_ids, program = cached
-    fwd = [[-1] * k for _ in key]
-    bwd = [[-1] * k for _ in key]
+    bfs_ids, program = _bfs_program(group, gens)
+    fwd = [[-1] * k for _ in gens]
+    bwd = [[-1] * k for _ in gens]
     pt = [0] * n
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     branch_points = 0
@@ -537,14 +537,14 @@ class CensusReport:
 
 
 def run_census(group: FiniteGroup, k: int, *, seed: int = 0,
-               candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-               list_bound: int = 4096) -> CensusReport:
-    """Census one cell and package it as a report record."""
+               candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> CensusReport:
+    """Census one cell and package it as a report record; subgroups are
+    listed for groups of order at most 4096."""
     meta = group.meta
     spec = meta.get("spec")
     subs = index_k_subgroups(group, k, seed=seed, candidate_bound=candidate_bound)
     return CensusReport(spec=spec.tag if spec else group.label,
                         q=meta.get("q", 0), n=meta.get("n", 0), k=k,
                         order=len(group), count=len(subs),
-                        subgroups=subs if len(group) <= list_bound else None)
+                        subgroups=subs if len(group) <= 4096 else None)
 

@@ -735,8 +735,8 @@ def subfield_generator(field: AmbientField, d: int) -> Coeffs:
     raise VerificationError("multiplicative group of a finite field is cyclic")
 
 
-def _prime_root(field: AmbientField, x: Coeffs, ell: int, order_cap: int) -> Optional[Coeffs]:
-    r = field.mult_order(x, cap=order_cap)
+def _prime_root(field: AmbientField, x: Coeffs, ell: int) -> Optional[Coeffs]:
+    r = field.mult_order(x)
     if r % ell:
         # x stays inside its own cyclic group: invert ell modulo ord(x)
         return field.pow(x, pow(ell, -1, r))
@@ -754,8 +754,7 @@ def _prime_root(field: AmbientField, x: Coeffs, ell: int, order_cap: int) -> Opt
     return None
 
 
-def kth_root(field: AmbientField, x: Coeffs, k: int, *,
-             order_cap: int = 2**21) -> Optional[Coeffs]:
+def kth_root(field: AmbientField, x: Coeffs, k: int) -> Optional[Coeffs]:
     """Some y with y^k = x, or None if no such y exists in this field.
 
     x must have small multiplicative order (it comes from an enumerated
@@ -768,7 +767,7 @@ def kth_root(field: AmbientField, x: Coeffs, k: int, *,
     y = x
     for ell, mult in sorted(factorize(k).items()):
         for _ in range(mult):
-            y = _prime_root(field, y, ell, order_cap)
+            y = _prime_root(field, y, ell)
             if y is None:
                 return None
     if field.pow(y, k) != x:

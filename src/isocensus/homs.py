@@ -42,7 +42,7 @@ from . import census
 from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
                      _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, rational_points, _cover_matrix,
+                       NormTorusSpec, pair_group, rational_points, _cover_matrix,
                        _cube_root_of_unity, _norm_det, _norm_from_eigenvalues,
                        _norm_matrix)
 
@@ -509,11 +509,13 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     the codomain generators the table is built from.
 
     Sections of a generating set are extended multiplicatively along the
-    breadth-first order, one product per element; the codomain must be
-    abelian for the extension to stay a preimage.  Lang values follow the
-    same products: lang(y*s) = s^(-1) lang(y) s lang(s), and lang(y) lies in
-    the kernel, so lang(y*s) = lang(y) lang(s) for every y exactly when each
-    kernel element commutes with each generator section s, which is checked.
+    tree edges g -> g*s of the generators' Cayley-graph program
+    (`census._bfs_program`, which proves that they generate), one product
+    per element; the codomain must be abelian for the extension to stay a
+    preimage.  Lang values follow the same products: lang(y*s) =
+    s^(-1) lang(y) s lang(s), and lang(y) lies in the kernel, so
+    lang(y*s) = lang(y) lang(s) for every y exactly when each kernel
+    element commutes with each generator section s, which is checked.
     """
     gens = census.small_generating_set(codomain, seed=seed)
     if any(codomain.mult(a, b) != codomain.mult(b, a)
@@ -536,23 +538,16 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
         if any(a * y != y * a for a in kernel_group.elements):
             raise VerificationError("a kernel element does not commute with a section")
         ygen_lang.append(kid)
-    size = len(codomain)
-    sections: list[Optional[Matrix]] = [None] * size
-    lang_ids: list[Optional[int]] = [None] * size
+    bfs_ids, program = census._bfs_program(codomain, gens)
+    sections: list[Optional[Matrix]] = [None] * len(codomain)
+    lang_ids: list[Optional[int]] = [None] * len(codomain)
     sections[codomain.identity_id] = Matrix.identity(ambient, iso.domain_spec.m)
     lang_ids[codomain.identity_id] = kernel_group.identity_id
-    queue = [codomain.identity_id]
-    for x in queue:
-        sx = sections[x]
-        lx = lang_ids[x]
-        for g, yg, lg in zip(gens, ygens, ygen_lang):
-            child = codomain.mult(x, g)
-            if sections[child] is None:
-                sections[child] = sx * yg
-                lang_ids[child] = kernel_group.mult(lx, lg)
-                queue.append(child)
-    if any(s is None for s in sections):
-        raise ValueError("generators do not generate the codomain points")
+    for is_check, gpos, spos, tpos in program:
+        if not is_check:
+            g, t = bfs_ids[gpos], bfs_ids[tpos]
+            sections[t] = sections[g] * ygens[spos]
+            lang_ids[t] = kernel_group.mult(lang_ids[g], ygen_lang[spos])
     return sections, lang_ids, gens
 
 
@@ -612,23 +607,25 @@ def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
     values[x*s] = values[x] values[s] for every x and every s in gens: then
     values[x*w] = values[x] values[w] for every word w in the generators, by
     induction on its length (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005).  Costs |src| * |gens| products.
+    Computational Group Theory, 2005).  The Cayley-graph program of gens
+    (`census._bfs_program`) proves that they generate, and its edges are the
+    pairs (x, s), each once.  Costs |src| * |gens| products in dst.
     """
     if values[src.identity_id] != dst.identity_id:
         return False
-    if len(src.closure_ids(gens)) != len(src):
-        return False
-    return all(values[src.mult(x, s)] == dst.mult(values[x], values[s])
-               for x in range(len(src)) for s in gens)
+    bfs_ids, program = census._bfs_program(src, gens)
+    gen_values = [values[s] for s in gens]
+    return all(values[bfs_ids[t]] == dst.mult(values[bfs_ids[g]], gen_values[s])
+               for _, g, s, t in program)
 
 
 def verify_mu(data: CokernelData) -> bool:
     """mu is a surjective homomorphism with kernel the image subgroup.
 
-    Reads mu on every element.  Multiplicativity is proved on the
-    generators the section table was built from, which covers every pair of
-    elements; with the kernel equal to the image, this also makes mu
-    constant on image cosets.
+    Reads mu on every element.  Multiplicativity is proved on the edges of
+    the Cayley-graph program the section table was built along, which cover
+    every pair of elements; with the kernel equal to the image, this also
+    makes mu constant on image cosets.
     """
     kq = data.kernel_quotient
     values = [data.mu(x) for x in range(len(data.codomain))]
@@ -677,15 +674,7 @@ def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup, psi, pi
     for x, v in zip(a.elements, psi_ids):
         buckets.setdefault(v, []).append(x)
     pairs = [(x, y) for y, v in zip(b.elements, pi_ids) for x in buckets.get(v, ())]
-
-    def op(u, v):
-        return (a.op(u[0], v[0]), b.op(u[1], v[1]))
-
-    def inv(u):
-        return (a.elements[a.inv(a.index[u[0]])], b.elements[b.inv(b.index[u[1]])])
-
-    group = FiniteGroup(pairs, op, (a.identity, b.identity), inv=inv,
-                        label=f"{a.label} x_C {b.label}")
+    group = pair_group(a, b, pairs, f"{a.label} x_C {b.label}")
     proj_a = {pair: pair[0] for pair in group.elements}
     proj_b = {pair: pair[1] for pair in group.elements}
     return group, proj_a, proj_b

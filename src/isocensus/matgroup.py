@@ -82,10 +82,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows})"
 
-    def key(self):
-        """Canonical sort key: the flattened entry-coefficient sequence."""
-        return self.rows
-
     def is_identity(self) -> bool:
         f = self.field
         return all(self.rows[i][j] == (f.one if i == j else f.zero)
@@ -158,7 +154,7 @@ class Matrix:
 def element_sort_key(x):
     """Canonical ordering key for group elements (matrices or tuples of them)."""
     if isinstance(x, Matrix):
-        return x.key()
+        return x.rows
     if isinstance(x, tuple):
         return tuple(element_sort_key(c) for c in x)
     return x
@@ -170,12 +166,13 @@ class FiniteGroup:
     Elements are sorted by `element_sort_key`, so the id assignment (and every
     report derived from it) is deterministic.  Products of small groups are
     cached without bound; larger groups recompute products on demand.
+    `gens_hint` declares generators, as elements of the group; that they
+    generate is proved where they are first walked (`census._bfs_program`).
     """
 
     def __init__(self, elements: Iterable, op: Callable, identity, *,
                  inv: Optional[Callable] = None, label: str = "",
-                 gens_hint: Optional[Sequence[int]] = None, meta: Optional[dict] = None,
-                 table_threshold: int = TABLE_THRESHOLD):
+                 gens_hint: Optional[Sequence] = None, meta: Optional[dict] = None):
         elems = sorted(elements, key=element_sort_key)
         self.elements = tuple(elems)
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -186,9 +183,12 @@ class FiniteGroup:
         self.identity_id = self.index[identity]
         self._inv_fn = inv
         self.label = label
-        self.gens_hint = tuple(gens_hint) if gens_hint is not None else None
+        if gens_hint is not None and any(g not in self.index for g in gens_hint):
+            raise VerificationError(f"a declared generator is not an element of {self!r}")
+        self.gens_hint = None if gens_hint is None else \
+            tuple(self.index[g] for g in gens_hint)
         self.meta = dict(meta or {})
-        self._cache_products = len(self.elements) <= table_threshold
+        self._cache_products = len(self.elements) <= TABLE_THRESHOLD
         self._mult_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
         self._order_cache: dict[int, int] = {}
@@ -286,14 +286,15 @@ def from_generators(gens: Sequence, op: Callable, identity, *,
                     raise EnumerationBound(f"generator closure exceeds bound {bound}")
                 seen.add(y)
                 queue.append(y)
-    group = FiniteGroup(seen, op, identity, inv=inv, label=label, meta=meta)
-    group.gens_hint = tuple(sorted(group.index[g] for g in gens if g in group.index))
-    return group
+    # sorted by element_sort_key, the hint lists ids in increasing order
+    return FiniteGroup(seen, op, identity, inv=inv, label=label, meta=meta,
+                       gens_hint=sorted(gens, key=element_sort_key))
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
-    """Direct product with componentwise operation on element pairs."""
-    elements = [(x, y) for x in a.elements for y in b.elements]
+def pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Iterable,
+               label: str) -> FiniteGroup:
+    """The pairs (x, y), x in a and y in b, under the componentwise operation;
+    they must be closed under it."""
 
     def op(u, v):
         return (a.op(u[0], v[0]), b.op(u[1], v[1]))
@@ -301,8 +302,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGro
     def inv(u):
         return (a.elements[a.inv(a.index[u[0]])], b.elements[b.inv(b.index[u[1]])])
 
-    return FiniteGroup(elements, op, (a.identity, b.identity), inv=inv,
-                       label=label or f"{a.label}x{b.label}")
+    return FiniteGroup(pairs, op, (a.identity, b.identity), inv=inv, label=label)
+
+
+def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
+    """Direct product with componentwise operation on element pairs."""
+    return pair_group(a, b, [(x, y) for x in a.elements for y in b.elements],
+                      label or f"{a.label}x{b.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +703,9 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     """Enumerate the group of level-n rational points of a spec.
 
     The ambient field must contain the entry subfield.  The returned group is
-    canonical: element ids depend only on (spec, n, ambient degree).
+    canonical: element ids depend only on (spec, n, ambient degree).  The
+    spec's declared point generators, each checked to be a point, become its
+    `gens_hint`; only `census._bfs_program` proves that they generate.
     """
     if n < 1:
         raise ValueError("level n must be positive")
@@ -714,12 +722,10 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     if how == "parametrized":
         elems = set(spec.scan_points(ambient, n))
     elif how == "closure":
-        gens = spec.generators(ambient, n)
-        group = from_generators(gens, Matrix.__mul__, identity,
-                                inv=Matrix.inv, bound=order_bound,
-                                label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})",
-                                meta={"spec": spec, "n": n, "q": spec.q})
-        return group
+        return from_generators(spec.generators(ambient, n), Matrix.__mul__,
+                               identity, inv=Matrix.inv, bound=order_bound,
+                               label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})",
+                               meta={"spec": spec, "n": n, "q": spec.q})
     elif how == "scan":
         elems = set(_scan_all_matrices(spec, ambient, n, scan_limit))
     else:
@@ -728,31 +734,7 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
         raise EnumerationBound(
             f"group order {len(elems)} exceeds bound {order_bound}")
     tag = f"{spec.tag}{spec.m if spec.m > 1 and spec.tag not in ('Ga', 'NormTorus', 'NormTorusCover') else ''}"
-    group = FiniteGroup(elems, Matrix.__mul__, identity, inv=Matrix.inv,
-                        label=f"{tag}(F_{spec.q}^{n})",
-                        meta={"spec": spec, "n": n, "q": spec.q})
-    pg = spec.point_generators(ambient, n)
-    if pg is not None:
-        ids = []
-        for g in pg:
-            if g not in group.index:
-                raise VerificationError(f"declared generator not a rational point of {spec!r}")
-            ids.append(group.index[g])
-        order = len(group)
-        if len(ids) == 1:
-            # <g> = G iff g^|G| = 1 and g^(|G|/ell) != 1 for each prime ell
-            # dividing |G|, which `element_order` tests
-            g = ids[0]
-            generates = group.pow_id(g, order) == group.identity_id and \
-                group.element_order(g) == order
-        else:
-            # a full closure audit of several generators is run here only for
-            # small groups; every consumer that walks generator words (the
-            # census word program, transversal tables) re-validates
-            # generation and raises
-            generates = order > TABLE_THRESHOLD or \
-                group.closure_ids(ids) == tuple(range(order))
-        if not generates:
-            raise VerificationError(f"declared generators do not generate {group!r}")
-        group.gens_hint = tuple(ids)
-    return group
+    return FiniteGroup(elems, Matrix.__mul__, identity, inv=Matrix.inv,
+                       label=f"{tag}(F_{spec.q}^{n})",
+                       meta={"spec": spec, "n": n, "q": spec.q},
+                       gens_hint=spec.point_generators(ambient, n))

@@ -168,6 +168,28 @@ def test_cokernel_nontrivial_lang_action():
     assert homs.verify_mu(data)
 
 
+def test_image_index_walks_no_generating_set(monkeypatch):
+    # split NormTorus(F_7) declares two generators; the image index needs none
+    def forbidden(*args):
+        raise AssertionError("a generating set was walked")
+
+    monkeypatch.setattr(FiniteGroup, "closure_ids", forbidden)
+    monkeypatch.setattr(census, "_bfs_program", forbidden)
+    amb = make_field(7, 1)
+    group = rational_points(NormTorusSpec(7), 1, amb)
+    assert len(group.gens_hint) == 2
+    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    assert homs.check_image_index(iso, 1, amb, codomain_points=group) == (4, 4, True)
+
+
+def test_cokernel_and_verify_mu_share_one_program():
+    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
+    data = homs.cokernel(iso, 1, amb)
+    assert homs.verify_mu(data)
+    assert set(data.codomain.bfs_programs) == {tuple(data.section_gens)}
+
+
 def test_preimage_not_found_is_loud():
     amb = make_field(3, 1)  # non-squares of F_3 have no square roots here
     iso = homs.power_isogeny(GmSpec(3), 2)
@@ -642,6 +664,19 @@ def test_fiber_product_rejects_non_multiplicative_map():
         homs.fiber_product(group, group, group,
                            lambda mat: Matrix.identity(outside, 1),
                            lambda mat: mat)
+
+
+def test_multiplicativity_is_checked_on_cycle_closing_edges():
+    # x -> t^i for the i-th element in BFS order agrees with every tree edge
+    # of a cyclic group of order 3; only the edge s^2 * s = 1 refutes it
+    src = rational_points(GmSpec(2), 2, make_field(2, 2))
+    dst = rational_points(GmSpec(3), 1, make_field(3, 1))
+    gens = census.small_generating_set(src)
+    bfs_ids, _ = census._bfs_program(src, gens)
+    values = [None] * len(src)
+    for i, x in enumerate(bfs_ids):
+        values[x] = dst.pow_id(dst.gens_hint[0], i)
+    assert not homs._multiplicative_on_gens(src, dst, values, gens)
 
 
 def test_rejections_hold_under_python_O():

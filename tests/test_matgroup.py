@@ -1,12 +1,14 @@
 """Rational-point enumeration: orders, strategies, canonical structure."""
 
 import random
+import re
 from functools import reduce
 
 import pytest
 
-from isocensus import orderform
-from isocensus.census import invariant_factors_abelian
+from isocensus import homs, orderform
+from isocensus.census import (index_k_subgroups, invariant_factors_abelian,
+                              small_generating_set)
 from isocensus.ffield import AmbientField, VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
                                 GmSpec, Matrix, NormTorusCoverSpec, NormTorusSpec,
@@ -228,26 +230,57 @@ def test_norm_torus_structures():
     assert invariant_factors_abelian(char3) == [3, 24]
 
 
+def _points_without_a_walk(monkeypatch, spec, field):
+    """rational_points(spec, 1, field) with every group product forbidden."""
+    def forbidden(*args):
+        raise AssertionError("rational_points walked the group")
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteGroup, "mult", forbidden)
+        group = rational_points(spec, 1, field)
+    assert not group.bfs_programs
+    return group
+
+
+def _declaration_raises_on_first_use(monkeypatch, spec, field, declared):
+    """rational_points keeps a declaration that does not generate, and each
+    first use of the generators raises, naming the group."""
+    monkeypatch.setattr(spec, "point_generators", lambda field, n: declared)
+    group = _points_without_a_walk(monkeypatch, spec, field)
+    assert group.gens_hint == tuple(group.index[g] for g in declared)
+    uses = (small_generating_set, lambda g: index_k_subgroups(g, 2),
+            lambda g: homs.cokernel(homs.IdentityIsogeny(spec), 1, field,
+                                    codomain_points=g))
+    for use in uses:
+        with pytest.raises(VerificationError,
+                           match=f"do not generate {re.escape(repr(group))}"):
+            use(group)
+
+
 @pytest.mark.parametrize("spec,field", [(GmSpec(7), F7), (NormTorusSpec(5), F25),
                                         (GmSpec(5003), make_field(5003, 1))])
-def test_one_declared_generator_is_proved_by_its_order(monkeypatch, spec, field):
+def test_one_declared_generator_is_proved_on_first_use(monkeypatch, spec, field):
     # the last group is above the product-cache threshold
-    monkeypatch.setattr(FiniteGroup, "closure_ids", None)  # no closure BFS
-    group = rational_points(spec, 1, field)
-    [g] = group.gens_hint
-    assert group.element_order(g) == len(group)
+    group = _points_without_a_walk(monkeypatch, spec, field)
+    assert small_generating_set(group) == list(group.gens_hint)
+    assert set(group.bfs_programs) == {group.gens_hint}
     # a declared generator of order |G|/2 must not pass
     [gen] = spec.point_generators(field, 1)
-    monkeypatch.setattr(spec, "point_generators", lambda field, n: [gen * gen])
-    with pytest.raises(VerificationError):
-        rational_points(spec, 1, field)
+    _declaration_raises_on_first_use(monkeypatch, spec, field, [gen * gen])
 
 
-def test_several_declared_generators_are_audited_by_closure(monkeypatch):
+def test_several_declared_generators_are_proved_on_first_use(monkeypatch):
     spec = NormTorusSpec(7)
+    group = _points_without_a_walk(monkeypatch, spec, F7)
+    assert len(group.gens_hint) == 2
+    assert small_generating_set(group) == list(group.gens_hint)
     g, _ = spec.point_generators(F7, 1)
-    monkeypatch.setattr(spec, "point_generators", lambda field, n: [g, g * g])
-    with pytest.raises(VerificationError):
+    _declaration_raises_on_first_use(monkeypatch, spec, F7, [g, g * g])
+    # a declared generator must be a point
+    one, zero = F7.one, F7.zero
+    shear = Matrix(F7, ((one, one), (zero, one)))
+    monkeypatch.setattr(spec, "point_generators", lambda field, n: [g, shear])
+    with pytest.raises(VerificationError, match="not an element"):
         rational_points(spec, 1, F7)
 
 
