@@ -24,12 +24,18 @@ Arithmetic takes one of two paths, fixed when the field is built:
   handled explicitly; a tuple that is not a field element raises.  The
   tables also serve matrix products (`mat_mul`): each entry's log is looked
   up once, and every dot product is summed in the log domain.
-* Polynomial path, for prime fields and fields above the limit: schoolbook
-  products reduced modulo the modulus, extended Euclid for inverses, and
-  powers from the leading bit.  It is also the reference the tables are
-  built and tested against.  A prime field takes its matrix products as
-  integer dot products mod p; a field above the limit takes them through
-  `mul` and `add`.
+* Polynomial path, for prime fields and fields above the limit: extended
+  Euclid for inverses and powers from the leading bit.  A product in
+  F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
+  multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
+  2009): one bigint product of the packed operands, its D - 1 high slots
+  folded onto the low D through the packed tails x^(D + i) mod the modulus,
+  and each slot reduced mod p.  `_slots` derives a slot width at which no
+  slot carries into the next; a tuple that is not a field element would,
+  and raises.  This path builds the tables, and the tests check it against
+  the list helper `_poly_mulmod`.  A prime field takes its matrix products
+  as integer dot products mod p; a field above the limit packs each entry
+  once, sums each dot product as bigints and reduces once per entry.
 
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
@@ -39,12 +45,15 @@ wrapper with operator overloading.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 from typing import Iterator, Optional
 
 Coeffs = tuple[int, ...]
 #: a square matrix as its tuple of rows
 Rows = tuple[tuple[Coeffs, ...], ...]
+#: slot width, masks of one slot and of D slots, packed tails (see `_slots`)
+Slots = tuple[int, int, int, tuple[int, ...]]
 
 #: construction bound on p^D; towers used for preimage searches stay far below
 DEFAULT_SIZE_LIMIT = 2**64
@@ -237,18 +246,9 @@ class AmbientField:
         self.zero: Coeffs = (0,) * degree
         self.one: Coeffs = tuple(1 if i == 0 else 0 for i in range(degree))
         self._frob_rows: dict[int, list[Coeffs]] = {}
-        # fully reduced tails x^(degree + i) mod modulus for the hot multiply
-        tails: list[Coeffs] = []
+        self._slot_cache: dict[int, Slots] = {}
         if degree > 1:
-            cur = [(-c) % p for c in self.modulus[:degree]]
-            for _ in range(degree - 1):
-                tails.append(tuple(cur))
-                top = cur[degree - 1]
-                cur = [0] + cur[:degree - 1]
-                if top:
-                    first = tails[0]
-                    cur = [(x + top * y) % p for x, y in zip(cur, first)]
-        self._tails = tails
+            self._slots(1)
         self._exp: Optional[list[Coeffs]] = None
         self._log: Optional[dict[Coeffs, Optional[int]]] = None
         self._zech: Optional[list[Optional[int]]] = None
@@ -369,8 +369,11 @@ class AmbientField:
         lookup, a zero entry (log None) is skipped, and one exp lookup turns
         the sum back into an entry.  A prime field takes integer dot
         products mod p on the single coefficient.  Both unroll m = 1 and
-        m = 2.  Other fields take the schoolbook loop over `mul` and `add`.
-        Every path returns the entries `mul` and `add` would.
+        m = 2.  Other fields pack each of the 2m^2 entries once with slots
+        wide enough for a sum of m products (`_slots`), sum each dot
+        product as bigints and reduce once per entry: m^2 reductions in
+        place of m^3 products and m^2 (m - 1) sums.  Every path returns the
+        entries `mul` and `add` would.
         """
         m = len(a_rows)
         log = self._log
@@ -419,39 +422,72 @@ class AmbientField:
             cols = list(zip(*b_rows))
             return tuple(tuple((sum(x[0] * y[0] for x, y in zip(row, col)) % p,)
                                for col in cols) for row in a_rows)
-        mul, add = self.mul, self.add
-        out = []
-        for i in range(m):
-            ai = a_rows[i]
-            row = []
-            for j in range(m):
-                acc = mul(ai[0], b_rows[0][j])
-                for l in range(1, m):
-                    acc = add(acc, mul(ai[l], b_rows[l][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        slots = self._slots(m)
+        w, pack, reduce = slots[0], self._pack, self._reduce
+        cols = list(zip(*[[pack(y, w) for y in row] for row in b_rows]))
+        return tuple(tuple(reduce(sum(map(operator.mul, xs, col)), slots)
+                           for col in cols)
+                     for xs in [[pack(x, w) for x in row] for row in a_rows])
 
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        """Product on the polynomial path (D > 1)."""
+        """Product on the polynomial path (D > 1): the packed operands
+        (`_pack`, slots of `_slots(1)`) are multiplied as one bigint, whose
+        2D - 1 slots `_reduce` folds back to an element.  `mul`, `pow`,
+        `mult_order`, `kth_root` and the table walk all multiply here."""
+        slots = self._slot_cache[1]
+        w = slots[0]
+        return self._reduce(self._pack(a, w) * self._pack(b, w), slots)
+
+    def _slots(self, m: int) -> Slots:
+        """Kronecker packing for sums of m products, built once per m.
+
+        An element (c_0, ..., c_{D-1}) packs to the int sum of c_i 2^(w i),
+        so one bigint product of two packed elements holds in slot k the sum
+        of c_i c'_j over i + j = k: at most D (p - 1)^2, and in a sum of m
+        products at most H = m D (p - 1)^2.  Reduction adds to the D low
+        slots the D - 1 high slots h_i times the packed tails x^(D + i) mod
+        the modulus, whose coefficients are below p, so no slot exceeds
+        H (1 + (D - 1)(p - 1)).  The slot width w is that bound's bit length,
+        and no slot carries into the next.  Returns w, the masks of one slot
+        and of D slots, and the packed tails.
+        """
+        slots = self._slot_cache.get(m)
+        if slots is None:
+            p, d = self.p, self.degree
+            w = (m * d * (p - 1) ** 2 * (1 + (d - 1) * (p - 1))).bit_length()
+            tails = tuple(self._pack(self.element_of([0] * (d + i) + [1]), w)
+                          for i in range(d - 1))
+            slots = (w, (1 << w) - 1, (1 << w * d) - 1, tails)
+            self._slot_cache[m] = slots
+        return slots
+
+    def _pack(self, a: Coeffs, w: int) -> int:
+        """a as the int sum of c_i 2^(w i); ValueError unless a is a tuple of
+        D coefficients in [0, p): any other tuple would overflow a slot or
+        be read as another element."""
         p = self.p
-        d = self.degree
-        # schoolbook product with deferred reduction; coefficients stay small
-        # enough that one final modulo suffices
-        acc = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    acc[i + j] += ai * bj
-        out = acc[:d]
-        tails = self._tails
-        for i in range(d, 2 * d - 1):
-            c = acc[i]
-            if c:
-                row = tails[i - d]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return tuple(x % p for x in out)
+        if len(a) == self.degree:
+            x = 0
+            for c in reversed(a):
+                if not 0 <= c < p:
+                    break
+                x = x << w | c
+            else:
+                return x
+        raise ValueError(f"{a!r} is not an element of {self!r}")
+
+    def _reduce(self, x: int, slots: Slots) -> Coeffs:
+        """The element represented by x, a sum of packed products within the
+        slot bound of `slots`: its 2D - 1 slots are folded onto D through the
+        tails, and each is then reduced mod p."""
+        w, mask, low, tails = slots
+        r = x & low
+        x >>= w * self.degree
+        for t in tails:
+            r += (x & mask) * t
+            x >>= w
+        p = self.p
+        return tuple([(r >> s & mask) % p for s in range(0, w * self.degree, w)])
 
     def inv(self, a: Coeffs) -> Coeffs:
         """Multiplicative inverse: one log lookup on the table path, extended
@@ -578,9 +614,16 @@ class AmbientField:
         return [tuple(v) for v in basis]
 
     def enumerate_subfield(self, d: int) -> list[Coeffs]:
-        """All p^d elements of F_{p^d}, sorted lexicographically on coeffs."""
+        """All p^d elements of F_{p^d}, sorted lexicographically on coeffs.
+
+        The whole field (d = D) is `iter_elements`, already in that order; a
+        proper subfield is spanned by its Frobenius-fixed basis, sorted, and
+        must count p^d distinct elements.
+        """
         if self.p**d > self.scan_limit:
             raise ValueError(f"subfield size {self.p}^{d} exceeds scan bound")
+        if d == self.degree:
+            return list(self.iter_elements())
         basis = self.subfield_basis(d)
         p, n = self.p, self.degree
         out = []

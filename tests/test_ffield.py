@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -228,7 +229,10 @@ def test_prime_power_rejects_other_integers(q):
 
 
 def polynomial_field(monkeypatch, p, degree):
-    """The same field with its tables switched off: the reference path."""
+    """The same field with its tables switched off: the reference path.
+
+    Its products are Kronecker-packed, which the tests below check against
+    the list helper `ffield._poly_mulmod`."""
     with monkeypatch.context() as m:
         m.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
         return make_field(p, degree)
@@ -326,6 +330,44 @@ def test_table_build_rejects_a_non_primitive_element(monkeypatch):
         make_field(2, 4)
 
 
+def test_check_on_irreducible_modulus_fires(monkeypatch):
+    monkeypatch.setattr(ffield, "_is_irreducible", lambda f, p: False)
+    with pytest.raises(VerificationError, match="no irreducible of degree 2 over F_3"):
+        ffield._smallest_irreducible(3, 2)
+
+
+def test_check_on_subfield_basis_dimension_fires(monkeypatch):
+    field = make_field(2, 4)
+    monkeypatch.setattr(ffield, "_nullspace", lambda matrix, p: [[1, 0, 0, 0]])
+    with pytest.raises(VerificationError, match="must have dimension d"):
+        field.subfield_basis(2)
+
+
+def test_check_on_subfield_span_fires(monkeypatch):
+    field = make_field(2, 4)
+    monkeypatch.setattr(field, "subfield_basis", lambda d: [field.one] * d)
+    with pytest.raises(VerificationError, match="spans fewer than 2\\^2 elements"):
+        field.enumerate_subfield(2)
+    # the whole field is listed directly, without a basis
+    assert field.enumerate_subfield(4) == list(field.iter_elements())
+
+
+def test_check_on_cyclic_unit_group_fires(monkeypatch):
+    field = make_field(3, 2)
+    monkeypatch.setattr(field, "pow", lambda a, e: field.one)
+    for d in (1, 2):
+        with pytest.raises(VerificationError, match="is cyclic"):
+            subfield_generator(field, d)
+
+
+def test_check_on_extracted_root_fires(monkeypatch):
+    field = make_field(7, 12)
+    x = field.neg(field.one)
+    monkeypatch.setattr(ffield, "_prime_root", lambda field, x, ell: field.one)
+    with pytest.raises(VerificationError, match="not a 4-th root"):
+        kth_root(field, x, 4)
+
+
 @pytest.mark.parametrize("p,degree", [(5, 5), (7, 4), (3, 7), (13, 3), (89, 2),
                                       (2, 10)])
 def test_tables_match_polynomial_path_on_seeded_elements(monkeypatch, p, degree):
@@ -351,6 +393,51 @@ def test_tables_match_polynomial_path_on_seeded_elements(monkeypatch, p, degree)
                 if root is not None:
                     assert f.pow(root, k) == x
             assert (kth_root(field, x, k) is None) == (kth_root(ref, x, k) is None)
+
+
+def list_product(field, a, b):
+    """a * b through the list helpers, independent of the packed path."""
+    c = ffield._poly_mulmod(list(a), list(b), list(field.modulus), field.p)
+    return tuple(c) + (0,) * (field.degree - len(c))
+
+
+@pytest.mark.parametrize("p,degree", [(2, 11), (2, 12), (2, 20), (7, 5), (7, 12),
+                                      (5, 6), (97, 2), (4093, 3), (65521, 2)])
+def test_packed_mul_matches_list_reference(p, degree):
+    field = make_field(p, degree)
+    assert field._log is None
+    rng = random.Random(p * 100 + degree)
+    # all-(p - 1) fills every product slot to the bound
+    special = [field.zero, field.one, field.neg(field.one), (p - 1,) * degree]
+    elements = special + [tuple(rng.randrange(p) for _ in range(degree))
+                          for _ in range(40)]
+    pairs = [*itertools.product(special, elements),
+             *((rng.choice(elements), rng.choice(elements)) for _ in range(200))]
+    for a, b in pairs:
+        assert field.mul(a, b) == list_product(field, a, b), (a, b)
+    for a in elements[:8]:
+        for e in (2, 3, 10, p**degree - 2):
+            ref = ffield._poly_powmod(list(a), e, list(field.modulus), p)
+            assert field.pow(a, e) == tuple(ref) + (0,) * (degree - len(ref))
+
+
+@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12)])
+def test_polynomial_path_rejects_tuples_outside_the_field(p, degree):
+    field = make_field(p, degree)
+    assert field._log is None
+    one = field.one
+    for bad in [(p,) + one[1:], one + (0,), one[:-1], (-1,) + one[1:],
+                one[:-1] + (p + 5,)]:
+        for fn in (lambda x: field.mul(x, one), lambda x: field.mul(one, x),
+                   lambda x: field.pow(x, 2), lambda x: field.pow(x, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
+                fn(bad)
+        for m in (1, 2, 3, 4):
+            good = ((one,) * m,) * m
+            rows = ((one,) * (m - 1) + (bad,),) * m
+            for a, b in [(rows, good), (good, rows)]:
+                with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
+                    field.mat_mul(a, b)
 
 
 @pytest.mark.parametrize("p,degree", [(7, 5), (2, 11), (3, 8)])
@@ -426,7 +513,8 @@ def cancelling_pair(field, rng, m):
 
 
 @pytest.mark.parametrize("p,degree", [(17, 1), (7, 2), (2, 10), (89, 2),
-                                      (97, 2), (7, 5)])
+                                      (97, 2), (7, 5), (7, 12), (2, 12),
+                                      (65521, 2)])
 def test_mat_mul_matches_schoolbook_reference(p, degree):
     field = make_field(p, degree)
     tabled = 1 < degree and p**degree * degree <= ffield.TABLE_COEFF_LIMIT
@@ -438,6 +526,9 @@ def test_mat_mul_matches_schoolbook_reference(p, degree):
         zero_row = (field.zero,) * m
         pairs.append(((zero_row,) + pairs[0][0][1:], pairs[0][1]))
         pairs.append((pairs[1][0], pairs[1][1][:-1] + (zero_row,)))
+        # every entry all-(p - 1): each dot product fills its slots to the bound
+        full = (((p - 1,) * degree,) * m,) * m
+        pairs.append((full, full))
         if m > 1:
             pairs.append(cancelling_pair(field, rng, m))
         for a, b in pairs:
