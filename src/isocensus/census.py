@@ -13,7 +13,12 @@ subgroups of index exactly k, not just one per conjugacy class.
 
 An independent oracle (`subgroup_lattice_oracle`) computes the full subgroup
 lattice of small groups by closing the cyclic subgroups under joins with
-cyclic subgroups; it exists purely to cross-check the census.
+cyclic subgroups; it exists purely to cross-check the census and shares no
+code with it.  It reads every product from its own right-regular table, of
+which only the columns of at most log2 |G| generators are multiplied and the
+rest composed by associativity; it grows each join by whole right cosets of
+the smaller subgroup (Dimino) and stops a join at G once it passes |G|/p
+elements, p the least prime dividing |G| (Lagrange).
 
 The normal core of every subgroup found at index k is the kernel of its
 coset action and must have index between k and k! (the action embeds
@@ -301,14 +306,59 @@ def subgroup_lattice_oracle(group: FiniteGroup,
     chosen generator c of <h> with c in H - A, so <A, c> is queued, lies
     in H and is larger than A.  Starting from the trivial subgroup, such a
     chain of cyclic joins reaches H.
+
+    All products are read from the right-regular table right[t][a] = a t.
+    Walking the ids in order, an element not yet reached becomes a new
+    generator and its column costs n products of `group.mult`; every other
+    column is composed, col(u s) = [col(s)[x] for x in col(u)].  Each new
+    generator at least doubles the reached subgroup, so at most
+    floor(log2 n) columns are multiplied.  A cyclic subgroup is the walk of
+    e along its generator's column.
+
+    A join <A, c> is grown by right cosets of A (Dimino; G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): from
+    reps [e], each rep r and each s among A's generators and c give t = r s,
+    and a t outside the union so far adds the coset A t as a new rep.  The
+    union is closed under right multiplication by every s: h r s is h t,
+    which lies in A t if t was added, and otherwise t = h' r' for a rep r',
+    so h t = (h h') r' lies in A r'.  It contains e, so it is <A, c>.  Once
+    the union has more than n/p elements, p the least prime dividing n, the
+    join is G: its order divides n and exceeds n/p, the largest proper
+    divisor of n.
     """
     n = len(group)
     if n > bound:
         raise EnumerationBound(f"oracle limited to order {bound}, got {n}")
+    e = group.identity_id
+    right: list[Optional[list[int]]] = [None] * n
+    right[e] = list(range(n))
+    table_gens: list[int] = []
+    reached = [e]
+    for s in range(n):
+        if right[s] is not None:
+            continue
+        right[s] = [group.mult(a, s) for a in range(n)]
+        table_gens.append(s)
+        reached.append(s)
+        # from the start: elements reached earlier meet the new generator
+        for u in reached:
+            col_u = right[u]
+            for g in table_gens:
+                col_g = right[g]
+                t = col_g[u]
+                if right[t] is None:
+                    right[t] = [col_g[x] for x in col_u]
+                    reached.append(t)
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(n):
-        gens_of.setdefault(group.closure_ids([i]), (i,))
+        col, x, powers = right[i], i, {e}
+        while x not in powers:
+            powers.add(x)
+            x = col[x]
+        gens_of.setdefault(tuple(sorted(powers)), (i,))
     cyclic = [g for (g,) in gens_of.values()]
+    whole = tuple(range(n))
+    lagrange = n // min(factorize(n), default=1)
     queue = list(gens_of)
     for a in queue:
         members = set(a)
@@ -316,7 +366,19 @@ def subgroup_lattice_oracle(group: FiniteGroup,
             if c in members:
                 continue
             gens = gens_of[a] + (c,)
-            join = group.closure_ids(gens)
+            joined, reps = set(members), [e]
+            for r in reps:
+                for s in gens:
+                    t = right[s][r]
+                    if t not in joined:
+                        col = right[t]
+                        joined.update(map(col.__getitem__, a))
+                        reps.append(t)
+                if len(joined) > lagrange:
+                    join = whole
+                    break
+            else:
+                join = tuple(sorted(joined))
             if join not in gens_of:
                 gens_of[join] = gens
                 queue.append(join)

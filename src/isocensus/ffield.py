@@ -321,6 +321,7 @@ class AmbientField:
             # g^la + g^lb = g^la * (1 + g^(lb - la))
             z = self._zech[lb - la]
             return self.zero if z is None else self._exp[la + z - self._units]
+        self._check(a, b)
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
@@ -336,6 +337,7 @@ class AmbientField:
                 return self._exp[lb]
             z = self._zech[(lb - la) % n]
             return self.zero if z is None else self._exp[la + z - n]
+        self._check(a, b)
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
@@ -346,6 +348,7 @@ class AmbientField:
             if la is None:
                 return self.zero
             return self._exp[la + self._half - self._units]
+        self._check(a)
         p = self.p
         return tuple(-x % p for x in a)
 
@@ -476,6 +479,18 @@ class AmbientField:
                 return x
         raise ValueError(f"{a!r} is not an element of {self!r}")
 
+    def _check(self, *elems: Coeffs) -> None:
+        """The entry check of the polynomial path in `add`, `sub`, `neg`,
+        `inv` and `frobenius`: ValueError unless each argument is a tuple of
+        D coefficients in [0, p), as `_pack` requires of products.  Without
+        it a short tuple is truncated by `zip`, a coefficient of p or more is
+        read as another element, and `inv` of one whose leading coefficient
+        is a multiple of p never leaves its Euclid loop."""
+        p, d = self.p, self.degree
+        for a in elems:
+            if len(a) != d or min(a) < 0 or max(a) >= p:
+                raise ValueError(f"{a!r} is not an element of {self!r}")
+
     def _reduce(self, x: int, slots: Slots) -> Coeffs:
         """The element represented by x, a sum of packed products within the
         slot bound of `slots`: its 2D - 1 slots are folded onto D through the
@@ -498,6 +513,7 @@ class AmbientField:
             if la is None:
                 raise ZeroDivisionError("inverse of zero field element")
             return self._exp[-la]
+        self._check(a)
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
         if self.degree == 1:
@@ -575,6 +591,7 @@ class AmbientField:
             if la is None:
                 return self.zero
             return self._exp[la * self.p**e % self._units]
+        self._check(a)
         if e == 0:
             return a
         rows = self._frobenius_rows(e)

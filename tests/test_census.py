@@ -1,19 +1,22 @@
 """Index-k censuses against the lattice oracle and known group theory."""
 
 import random
+import re
 
 import pytest
 
 from corpus import build_corpus
+from isocensus import census
 from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
                               abelianization_invariants, center,
+                              conjugacy_classes_of_subgroups,
                               derived_subgroup, index_k_subgroups,
                               invariant_factors_abelian, is_normal,
                               is_subgroup, normal_core, quotient_group, small_generating_set,
                               subgroup_lattice_oracle)
-from isocensus.ffield import make_field
-from isocensus.matgroup import (EnumerationBound, GaSpec, GmSpec, Matrix,
-                                NormTorusSpec, SLSpec, direct_product,
+from isocensus.ffield import VerificationError, make_field
+from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GmSpec,
+                                Matrix, NormTorusSpec, SLSpec, direct_product,
                                 from_generators, rational_points)
 
 F2 = make_field(2, 1)
@@ -25,6 +28,7 @@ F8 = make_field(2, 3)
 SL2F2 = rational_points(SLSpec(2, 2), 1, F2)
 SL2F3 = rational_points(SLSpec(2, 3), 1, F3)
 SL2F4 = rational_points(SLSpec(2, 2), 2, F4)
+SL2F5 = rational_points(SLSpec(2, 5), 1, make_field(5, 1))
 
 
 def factorial(k):
@@ -197,6 +201,34 @@ def test_subgroup_handle_validates_lagrange():
         SubgroupHandle(SL2F2, range(4))
 
 
+def test_oracle_lattice_sizes_from_the_literature():
+    # in each of these groups some joins pass n/p elements and stop at G
+    ga16 = rational_points(GaSpec(2), 4, make_field(2, 4))
+    for group, size in ((SL2F3, 15), (SL2F4, 59), (SL2F5, 76), (ga16, 67)):
+        assert len(subgroup_lattice_oracle(group)) == size, group
+
+
+def test_oracle_multiplies_at_most_log2_n_columns(monkeypatch):
+    groups = [group for _, group in build_corpus()] + [SL2F5]
+
+    def no_closure(self, seed_ids, bound=None):
+        raise AssertionError("the oracle called closure_ids")
+
+    monkeypatch.setattr(FiniteGroup, "closure_ids", no_closure)
+    for group in groups:
+        products = 0
+
+        def counting(i, j, _mult=group.mult):
+            nonlocal products
+            products += 1
+            return _mult(i, j)
+
+        monkeypatch.setattr(group, "mult", counting)
+        subgroup_lattice_oracle(group)
+        n = len(group)
+        assert products <= n * (n.bit_length() - 1), group
+
+
 def test_oracle_on_s3():
     lattice = subgroup_lattice_oracle(SL2F2)
     by_order = sorted(len(s) for s in lattice)
@@ -268,7 +300,6 @@ def test_invariant_factors_examples():
 
 
 def test_conjugacy_classes_of_subgroups():
-    from isocensus.census import conjugacy_classes_of_subgroups
     # S3: the three order-2 subgroups are one class, A3 is its own
     idx3 = index_k_subgroups(SL2F2, 3)
     classes = conjugacy_classes_of_subgroups(SL2F2, idx3)
@@ -279,6 +310,20 @@ def test_conjugacy_classes_of_subgroups():
     nt = rational_points(NormTorusSpec(7), 1, F7)
     subs = index_k_subgroups(nt, 2)
     assert [len(c) for c in conjugacy_classes_of_subgroups(nt, subs)] == [1, 1, 1]
+
+
+def test_core_index_bound_fires(monkeypatch):
+    monkeypatch.setattr(census, "factorial", lambda k: k - 1)
+    with pytest.raises(VerificationError,
+                       match=re.escape("core index 2 outside [k, k!] for k=2")):
+        index_k_subgroups(SL2F2, 2)
+
+
+def test_conjugacy_class_closure_fires():
+    one_of_three = index_k_subgroups(SL2F2, 3)[:1]
+    with pytest.raises(VerificationError,
+                       match="conjugate of a census subgroup is missing"):
+        conjugacy_classes_of_subgroups(SL2F2, one_of_three)
 
 
 def test_is_subgroup_and_subgroup_as_group():

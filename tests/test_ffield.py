@@ -440,6 +440,43 @@ def test_polynomial_path_rejects_tuples_outside_the_field(p, degree):
                     field.mat_mul(a, b)
 
 
+
+@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12), (97, 1)])
+def test_polynomial_entry_check_rejects_tuples_outside_the_field(monkeypatch,
+                                                                 p, degree):
+    field = make_field(p, degree)
+    assert field._log is None
+    one = field.one
+
+    def no_euclid(a):
+        raise AssertionError("inv reached its Euclid loop")
+
+    # the check must raise before inv's Euclid loop, which would never end
+    monkeypatch.setattr(ffield, "_trim", no_euclid)
+    for bad in [(p,) + one[1:], one + (0,), one[:-1], (-1,) + one[1:],
+                one[:-1] + (p + 5,)]:
+        for fn in (lambda x: field.add(x, one), lambda x: field.add(one, x),
+                   lambda x: field.sub(x, one), lambda x: field.sub(one, x),
+                   field.neg, field.inv, lambda x: field.pow(x, -1),
+                   lambda x: field.frobenius(x, 1),
+                   lambda x: field.frobenius(x, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
+                fn(bad)
+
+
+def test_polynomial_entry_check_on_the_reported_inputs(monkeypatch):
+    field = make_field(97, 2)
+    assert field.add((1, 2), (3, 95)) == (4, 0)
+    assert field.frobenius((96, 0), 1) == (96, 0)
+    monkeypatch.setattr(ffield, "_trim", lambda a: pytest.fail("Euclid loop"))
+    message = re.escape(f"is not an element of {field!r}")
+    for call in (lambda: field.inv((97, 0)), lambda: field.pow((97, 0), -3),
+                 lambda: field.add((1, 2), (3,)),
+                 lambda: field.add((1, 2, 5), (3, 4, 6)),
+                 lambda: field.frobenius((100, 0), 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 @pytest.mark.parametrize("p,degree", [(7, 5), (2, 11), (3, 8)])
 def test_polynomial_pow_squares_from_the_leading_bit(p, degree):
     field = make_field(p, degree)
