@@ -598,13 +598,12 @@ class CensusReport:
         return out
 
 
-def run_census(group: FiniteGroup, k: int, *, seed: int = 0,
-               candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> CensusReport:
+def run_census(group: FiniteGroup, k: int, *, seed: int = 0) -> CensusReport:
     """Census one cell and package it as a report record; subgroups are
     listed for groups of order at most 4096."""
     meta = group.meta
     spec = meta.get("spec")
-    subs = index_k_subgroups(group, k, seed=seed, candidate_bound=candidate_bound)
+    subs = index_k_subgroups(group, k, seed=seed)
     return CensusReport(spec=spec.tag if spec else group.label,
                         q=meta.get("q", 0), n=meta.get("n", 0), k=k,
                         order=len(group), count=len(subs),

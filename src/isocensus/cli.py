@@ -88,7 +88,7 @@ def cmd_census(args) -> int:
             raise ValueError("--reached supports the NormTorus spec only")
         catalog.append(homs.NormCoverIsogeny(args.p, args.e))
         if spec.q % 2:
-            catalog.append(homs.power_isogeny(spec, 2))
+            catalog.append(homs.PowerIsogeny(spec, 2))
     degree = homs.plan_degree(*catalog, n=args.n, sections=True) if catalog \
         else spec.entry_degree(args.n)
     amb = make_field(args.p, degree)

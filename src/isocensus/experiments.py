@@ -81,8 +81,8 @@ class ExperimentConfig:
     e8_n_max: int = 4
 
     census_order_bound: int = 100_000
-    candidate_bound: int = 10**6
-    oracle_bound: int = 200
+    candidate_bound: int = census.DEFAULT_CANDIDATE_BOUND
+    oracle_bound: int = census.DEFAULT_ORACLE_BOUND
 
     def __post_init__(self):
         for f in fields(self):
@@ -183,8 +183,7 @@ class Runner:
         degree = homs.plan_degree(iso, n=n, sections=with_mu)
         amb = self.field(p, degree)
         codomain = self.group(iso.codomain_spec, n, degree)
-        domain = codomain if iso.domain_spec is iso.codomain_spec \
-            else self.group(iso.domain_spec, n, degree)
+        domain = self.group(iso.domain_spec, n, degree)
 
         if experiment == "E1":
             index, ker_n, equal = homs.check_image_index(

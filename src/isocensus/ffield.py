@@ -40,6 +40,11 @@ Arithmetic takes one of two paths, fixed when the field is built:
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
 wrapper with operator overloading.
+
+Bounds are module constants, read when they are checked: DEFAULT_SIZE_LIMIT
+on p^D at construction, DEFAULT_SCAN_LIMIT on a subfield that is listed
+element by element, and TABLE_COEFF_LIMIT on the tabled fields.  A
+multiplicative order past 2^21 raises.
 """
 
 from __future__ import annotations
@@ -227,21 +232,20 @@ class AmbientField:
     When 1 < D and p^D * D <= TABLE_COEFF_LIMIT, construction also builds
     exp/log/Zech tables over the first primitive element and the raw-tuple
     methods use them; prime fields and larger fields use polynomial
-    arithmetic.  Both paths return the same tuples.
+    arithmetic.  Both paths return the same tuples.  Construction raises
+    ValueError when p^D exceeds DEFAULT_SIZE_LIMIT.
     """
 
-    def __init__(self, p: int, degree: int, *,
-                 size_limit: int = DEFAULT_SIZE_LIMIT,
-                 scan_limit: int = DEFAULT_SCAN_LIMIT):
+    def __init__(self, p: int, degree: int):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError(f"extension degree must be positive, got {degree}")
-        if p**degree > size_limit:
-            raise ValueError(f"field size {p}^{degree} exceeds bound {size_limit}")
+        if p**degree > DEFAULT_SIZE_LIMIT:
+            raise ValueError(
+                f"field size {p}^{degree} exceeds bound {DEFAULT_SIZE_LIMIT}")
         self.p = p
         self.degree = degree
-        self.scan_limit = scan_limit
         self.modulus: Coeffs = _smallest_irreducible(p, degree)
         self.zero: Coeffs = (0,) * degree
         self.one: Coeffs = tuple(1 if i == 0 else 0 for i in range(degree))
@@ -635,9 +639,10 @@ class AmbientField:
 
         The whole field (d = D) is `iter_elements`, already in that order; a
         proper subfield is spanned by its Frobenius-fixed basis, sorted, and
-        must count p^d distinct elements.
+        must count p^d distinct elements.  Raises ValueError when p^d exceeds
+        DEFAULT_SCAN_LIMIT.
         """
-        if self.p**d > self.scan_limit:
+        if self.p**d > DEFAULT_SCAN_LIMIT:
             raise ValueError(f"subfield size {self.p}^{d} exceeds scan bound")
         if d == self.degree:
             return list(self.iter_elements())
@@ -660,11 +665,12 @@ class AmbientField:
         """All field elements in lexicographic coefficient order, lazily."""
         return itertools.product(range(self.p), repeat=self.degree)
 
-    def mult_order(self, a: Coeffs, cap: int = 2**21) -> int:
-        """Multiplicative order; raises past cap.
+    def mult_order(self, a: Coeffs) -> int:
+        """Multiplicative order; raises ValueError past 2^21.
 
         One log lookup on the table path, power iteration otherwise.
         """
+        cap = 2**21
         log = self._log
         if log is not None:
             la = log[a]
@@ -736,10 +742,10 @@ def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
 # spec-level operations
 
 
-def make_field(p: int, degree: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
-               scan_limit: int = DEFAULT_SCAN_LIMIT) -> AmbientField:
-    """Construct F_{p^degree} with the deterministic modulus."""
-    return AmbientField(p, degree, size_limit=size_limit, scan_limit=scan_limit)
+def make_field(p: int, degree: int) -> AmbientField:
+    """Construct F_{p^degree} with the deterministic modulus; p^degree must
+    be at most DEFAULT_SIZE_LIMIT."""
+    return AmbientField(p, degree)
 
 
 

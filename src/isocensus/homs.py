@@ -345,11 +345,6 @@ class CompositeIsogeny(Isogeny):
         return self.inner.section_over(mid, ambient)
 
 
-def power_isogeny(spec: GroupSpec, k: int) -> PowerIsogeny:
-    """The k-th power map on a torus spec; requires gcd(k, q) = 1."""
-    return PowerIsogeny(spec, k)
-
-
 def parse_isogeny(text: str, spec: GroupSpec) -> Isogeny:
     """The catalog isogeny named pow:K, normcover, id or compose:(outer,inner)
     over spec; normcover takes only its p and e.  Raises ValueError on any
@@ -360,7 +355,7 @@ def parse_isogeny(text: str, spec: GroupSpec) -> Isogeny:
     if text == "id":
         return IdentityIsogeny(spec)
     if text.startswith("pow:"):
-        return power_isogeny(spec, int(text[len("pow:"):]))
+        return PowerIsogeny(spec, int(text[len("pow:"):]))
     if text.startswith("compose:(") and text.endswith(")"):
         inner = text[len("compose:("):-1]
         depth = 0

@@ -17,6 +17,12 @@ matrices), the plane norm torus {{a, -b}, {b, a-b}} with a^2 - ab + b^2 != 0,
 and its 3x3 double cover carrying an extra entry c with c^2 = a^2 - ab + b^2.
 Connectedness of a spec is an assumption of the surrounding theory and is not
 checked algorithmically.
+
+Bounds are module constants, read when they are checked: DEFAULT_ORDER_BOUND
+on an enumerated point group (`rational_points` and `from_generators` take
+it as `order_bound`/`bound`), DEFAULT_MATRIX_SCAN_LIMIT on the candidate
+matrices of a "scan" spec, and TABLE_THRESHOLD on the groups whose products
+are cached.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .ffield import (AmbientField, Coeffs, Rows, VerificationError,
                      _element_of_order, factorize, subfield_generator)
 
+#: enumerated point groups are limited to this many elements
 DEFAULT_ORDER_BOUND = 200_000
 
 #: full m x m scans are limited to this many candidate matrices
@@ -168,10 +175,11 @@ class FiniteGroup:
     cached without bound; larger groups recompute products on demand.
     `gens_hint` declares generators, as elements of the group; that they
     generate is proved where they are first walked (`census._bfs_program`).
+    `inv` inverts an element, as `op` multiplies two.
     """
 
     def __init__(self, elements: Iterable, op: Callable, identity, *,
-                 inv: Optional[Callable] = None, label: str = "",
+                 inv: Callable, label: str = "",
                  gens_hint: Optional[Sequence] = None, meta: Optional[dict] = None):
         elems = sorted(elements, key=element_sort_key)
         self.elements = tuple(elems)
@@ -202,10 +210,6 @@ class FiniteGroup:
         tag = self.label or "FiniteGroup"
         return f"<{tag} of order {len(self.elements)}>"
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def mult(self, i: int, j: int) -> int:
         if self._cache_products:
             r = self._mult_cache.get((i, j))
@@ -218,16 +222,7 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         r = self._inv_cache.get(i)
         if r is None:
-            if self._inv_fn is not None:
-                r = self.index[self._inv_fn(self.elements[i])]
-            else:
-                # cycle around: x^(ord-1) is the inverse
-                cur, prev = i, self.identity_id
-                while cur != self.identity_id:
-                    prev = cur
-                    cur = self.mult(cur, i)
-                r = prev
-            self._inv_cache[i] = r
+            r = self._inv_cache[i] = self.index[self._inv_fn(self.elements[i])]
         return r
 
     def pow_id(self, i: int, e: int) -> int:
@@ -251,7 +246,7 @@ class FiniteGroup:
             self._order_cache[i] = r
         return r
 
-    def closure_ids(self, seed_ids: Iterable[int], bound: Optional[int] = None) -> tuple[int, ...]:
+    def closure_ids(self, seed_ids: Iterable[int]) -> tuple[int, ...]:
         """Ids of the subgroup generated by the seeds (BFS over right products)."""
         seeds = [s for s in dict.fromkeys(seed_ids)]
         seen = {self.identity_id}
@@ -260,9 +255,6 @@ class FiniteGroup:
             for s in seeds:
                 t = self.mult(q, s)
                 if t not in seen:
-                    if bound is not None and len(seen) >= bound:
-                        raise EnumerationBound(
-                            f"closure exceeds bound {bound} in {self!r}")
                     seen.add(t)
                     queue.append(t)
         return tuple(sorted(seen))
@@ -273,7 +265,7 @@ class FiniteGroup:
 
 
 def from_generators(gens: Sequence, op: Callable, identity, *,
-                    inv: Optional[Callable] = None, bound: int = DEFAULT_ORDER_BOUND,
+                    inv: Callable, bound: int = DEFAULT_ORDER_BOUND,
                     label: str = "", meta: Optional[dict] = None) -> FiniteGroup:
     """Enumerate the group generated by `gens` by breadth-first products."""
     seen = {identity}
@@ -305,10 +297,10 @@ def pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Iterable,
     return FiniteGroup(pairs, op, (a.identity, b.identity), inv=inv, label=label)
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, label: str = "") -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with componentwise operation on element pairs."""
     return pair_group(a, b, [(x, y) for x in a.elements for y in b.elements],
-                      label or f"{a.label}x{b.label}")
+                      f"{a.label}x{b.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +328,6 @@ class GroupSpec:
     @property
     def q(self) -> int:
         return self.p**self.e
-
-    @property
-    def name(self) -> str:
-        return f"{self.tag}{self.m}(q={self.q})" if self.m > 1 else f"{self.tag}(q={self.q})"
 
     def entry_degree(self, n: int) -> int:
         return self.e * n
@@ -683,6 +671,9 @@ def make_spec(name: str, p: int, e: int = 1, m: int = 2) -> GroupSpec:
 
 def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
                        scan_limit: int) -> Iterator[Matrix]:
+    """The members of spec with level-n entries, from all len(sub)^(m^2)
+    matrices over the entry subfield; raises EnumerationBound past
+    scan_limit."""
     d = spec.entry_degree(n)
     sub = field.enumerate_subfield(d)
     if len(sub) ** (spec.m**2) > scan_limit:
@@ -697,15 +688,16 @@ def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
 
 
 def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
-                    order_bound: int = DEFAULT_ORDER_BOUND,
-                    scan_limit: int = DEFAULT_MATRIX_SCAN_LIMIT,
-                    strategy: Optional[str] = None) -> FiniteGroup:
+                    order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """Enumerate the group of level-n rational points of a spec.
 
     The ambient field must contain the entry subfield.  The returned group is
     canonical: element ids depend only on (spec, n, ambient degree).  The
     spec's declared point generators, each checked to be a point, become its
     `gens_hint`; only `census._bfs_program` proves that they generate.
+    `spec.strategy` picks the enumeration; more than order_bound points
+    raise EnumerationBound, and so does a "scan" spec whose full scan would
+    pass DEFAULT_MATRIX_SCAN_LIMIT matrices.
     """
     if n < 1:
         raise ValueError("level n must be positive")
@@ -715,21 +707,20 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     if ambient.degree % d:
         raise ValueError(
             f"subfield of degree {d} unavailable in ambient of degree {ambient.degree}")
-    how = strategy or spec.strategy
     identity = Matrix.identity(ambient, spec.m)
     if not spec.predicate(identity, ambient, n):
         raise ValueError(f"identity fails membership predicate of {spec!r}")
-    if how == "parametrized":
+    if spec.strategy == "parametrized":
         elems = set(spec.scan_points(ambient, n))
-    elif how == "closure":
+    elif spec.strategy == "closure":
         return from_generators(spec.generators(ambient, n), Matrix.__mul__,
                                identity, inv=Matrix.inv, bound=order_bound,
                                label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})",
                                meta={"spec": spec, "n": n, "q": spec.q})
-    elif how == "scan":
-        elems = set(_scan_all_matrices(spec, ambient, n, scan_limit))
+    elif spec.strategy == "scan":
+        elems = set(_scan_all_matrices(spec, ambient, n, DEFAULT_MATRIX_SCAN_LIMIT))
     else:
-        raise ValueError(f"unknown strategy {how!r}")
+        raise ValueError(f"unknown strategy {spec.strategy!r}")
     if len(elems) > order_bound:
         raise EnumerationBound(
             f"group order {len(elems)} exceeds bound {order_bound}")

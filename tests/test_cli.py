@@ -179,3 +179,23 @@ def test_run_all_summary_structure(tmp_path):
     paths = write_reports(result, str(tmp_path / "r"), "both")
     names = sorted(p.rsplit("/", 1)[1] for p in paths)
     assert "summary.json" in names and "E1.csv" in names
+
+
+def test_e1_gives_a_power_map_its_codomain_points_as_domain(monkeypatch):
+    # Runner.group keys groups by spec type and level, so pow:k, whose
+    # domain and codomain specs agree, gets one point group for both
+    seen = []
+    real = homs.check_image_index
+
+    def record(iso, n, amb, *, domain_points, codomain_points):
+        seen.append((iso.name, domain_points, codomain_points))
+        return real(iso, n, amb, domain_points=domain_points,
+                    codomain_points=codomain_points)
+
+    monkeypatch.setattr(homs, "check_image_index", record)
+    cells = Runner(ExperimentConfig(e12_qs=(5,), e12_n_max=2, e12_ks=(2, 3))).e1()
+    assert all(c["status"] == "pass" for c in cells)
+    assert {name for name, _, _ in seen} == {"pow:2", "pow:3", "normcover"}
+    for name, domain, codomain in seen:
+        assert (domain is codomain) == name.startswith("pow:")
+

@@ -74,7 +74,7 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(2, 0)
     with pytest.raises(ValueError):
-        make_field(2, 40, size_limit=2**24)
+        make_field(2, 65)  # past DEFAULT_SIZE_LIMIT = 2^64
 
 
 @pytest.mark.parametrize("p,degree", [(2, 4), (3, 2), (5, 2), (2, 6)])

@@ -16,16 +16,16 @@ from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
 
 def test_power_isogeny_requires_coprime_exponent():
     with pytest.raises(ValueError):
-        homs.power_isogeny(GmSpec(3), 3)
+        homs.PowerIsogeny(GmSpec(3), 3)
     with pytest.raises(ValueError):
-        homs.power_isogeny(GmSpec(2, 2), 2)
+        homs.PowerIsogeny(GmSpec(2, 2), 2)
     with pytest.raises(ValueError):
-        homs.power_isogeny(GaSpec(3), 2)  # not a torus spec
+        homs.PowerIsogeny(GaSpec(3), 2)  # not a torus spec
 
 
 def test_kernel_of_squaring_on_gm():
     amb = make_field(3, 2)
-    group, level = homs.kernel_points(homs.power_isogeny(GmSpec(3), 2), amb)
+    group, level = homs.kernel_points(homs.PowerIsogeny(GmSpec(3), 2), amb)
     assert len(group) == 2 and level == 1
     elems = {g.rows[0][0] for g in group.elements}
     assert elems == {amb.one, amb.neg(amb.one)}
@@ -33,7 +33,7 @@ def test_kernel_of_squaring_on_gm():
 
 def test_kernel_of_cubing_on_gm_over_f2():
     amb = make_field(2, 2)
-    group, level = homs.kernel_points(homs.power_isogeny(GmSpec(2), 3), amb)
+    group, level = homs.kernel_points(homs.PowerIsogeny(GmSpec(2), 3), amb)
     assert len(group) == 3 and level == 2
 
 
@@ -48,13 +48,13 @@ def test_kernel_of_norm_cover():
 
 def test_kernel_of_power_on_plane_torus():
     amb = make_field(7, 1)  # split: cube roots of unity in F_7
-    iso = homs.power_isogeny(NormTorusSpec(7), 3)
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 3)
     group, level = homs.kernel_points(iso, amb)
     assert len(group) == 9 and level == 1
     assert census.invariant_factors_abelian(group) == [3, 3]
     # characteristic 3: only the scalar part survives
     amb3 = make_field(3, 1)
-    iso3 = homs.power_isogeny(NormTorusSpec(3), 2)
+    iso3 = homs.PowerIsogeny(NormTorusSpec(3), 2)
     group3, _ = homs.kernel_points(iso3, amb3)
     assert len(group3) == 2
 
@@ -62,13 +62,13 @@ def test_kernel_of_power_on_plane_torus():
 def test_kernel_not_captured_in_small_field():
     amb = make_field(2, 1)
     with pytest.raises(homs.KernelNotCaptured):
-        homs.kernel_points(homs.power_isogeny(GmSpec(2), 3), amb)
+        homs.kernel_points(homs.PowerIsogeny(GmSpec(2), 3), amb)
 
 
 def test_kernel_centrality_in_domain():
     amb = make_field(7, 1)
     cases = [
-        (homs.power_isogeny(NormTorusSpec(7), 2), NormTorusSpec(7)),
+        (homs.PowerIsogeny(NormTorusSpec(7), 2), NormTorusSpec(7)),
         (homs.NormCoverIsogeny(7), homs.NormCoverIsogeny(7).domain_spec),
     ]
     for iso, domain_spec in cases:
@@ -88,7 +88,7 @@ def test_kernel_centrality_in_domain():
 ])
 def test_check_image_index_on_gm(k, q, n, expected):
     amb = make_field(q, n)
-    assert homs.check_image_index(homs.power_isogeny(GmSpec(q), k), n, amb) == expected
+    assert homs.check_image_index(homs.PowerIsogeny(GmSpec(q), k), n, amb) == expected
 
 
 def test_image_of_identity_isogeny_is_everything():
@@ -101,7 +101,7 @@ def test_image_of_identity_isogeny_is_everything():
 
 def test_image_is_normal_subgroup():
     amb = make_field(3, 1)
-    iso = homs.power_isogeny(GmSpec(3), 2)
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
     group = rational_points(GmSpec(3), 1, amb)
     ids = homs.image_ids(iso, 1, amb, codomain_points=group)
     assert census.is_normal(group, ids)
@@ -120,7 +120,7 @@ def test_lang_map_examples():
 
 def test_lang_preserves_kernel():
     amb = make_field(2, 4)
-    iso = homs.power_isogeny(GmSpec(2), 5)
+    iso = homs.PowerIsogeny(GmSpec(2), 5)
     kernel, _ = homs.kernel_points(iso, amb)
     for a in kernel.elements:
         assert homs.lang_map(a, 2, 1) in kernel.index
@@ -128,7 +128,7 @@ def test_lang_preserves_kernel():
 
 def test_cokernel_of_squaring_q5():
     amb = make_field(5, 2)
-    data = homs.cokernel(homs.power_isogeny(GmSpec(5), 2), 1, amb)
+    data = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 2), 1, amb)
     assert data.invariants == [2]
     assert len(data.lang_image_ids) == 1  # lang kills the rational kernel
     assert homs.verify_mu(data)
@@ -150,7 +150,7 @@ def test_cokernel_of_norm_cover_p7():
 
 def test_cokernel_invariants_without_mu_table():
     amb = make_field(3, 3)
-    iso = homs.power_isogeny(GmSpec(3), 2)
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
     kamb = make_field(3, iso.kernel_field_degree())
     data = homs.cokernel(iso, 3, amb, with_mu=False, kernel_ambient=kamb)
     assert data.invariants == [2]  # 3^3 - 1 = 26 is even
@@ -160,7 +160,7 @@ def test_cokernel_invariants_without_mu_table():
 def test_cokernel_nontrivial_lang_action():
     # mu_4 over F_3 has lang image of order 2 at level 1: coker is C2, not C4
     amb = make_field(3, 4)
-    iso = homs.power_isogeny(GmSpec(3), 4)
+    iso = homs.PowerIsogeny(GmSpec(3), 4)
     data = homs.cokernel(iso, 1, amb)
     assert data.invariants == [2]
     assert len(data.lang_image_ids) == 2
@@ -178,12 +178,12 @@ def test_image_index_walks_no_generating_set(monkeypatch):
     amb = make_field(7, 1)
     group = rational_points(NormTorusSpec(7), 1, amb)
     assert len(group.gens_hint) == 2
-    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     assert homs.check_image_index(iso, 1, amb, codomain_points=group) == (4, 4, True)
 
 
 def test_cokernel_and_verify_mu_share_one_program():
-    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     data = homs.cokernel(iso, 1, amb)
     assert homs.verify_mu(data)
@@ -192,18 +192,18 @@ def test_cokernel_and_verify_mu_share_one_program():
 
 def test_preimage_not_found_is_loud():
     amb = make_field(3, 1)  # non-squares of F_3 have no square roots here
-    iso = homs.power_isogeny(GmSpec(3), 2)
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
     with pytest.raises(homs.PreimageNotFound):
         homs.cokernel(iso, 1, amb, with_mu=True)
 
 
 def test_section_degree_plans():
-    assert homs.power_isogeny(GmSpec(3), 2).section_degree(1) == 2
-    assert homs.power_isogeny(GmSpec(7), 5).section_degree(5) == 4
+    assert homs.PowerIsogeny(GmSpec(3), 2).section_degree(1) == 2
+    assert homs.PowerIsogeny(GmSpec(7), 5).section_degree(5) == 4
     assert homs.NormCoverIsogeny(7).section_degree(1) == 2
     assert homs.NormCoverIsogeny(2).section_degree(4) == 1
     # non-split plane torus: roots are taken upstairs in the quadratic cover
-    assert homs.power_isogeny(NormTorusSpec(5), 2).section_degree(1) == 4
+    assert homs.PowerIsogeny(NormTorusSpec(5), 2).section_degree(1) == 4
 
 
 @pytest.mark.parametrize("p,degree", [(7, 1), (3, 2)])
@@ -269,7 +269,7 @@ def test_quotient_by_central():
 
 def test_induced_isogeny_boundary_cases():
     amb = make_field(3, 2)
-    iso = homs.power_isogeny(GmSpec(3), 2)
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
     group = rational_points(GmSpec(3), 1, amb)
     data = homs.cokernel(iso, 1, amb, codomain_points=group)
     whole = tuple(range(len(group)))
@@ -281,7 +281,7 @@ def test_induced_isogeny_boundary_cases():
 
 def test_induced_isogeny_rejects_subgroup_missing_the_image():
     amb = make_field(5, 2)
-    iso = homs.power_isogeny(GmSpec(5), 2)
+    iso = homs.PowerIsogeny(GmSpec(5), 2)
     group = rational_points(GmSpec(5), 1, amb)
     data = homs.cokernel(iso, 1, amb, codomain_points=group)
     with pytest.raises(ValueError):
@@ -295,7 +295,7 @@ def test_reached_by_on_split_torus():
     amb = make_field(7, 2)
     group = rational_points(NormTorusSpec(7), 1, amb)
     subs = census.index_k_subgroups(group, 2)
-    catalog = [homs.NormCoverIsogeny(7), homs.power_isogeny(NormTorusSpec(7), 2)]
+    catalog = [homs.NormCoverIsogeny(7), homs.PowerIsogeny(NormTorusSpec(7), 2)]
     flags = homs.reached_by(group, [h.ids for h in subs], catalog, 1, amb)
     assert sum(1 for f in flags if f["normcover"]) == 1
     assert all(f["pow:2"] for f in flags)
@@ -316,7 +316,7 @@ def test_reached_by_matches_one_cokernel_per_subgroup():
     amb = make_field(7, 2)
     group = rational_points(spec, 1, amb)
     subs = [h.ids for k in (2, 3) for h in census.index_k_subgroups(group, k)]
-    catalog = [homs.NormCoverIsogeny(7), homs.power_isogeny(spec, 2)]
+    catalog = [homs.NormCoverIsogeny(7), homs.PowerIsogeny(spec, 2)]
     flags = homs.reached_by(group, subs, catalog, 1, amb)
     for h_ids, f in zip(subs, flags):
         for iso in catalog:
@@ -383,7 +383,7 @@ def test_reached_by_matches_preimage_group_reference(family, name, p):
 def _mutated_reached_by(monkeypatch, mutate):
     """reached_by for pow:2 on NormTorus(F_7), after mutate edits the
     cokernel data it builds."""
-    iso = homs.power_isogeny(NormTorusSpec(7), 2)
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     group = rational_points(iso.codomain_spec, 1, amb)
     real = homs.cokernel
@@ -435,14 +435,104 @@ def test_kernel_points_reject_a_point_outside_the_kernel():
     with pytest.raises(VerificationError, match="does not map to the identity"):
         homs.reached_by(group, [tuple(range(len(group)))], [iso], 1, amb)
 
+
+def test_kernel_matrices_reject_a_missing_root_of_unity(monkeypatch):
+    monkeypatch.setattr(homs, "_element_of_order", lambda field, t: None)
+    with pytest.raises(VerificationError,
+                       match="no element of order 2 despite mu_2 in field"):
+        homs.kernel_points(homs.PowerIsogeny(GmSpec(3), 2), make_field(3, 1))
+
+
+def test_section_over_rejects_a_wrong_root(monkeypatch):
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
+    amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
+    x = next(g for g in rational_points(NormTorusSpec(7), 1, amb).elements
+             if not g.is_identity())
+    monkeypatch.setattr(homs, "kth_root", lambda field, a, k: a)
+    with pytest.raises(VerificationError,
+                       match="pow:2: extracted section is not a preimage"):
+        iso.section_over(x, amb)
+
+
+def test_image_values_reject_a_point_outside_the_codomain():
+    iso = homs.PowerIsogeny(GmSpec(5), 2)
+    amb = make_field(5, 1)
+    one = Matrix.identity(amb, 1)
+    trivial = FiniteGroup([one], Matrix.__mul__, one, inv=Matrix.inv)
+    with pytest.raises(VerificationError, match="pow:2 maps a rational point "
+                       "outside the codomain point group"):
+        homs.check_image_index(iso, 1, amb, codomain_points=trivial,
+                               domain_points=rational_points(GmSpec(5), 1, amb))
+
+
+def _section_table_inputs():
+    """pow:2 on Gm(F_5) at level 1: ambient, codomain points and kernel."""
+    iso = homs.PowerIsogeny(GmSpec(5), 2)
+    amb = make_field(5, homs.plan_degree(iso, n=1, sections=True))
+    kernel, _ = homs.kernel_points(iso, amb)
+    return iso, amb, rational_points(GmSpec(5), 1, amb), kernel
+
+
+def test_section_table_rejects_a_lang_value_outside_the_kernel():
+    # lang(sqrt(2)) = 2^2 = -1, which the trivial group lacks
+    iso, amb, codomain, _ = _section_table_inputs()
+    one = Matrix.identity(amb, 1)
+    trivial = FiniteGroup([one], Matrix.__mul__, one, inv=Matrix.inv)
+    with pytest.raises(VerificationError,
+                       match="lang value of a section must lie in the kernel"):
+        homs._section_table(iso, 1, amb, codomain, trivial, 0)
+
+
+def test_section_table_rejects_a_kernel_element_off_the_centralizer():
+    iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
+    amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
+    kernel, _ = homs.kernel_points(iso, amb)
+    generic = Matrix(amb, tuple(tuple(amb.from_int(c) for c in row)
+                                for row in ((1, 2), (3, 5))))
+    padded = FiniteGroup([*kernel.elements, generic], Matrix.__mul__,
+                         kernel.identity, inv=Matrix.inv)
+    codomain = rational_points(NormTorusSpec(7), 1, amb)
+    with pytest.raises(VerificationError,
+                       match="a kernel element does not commute with a section"):
+        homs._section_table(iso, 1, amb, codomain, padded, 0)
+
+
+def test_cokernel_rejects_unequal_invariants(monkeypatch):
+    # with lang the identity map, lang(ker) is all of mu_4: ker/lang(ker)
+    # is trivial, while F_3^* / (F_3^*)^4 has order 2
+    monkeypatch.setattr(homs, "lang_map", lambda y, q, n: y)
+    with pytest.raises(VerificationError, match=r"cokernel invariants \[2\] "
+                       r"differ from kernel-side invariants \[\]"):
+        homs.cokernel(homs.PowerIsogeny(GmSpec(3), 4), 1, make_field(3, 2),
+                      with_mu=False)
+
+
+def test_cokernel_rejects_a_wrong_coset_rep_section(monkeypatch):
+    iso, amb, codomain, _ = _section_table_inputs()
+    quotient, _ = census.quotient_group(
+        codomain, homs.image_ids(iso, 1, amb, codomain_points=codomain), check=False)
+    rep = next(x for x in quotient.elements if not x.is_identity())
+    real = homs._section_table
+
+    def corrupted(*args):
+        sections, lang_ids, gens = real(*args)
+        sections[codomain.index[rep]] = Matrix.identity(amb, 1)
+        return sections, lang_ids, gens
+
+    monkeypatch.setattr(homs, "_section_table", corrupted)
+    with pytest.raises(VerificationError,
+                       match="pow:2: coset rep section is not a preimage"):
+        homs.cokernel(iso, 1, amb, codomain_points=codomain)
+
+
 def _catalog_isogeny(family, name, p, e):
     spec = GmSpec(p, e) if family == "Gm" else NormTorusSpec(p, e)
     if name == "normcover":
         return homs.NormCoverIsogeny(p, e)
     if name == "compose":
-        return homs.CompositeIsogeny(homs.power_isogeny(spec, 2),
-                                     homs.power_isogeny(spec, 3))
-    return homs.power_isogeny(spec, int(name.split(":")[1]))
+        return homs.CompositeIsogeny(homs.PowerIsogeny(spec, 2),
+                                     homs.PowerIsogeny(spec, 3))
+    return homs.PowerIsogeny(spec, int(name.split(":")[1]))
 
 
 # (family, isogeny, p, e, n, kernel, points, points+kernel+sections):
@@ -501,7 +591,7 @@ def test_section_degree_is_the_least_search_degree(spec_cls, p):
     for k in range(1, 13):
         if k % p == 0:
             continue
-        iso = homs.power_isogeny(spec_cls(p), k)
+        iso = homs.PowerIsogeny(spec_cls(p), k)
         for n in range(1, 5):
             level, scale = _search_level(iso, n)
             big_q = p**level
@@ -517,7 +607,7 @@ def test_section_degree_is_the_least_search_degree(spec_cls, p):
 def test_plan_degree_takes_the_lcm_over_isogenies():
     # the census --reached catalog on NormTorus(F_5): cover 2, squaring 4
     spec = NormTorusSpec(5)
-    catalog = [homs.NormCoverIsogeny(5), homs.power_isogeny(spec, 2)]
+    catalog = [homs.NormCoverIsogeny(5), homs.PowerIsogeny(spec, 2)]
     assert homs.plan_degree(*catalog, n=1, sections=True) == 4
 
 
@@ -564,18 +654,18 @@ def test_fiber_product_examples():
 
 def test_composite_isogeny_behaves_like_power_product():
     amb = make_field(5, 4)
-    sq = homs.power_isogeny(GmSpec(5), 2)
+    sq = homs.PowerIsogeny(GmSpec(5), 2)
     comp = homs.CompositeIsogeny(sq, sq)
     kernel, level = homs.kernel_points(comp, amb)
     assert len(kernel) == 4 == comp.kernel_order()
     data = homs.cokernel(comp, 1, amb)
-    direct = homs.cokernel(homs.power_isogeny(GmSpec(5), 4), 1, amb)
+    direct = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, amb)
     assert data.invariants == direct.invariants == [4]
     assert homs.verify_mu(data)
 
 
 def test_composite_through_the_cover():
-    comp = homs.CompositeIsogeny(homs.power_isogeny(NormTorusSpec(7), 2),
+    comp = homs.CompositeIsogeny(homs.PowerIsogeny(NormTorusSpec(7), 2),
                                  homs.NormCoverIsogeny(7))
     assert comp.kernel_order() == 8
     amb = make_field(7, comp.kernel_field_degree())
@@ -586,7 +676,7 @@ def test_composite_through_the_cover():
 
 def test_composite_factors_must_chain():
     with pytest.raises(ValueError):
-        homs.CompositeIsogeny(homs.power_isogeny(GmSpec(5), 2),
+        homs.CompositeIsogeny(homs.PowerIsogeny(GmSpec(5), 2),
                               homs.NormCoverIsogeny(5))
 
 
@@ -594,11 +684,11 @@ def test_isogenies_are_multiplicative_on_random_pairs():
     amb7 = make_field(7, 1)
     amb9 = make_field(3, 2)
     cases = [
-        (homs.power_isogeny(NormTorusSpec(7), 2),
+        (homs.PowerIsogeny(NormTorusSpec(7), 2),
          rational_points(NormTorusSpec(7), 1, amb7)),
         (homs.NormCoverIsogeny(7),
          rational_points(homs.NormCoverIsogeny(7).domain_spec, 1, amb7)),
-        (homs.power_isogeny(GmSpec(3), 4),
+        (homs.PowerIsogeny(GmSpec(3), 4),
          rational_points(GmSpec(3), 2, amb9)),
     ]
     rng = random.Random(4)
@@ -613,7 +703,7 @@ def test_isogenies_are_multiplicative_on_random_pairs():
 def test_mu_sampled_verification_above_small_cells():
     # Gm over F_3 at level 6 has 728 elements, above the E2 mu bound of 512;
     # the proof on generators stays cheap at this size
-    iso = homs.power_isogeny(GmSpec(3), 2)
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
     amb = make_field(3, 12)
     data = homs.cokernel(iso, 6, amb)
     assert data.invariants == [2]
@@ -632,7 +722,7 @@ def _order_swap(group):
 def _relabelled_mu():
     """A cokernel C4 with its mu table, and a copy whose mu values are
     relabelled by _order_swap."""
-    data = homs.cokernel(homs.power_isogeny(GmSpec(5), 4), 1, make_field(5, 4))
+    data = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, make_field(5, 4))
     swap = _order_swap(data.kernel_quotient)
     bad = dataclasses.replace(
         data, kernel_proj=[swap.get(v, v) for v in data.kernel_proj])
@@ -682,9 +772,11 @@ def test_multiplicativity_is_checked_on_cycle_closing_edges():
 def test_rejections_hold_under_python_O():
     # the checks are explicit raises and returns, not asserts, so they
     # survive -O; the script itself checks without assert for that reason
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
     script = "\n".join([
         "import sys",
-        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+        f"sys.path[:0] = [{src_dir!r}, {tests_dir!r}]",
         "from isocensus import homs",
         "from test_homs import _relabelled_mu, _swapping_map",
         "if not sys.flags.optimize:",
@@ -707,8 +799,8 @@ def test_rejections_hold_under_python_O():
 
 def test_arithmetic_progression_of_full_kernel_levels():
     cases = [
-        (homs.power_isogeny(GmSpec(2), 3), 2, 6),
-        (homs.power_isogeny(GmSpec(3), 2), 3, 6),
+        (homs.PowerIsogeny(GmSpec(2), 3), 2, 6),
+        (homs.PowerIsogeny(GmSpec(3), 2), 3, 6),
         (homs.NormCoverIsogeny(5), 5, 3),
     ]
     for iso, q, n_max in cases:

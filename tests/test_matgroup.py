@@ -6,14 +6,15 @@ from functools import reduce
 
 import pytest
 
-from isocensus import homs, orderform
+from isocensus import homs, matgroup, orderform
 from isocensus.census import (index_k_subgroups, invariant_factors_abelian,
                               small_generating_set)
 from isocensus.ffield import AmbientField, VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
                                 GmSpec, Matrix, NormTorusCoverSpec, NormTorusSpec,
                                 SLSpec, SOSpec, SpSpec, SUSpec, builtin_specs,
-                                direct_product, from_generators, make_spec, rational_points)
+                                direct_product, element_sort_key, from_generators,
+                                make_spec, rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -86,9 +87,8 @@ def test_orders_match_closed_formulas(tag, q, n, m):
 ])
 def test_strategy_agreement_with_full_scan(spec, field, n):
     by_strategy = rational_points(spec, n, field)
-    by_scan = rational_points(spec, n, field,
-                              strategy="scan", scan_limit=2**21)
-    assert by_strategy.elements == by_scan.elements
+    by_scan = matgroup._scan_all_matrices(spec, field, n, 2**21)
+    assert by_strategy.elements == tuple(sorted(by_scan, key=element_sort_key))
 
 
 def test_sp4_full_scan_order():
@@ -188,11 +188,13 @@ def test_su_needs_quadratic_subextension():
         rational_points(SUSpec(2, 2), 1, F2)
 
 
-def test_enumeration_bounds_raise():
+def test_enumeration_bounds_raise(monkeypatch):
     with pytest.raises(EnumerationBound):
         rational_points(SLSpec(2, 31), 1, make_field(31, 1), order_bound=100)
-    with pytest.raises(EnumerationBound):
-        rational_points(SpSpec(4, 3), 1, F3, scan_limit=1000)
+    # 2^16 candidates: within the default limit, past a limit of 1000
+    monkeypatch.setattr(matgroup, "DEFAULT_MATRIX_SCAN_LIMIT", 1000)
+    with pytest.raises(EnumerationBound, match="exceeds bound 1000"):
+        rational_points(SpSpec(4, 2), 1, F2)
     with pytest.raises(ValueError):
         rational_points(GmSpec(2), 2, F2)  # subfield unavailable
 
@@ -302,3 +304,10 @@ def test_matrix_products_take_no_field_mul_or_add(monkeypatch, field):
     monkeypatch.setattr(AmbientField, "mul", forbidden)
     monkeypatch.setattr(AmbientField, "add", forbidden)
     assert [a * b for a, b in pairs] == want
+
+
+def test_norm_torus_generators_need_a_cube_root_of_unity(monkeypatch):
+    monkeypatch.setattr(matgroup, "_element_of_order", lambda field, t: None)
+    with pytest.raises(VerificationError,
+                       match="ambient field must contain cube roots of unity"):
+        rational_points(NormTorusSpec(7), 1, F7)
