@@ -109,7 +109,7 @@ def is_normal(group: FiniteGroup, ids: Iterable[int]) -> bool:
 
 
 def small_generating_set(group: FiniteGroup, *, seed: int = 0) -> list[int]:
-    """A small generating set of element ids, proved to generate.
+    """A small generating set of element ids, proved once and kept per seed.
 
     Prefers the group's declared generators: a pair or triple of them that
     generates, tested by closure, or else all of them, proved by their
@@ -118,6 +118,12 @@ def small_generating_set(group: FiniteGroup, *, seed: int = 0) -> list[int]:
     biased toward high-order elements, tested by closure, with a
     deterministic greedy-closure fallback that always succeeds.
     """
+    if seed not in group.generating_sets:
+        group.generating_sets[seed] = tuple(_generating_set(group, seed))
+    return list(group.generating_sets[seed])
+
+
+def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
     n = len(group)
     if n == 1:
         return []

@@ -60,7 +60,7 @@ def cmd_kernel(args) -> int:
 def cmd_image(args) -> int:
     iso = homs.parse_isogeny(args.iso, make_spec(args.spec, args.p, args.e, args.m))
     amb = make_field(args.p, homs.plan_degree(iso, n=args.n))
-    index, ker_n, equal = homs.check_image_index(iso, args.n, amb)
+    index, ker_n, equal = homs.check_image_index(homs.image(iso, args.n, amb))
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n, "image_index": index,
            "kernel_rational": ker_n, "index_equals_kernel": equal})
     return 0 if equal else 1
@@ -69,7 +69,8 @@ def cmd_image(args) -> int:
 def cmd_cokernel(args) -> int:
     iso = homs.parse_isogeny(args.iso, make_spec(args.spec, args.p, args.e, args.m))
     amb = make_field(args.p, homs.plan_degree(iso, n=args.n, sections=True))
-    data = homs.cokernel(iso, args.n, amb, seed=args.seed)
+    data = homs.cokernel(iso, args.n, homs.image(iso, args.n, amb), amb)
+    data = homs.with_sections(data, iso, args.n, seed=args.seed)
     mu_ok = homs.verify_mu(data)
     _emit({"isogeny": iso.name, "q": iso.q, "n": args.n,
            "invariants": data.invariants,
@@ -178,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_spec_args(si, with_n=(name != "kernel"))
         si.add_argument("--iso", required=True,
                         help="pow:K | normcover | id | compose:(a,b)")
-        si.add_argument("--seed", type=int, default=0)
         si.set_defaults(func=fn)
+    subs.choices["cokernel"].add_argument("--seed", type=int, default=0)
 
     sc = subs.add_parser("census", help="index-k subgroup census")
     _add_spec_args(sc)

@@ -21,7 +21,8 @@ payloads, seeded randomness.
 Ambient fields are planned per cell by `homs.plan_degree`, the planner the
 CLI uses too: level-n points need degree e*n, geometric kernels degree
 e*s_ker, and the sections behind mu degree e*n*s_section; the kernel side
-of E2 lives in its own small field on cells too large for the mu check.
+of E2 lives in its own small field on cells too large for the mu check,
+and E2 reads the image E1 computed wherever the two plan the same field.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class Runner:
         self.config = config or ExperimentConfig()
         self._fields: dict[tuple[int, int], AmbientField] = {}
         self._groups: dict[tuple, FiniteGroup] = {}
+        self._images: dict[tuple[str, FiniteGroup], homs.Image] = {}
 
     # -- caches ---------------------------------------------------------------
 
@@ -135,6 +137,15 @@ class Runner:
             self._groups[key] = rational_points(
                 spec, n, amb, order_bound=self.config.census_order_bound * 2)
         return self._groups[key]
+
+    def image(self, iso: homs.Isogeny, n: int, degree: int) -> homs.Image:
+        """One image per catalog isogeny name and codomain (spec, n, degree)."""
+        codomain = self.group(iso.codomain_spec, n, degree)
+        if (iso.name, codomain) not in self._images:
+            self._images[iso.name, codomain] = homs.image(
+                iso, n, codomain.identity.field, codomain=codomain,
+                domain=self.group(iso.domain_spec, n, degree))
+        return self._images[iso.name, codomain]
 
     # -- shared cell helpers ----------------------------------------------------
 
@@ -181,24 +192,20 @@ class Runner:
         iso = homs.parse_isogeny(iso_name, make_spec(family, p, e))
         with_mu = experiment == "E2" and cell["order"] <= cfg.mu_order_bound
         degree = homs.plan_degree(iso, n=n, sections=with_mu)
-        amb = self.field(p, degree)
-        codomain = self.group(iso.codomain_spec, n, degree)
-        domain = self.group(iso.domain_spec, n, degree)
+        img = self.image(iso, n, degree)
 
         if experiment == "E1":
-            index, ker_n, equal = homs.check_image_index(
-                iso, n, amb, domain_points=domain, codomain_points=codomain)
+            index, ker_n, equal = homs.check_image_index(img)
             cell["count"] = index
             cell["flags"] = {"kernel_rational": ker_n, "equal": equal}
             if not equal:
                 cell.update(status="fail", reason="index differs from kernel size")
             return
 
-        kernel_amb = None if with_mu else self.field(p, homs.plan_degree(iso))
-        data = homs.cokernel(iso, n, amb, with_mu=with_mu,
-                             seed=cfg.seed, kernel_ambient=kernel_amb,
-                             domain_points=domain, codomain_points=codomain)
-        mu_ok = homs.verify_mu(data) if with_mu else None
+        kernel_field = self.field(p, degree if with_mu else homs.plan_degree(iso))
+        data = homs.cokernel(iso, n, img, kernel_field)
+        mu_ok = homs.verify_mu(homs.with_sections(data, iso, n, seed=cfg.seed)) \
+            if with_mu else None
         cell["count"] = len(data.quotient)
         cell["flags"] = {"invariants": data.invariants,
                          "kernel_min_level": data.kernel_min_level,

@@ -10,14 +10,14 @@ Central objects:
 
 * kernel_points: the full geometric kernel as a finite group, together with
   the minimal level m at which it is entirely rational.
-* image_ids / check_image_index: the image subgroup at level n and the
-  identity [G : image] = #rational kernel, both read off one image map.
+* image: the one map applied to every level-n point, an Image value that
+  each reader is passed; check_image_index reads [G : image] = #rational
+  kernel off it, and cokernel checks G/image against ker/lang(ker).
 * lang_map: the twisted translation y -> y^(-1) sigma_{q^n}(y), surjective
   over the closure; its restriction to the kernel drives the cokernel.
-* cokernel: the quotient of the codomain points by the image, its abelian
-  invariants checked against ker/lang(ker), and the connecting map mu,
-  defined on every codomain point x as the class of lang(section(x)) in
-  ker/lang(ker) for the tabulated preimage section(x) of x.
+* with_sections: the connecting map mu of a cokernel, defined on every
+  codomain point x as the class of lang(section(x)) in ker/lang(ker) for
+  the tabulated preimage section(x) of x.
 * induced_isogeny_reaches: the bootstrap that quotients the domain by a
   sigma-stable subgroup K of the kernel so that the induced isogeny's
   rational image grows to a prescribed subgroup H, decided by id arithmetic
@@ -34,7 +34,7 @@ ambient degree by integer arithmetic, for the CLI and the experiments alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -425,17 +425,24 @@ def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int
     return group, m
 
 
-def _image_values(iso: Isogeny, n: int, ambient: AmbientField,
-                  domain_points: Optional[FiniteGroup],
-                  codomain_points: Optional[FiniteGroup]
-                  ) -> tuple[list[int], FiniteGroup]:
-    """The codomain id of phi(g) for every level-n domain point g, and the
-    codomain points.  A point group not given is enumerated, except that a
-    domain with the codomain's spec reuses the codomain points."""
-    codomain = codomain_points
+@dataclass(frozen=True)
+class Image:
+    """The sorted codomain ids of the level-n image, and the rational
+    kernel: the number of domain points mapped to the identity."""
+
+    codomain: FiniteGroup
+    ids: tuple[int, ...]
+    rational_kernel: int
+
+
+def image(iso: Isogeny, n: int, ambient: AmbientField, *,
+          domain: Optional[FiniteGroup] = None,
+          codomain: Optional[FiniteGroup] = None) -> Image:
+    """phi applied to every level-n domain point, once.  A point group not
+    given is enumerated in the ambient field, except that a domain with the
+    codomain's spec reuses the codomain points."""
     if codomain is None:
         codomain = rational_points(iso.codomain_spec, n, ambient)
-    domain = domain_points
     if domain is None:
         domain = codomain if iso.domain_spec is iso.codomain_spec \
             else rational_points(iso.domain_spec, n, ambient)
@@ -443,26 +450,14 @@ def _image_values(iso: Isogeny, n: int, ambient: AmbientField,
     if None in values:
         raise VerificationError(f"{iso.name} maps a rational point outside "
                                 "the codomain point group")
-    return values, codomain
+    return Image(codomain, tuple(sorted(set(values))),
+                 values.count(codomain.identity_id))
 
 
-def image_ids(iso: Isogeny, n: int, ambient: AmbientField, *,
-              domain_points: Optional[FiniteGroup] = None,
-              codomain_points: Optional[FiniteGroup] = None) -> tuple[int, ...]:
-    """Sorted codomain ids of the image of the level-n domain points."""
-    values, _ = _image_values(iso, n, ambient, domain_points, codomain_points)
-    return tuple(sorted(set(values)))
-
-
-def check_image_index(iso: Isogeny, n: int, ambient: AmbientField, *,
-                      domain_points: Optional[FiniteGroup] = None,
-                      codomain_points: Optional[FiniteGroup] = None
-                      ) -> tuple[int, int, bool]:
-    """([G : image], #rational kernel, equality flag) at level n."""
-    values, codomain = _image_values(iso, n, ambient, domain_points, codomain_points)
-    index = len(codomain) // len(set(values))
-    ker_n = values.count(codomain.identity_id)
-    return index, ker_n, index == ker_n
+def check_image_index(img: Image) -> tuple[int, int, bool]:
+    """([G : image], #rational kernel, equality flag)."""
+    index = len(img.codomain) // len(img.ids)
+    return index, img.rational_kernel, index == img.rational_kernel
 
 
 def lang_map(y: Matrix, q: int, n: int) -> Matrix:
@@ -516,22 +511,19 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     if any(codomain.mult(a, b) != codomain.mult(b, a)
            for a in gens for b in gens):
         raise ValueError("transversal construction needs an abelian codomain")
-    ygens = []
+    ygens, ygen_lang = [], []
     for g in gens:
         y = iso.section_over(codomain.elements[g], ambient)
         if y is None:
             raise PreimageNotFound(
                 f"{iso.name}: generator of level-{n} points has no preimage in "
                 f"ambient of degree {ambient.degree}")
-        ygens.append(y)
-    q = iso.q
-    ygen_lang = []
-    for y in ygens:
-        kid = kernel_group.index.get(lang_map(y, q, n))
+        kid = kernel_group.index.get(lang_map(y, iso.q, n))
         if kid is None:
             raise VerificationError("lang value of a section must lie in the kernel")
         if any(a * y != y * a for a in kernel_group.elements):
             raise VerificationError("a kernel element does not commute with a section")
+        ygens.append(y)
         ygen_lang.append(kid)
     bfs_ids, program = census._bfs_program(codomain, gens)
     sections: list[Optional[Matrix]] = [None] * len(codomain)
@@ -546,29 +538,16 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     return sections, lang_ids, gens
 
 
-def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
-             with_mu: bool = True, seed: int = 0,
-             kernel_ambient: Optional[AmbientField] = None,
-             domain_points: Optional[FiniteGroup] = None,
-             codomain_points: Optional[FiniteGroup] = None) -> CokernelData:
-    """The cokernel G(F_{q^n}) / image at level n, checked against
-    ker / lang(ker), with the section table behind the connecting map mu
-    when requested.
-
-    Requires the full geometric kernel inside the ambient field; preimages
-    for the table are found by root extraction in the ambient, whose degree
-    must cover section_degree(n), or PreimageNotFound is raised.  The section
-    of every coset representative is checked to be a preimage.  Without the
-    table, the kernel side may live in its own (smaller) ambient field, since
-    the two sides of the isomorphism only exchange abelian invariants.
-    """
-    values, codomain = _image_values(iso, n, ambient, domain_points, codomain_points)
-    ids = tuple(sorted(set(values)))
-    quotient, _ = census.quotient_group(codomain, ids, check=False)
+def cokernel(iso: Isogeny, n: int, img: Image,
+             kernel_ambient: AmbientField) -> CokernelData:
+    """The cokernel G(F_{q^n}) / image, checked against ker / lang(ker).
+    The geometric kernel is enumerated in kernel_ambient, which must hold
+    it; only abelian invariants cross the isomorphism, so that field may be
+    smaller than the codomain points' one, unless with_sections follows."""
+    quotient, _ = census.quotient_group(img.codomain, img.ids, check=False)
     lhs = census.invariant_factors_abelian(quotient)
 
-    kernel_field = ambient if (with_mu or kernel_ambient is None) else kernel_ambient
-    kernel_group, min_level = kernel_points(iso, kernel_field)
+    kernel_group, min_level = kernel_points(iso, kernel_ambient)
     lam_ids = sorted({kernel_group.index[lang_map(a, iso.q, n)]
                       for a in kernel_group.elements})
     kq, kproj = census.quotient_group(kernel_group, lam_ids, check=False)
@@ -576,22 +555,27 @@ def cokernel(iso: Isogeny, n: int, ambient: AmbientField, *,
     if lhs != rhs:
         raise VerificationError(
             f"cokernel invariants {lhs} differ from kernel-side invariants {rhs}")
-
-    data = CokernelData(invariants=lhs, codomain=codomain, image_ids=ids,
+    return CokernelData(invariants=lhs, codomain=img.codomain, image_ids=img.ids,
                         quotient=quotient, kernel_group=kernel_group,
                         kernel_min_level=min_level, lang_image_ids=tuple(lam_ids),
                         kernel_quotient=kq, kernel_proj=kproj)
-    if not with_mu:
-        return data
 
+
+def with_sections(data: CokernelData, iso: Isogeny, n: int, *,
+                  seed: int = 0) -> CokernelData:
+    """data with the section table behind mu, its sections found by root
+    extraction in the codomain points' field, which must hold the kernel
+    (ValueError) and cover section_degree(n) (PreimageNotFound).  The
+    section of every coset representative is checked to be a preimage."""
+    codomain = data.codomain
+    ambient = codomain.identity.field
+    if data.kernel_group.identity.field != ambient:
+        raise ValueError(f"the section table needs the kernel in {ambient!r}")
     sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
-                                              kernel_group, seed)
-    if any(iso.apply(sections[codomain.index[x]]) != x for x in quotient.elements):
+                                              data.kernel_group, seed)
+    if any(iso.apply(sections[codomain.index[x]]) != x for x in data.quotient.elements):
         raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
-    data.sections = sections
-    data.section_lang_ids = lang_ids
-    data.section_gens = gens
-    return data
+    return replace(data, sections=sections, section_lang_ids=lang_ids, section_gens=gens)
 
 
 def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
@@ -726,14 +710,15 @@ def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
             for f in flags:
                 f[iso.name] = None
             continue
-        data = cokernel(iso, n, ambient, seed=seed, codomain_points=codomain)
+        img = image(iso, n, ambient, codomain=codomain)
+        data = with_sections(cokernel(iso, n, img, ambient), iso, n, seed=seed)
         kernel = data.kernel_group
         if any(kernel.mult(a, b) != kernel.mult(b, a)
                for a in range(len(kernel)) for b in range(a)):
             raise VerificationError(f"ker({iso.name}) is not abelian")
         if any(iso.apply(y) != x for y, x in zip(data.sections, data.codomain.elements)):
             raise VerificationError(f"{iso.name}: a section is not a preimage")
-        image = set(data.image_ids)
+        image_set = set(img.ids)
         for f, h_ids in zip(flags, subgroups):
-            f[iso.name] = image.issubset(h_ids) and induced_isogeny_reaches(data, h_ids)[1]
+            f[iso.name] = image_set.issubset(h_ids) and induced_isogeny_reaches(data, h_ids)[1]
     return flags

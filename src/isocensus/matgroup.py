@@ -200,8 +200,9 @@ class FiniteGroup:
         self._mult_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
         self._order_cache: dict[int, int] = {}
-        # census._bfs_program results, keyed by the generator id tuple
+        # census._bfs_program results by generator ids, small_generating_set's by seed
         self.bfs_programs: dict[tuple[int, ...], tuple] = {}
+        self.generating_sets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)

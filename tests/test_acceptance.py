@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from corpus import build_corpus
-from isocensus import census
+from isocensus import census, homs
 from isocensus.experiments import ExperimentConfig, Runner
 from isocensus.ffield import is_prime
 
@@ -73,6 +73,19 @@ def test_criterion_1_image_index_identity(runner, reports):
     spot = cells_by(report, spec="Gm", isogeny="pow:2", q=3, n=1)[0]
     assert (spot["count"], spot["flags"]["kernel_rational"]) == (2, 2)
     print("ACCEPTANCE 1 (image-index identity E1): PASS")
+
+
+def test_e2_reads_the_images_e1_computed(runner, reports, monkeypatch):
+    # runs before criterion 2, so that E2 meets E1's images in the Runner;
+    # 52 of E2's 123 live cells plan the field E1 planned
+    get_report(runner, reports, "E1")
+    computed = []
+    real = homs.image
+    monkeypatch.setattr(homs, "image",
+                        lambda *args, **kw: computed.append(args) or real(*args, **kw))
+    report = get_report(runner, reports, "E2")
+    assert sum(1 for c in report["cells"] if c["status"] == "pass") == 123
+    assert len(computed) == 71
 
 
 def test_criterion_2_cokernel_isomorphism(runner, reports):
@@ -197,13 +210,16 @@ def test_criterion_10_deterministic_reports(tmp_path):
         fmt="both")
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(config.to_json())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     dirs = []
     for tag in ("first", "second"):
         out = tmp_path / tag
         proc = subprocess.run(
             [sys.executable, "-m", "isocensus.cli", "all",
              "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         dirs.append(out)
     names = sorted(os.listdir(dirs[0]))

@@ -282,6 +282,26 @@ def test_small_generating_set_paths():
     assert len(gens) <= 4
 
 
+@pytest.mark.parametrize("name", ["Ga(F_16)", "C2xC2xC2"])
+def test_generating_set_is_searched_once_per_group(monkeypatch, name):
+    # neither group has a generating pair or triple among its declared
+    # generators, so each search tries every pair and triple by closure
+    if name == "Ga(F_16)":
+        group = rational_points(GaSpec(2), 4, make_field(2, 4))
+    else:
+        c2 = rational_points(GmSpec(3), 1, F3)
+        group = direct_product(direct_product(c2, c2), c2)
+    closures = []
+    real = FiniteGroup.closure_ids
+    monkeypatch.setattr(FiniteGroup, "closure_ids",
+                        lambda self, ids: closures.append(ids) or real(self, ids))
+    counts = []
+    for k in range(2, 7):
+        index_k_subgroups(group, k)
+        counts.append(len(closures))
+    assert counts[0] > 0 and set(counts) == {counts[0]}
+
+
 def test_quotient_group_structure():
     sl = SL2F3
     z = center(sl)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from isocensus import homs
-from isocensus.cli import main
+from isocensus.cli import build_parser, main
 from isocensus.experiments import ExperimentConfig, Runner, write_reports
 from isocensus.matgroup import GmSpec
 
@@ -45,6 +45,17 @@ def test_image_subcommand(capsys):
     code, payload = run_cli(capsys, "image", "--iso", "pow:2", "--spec", "Gm",
                             "--p", "3", "--n", "1")
     assert code == 0 and payload["index_equals_kernel"]
+
+
+def test_only_cokernel_and_census_take_a_seed(capsys):
+    # kernel and image are exact and draw nothing at random
+    parser = build_parser()
+    for command in ("kernel", "image"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--iso", "pow:2", "--p", "3", "--seed", "1"])
+    assert parser.parse_args(["cokernel", "--iso", "pow:2", "--p", "3",
+                              "--seed", "1"]).seed == 1
+    assert parser.parse_args(["census", "--p", "3", "--k", "2", "--seed", "1"]).seed == 1
 
 
 def test_cokernel_subcommand(capsys):
@@ -113,6 +124,7 @@ def test_points_list_entries_live_in_the_level_field(capsys, spec, p, e, n):
 def test_every_exported_name_imports():
     import isocensus
     assert len(set(isocensus.__all__)) == len(isocensus.__all__)
+    assert {"Image", "image", "with_sections"} <= set(isocensus.__all__)
     for name in isocensus.__all__:
         assert getattr(isocensus, name) is not None
 
@@ -185,14 +197,13 @@ def test_e1_gives_a_power_map_its_codomain_points_as_domain(monkeypatch):
     # Runner.group keys groups by spec type and level, so pow:k, whose
     # domain and codomain specs agree, gets one point group for both
     seen = []
-    real = homs.check_image_index
+    real = homs.image
 
-    def record(iso, n, amb, *, domain_points, codomain_points):
-        seen.append((iso.name, domain_points, codomain_points))
-        return real(iso, n, amb, domain_points=domain_points,
-                    codomain_points=codomain_points)
+    def record(iso, n, amb, *, domain, codomain):
+        seen.append((iso.name, domain, codomain))
+        return real(iso, n, amb, domain=domain, codomain=codomain)
 
-    monkeypatch.setattr(homs, "check_image_index", record)
+    monkeypatch.setattr(homs, "image", record)
     cells = Runner(ExperimentConfig(e12_qs=(5,), e12_n_max=2, e12_ks=(2, 3))).e1()
     assert all(c["status"] == "pass" for c in cells)
     assert {name for name, _, _ in seen} == {"pow:2", "pow:3", "normcover"}

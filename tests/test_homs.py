@@ -14,6 +14,12 @@ from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
                                 NormTorusSpec, SLSpec, rational_points)
 
 
+def _cokernel(iso, n, amb, codomain=None):
+    """The cokernel with its section table, every point in one ambient."""
+    img = homs.image(iso, n, amb, codomain=codomain)
+    return homs.with_sections(homs.cokernel(iso, n, img, amb), iso, n)
+
+
 def test_power_isogeny_requires_coprime_exponent():
     with pytest.raises(ValueError):
         homs.PowerIsogeny(GmSpec(3), 3)
@@ -88,23 +94,22 @@ def test_kernel_centrality_in_domain():
 ])
 def test_check_image_index_on_gm(k, q, n, expected):
     amb = make_field(q, n)
-    assert homs.check_image_index(homs.PowerIsogeny(GmSpec(q), k), n, amb) == expected
+    img = homs.image(homs.PowerIsogeny(GmSpec(q), k), n, amb)
+    assert homs.check_image_index(img) == expected
 
 
 def test_image_of_identity_isogeny_is_everything():
     amb = make_field(3, 1)
     iso = homs.IdentityIsogeny(GmSpec(3))
     group = rational_points(GmSpec(3), 1, amb)
-    assert homs.image_ids(iso, 1, amb, codomain_points=group) == \
-        tuple(range(len(group)))
+    assert homs.image(iso, 1, amb, codomain=group).ids == tuple(range(len(group)))
 
 
 def test_image_is_normal_subgroup():
     amb = make_field(3, 1)
     iso = homs.PowerIsogeny(GmSpec(3), 2)
     group = rational_points(GmSpec(3), 1, amb)
-    ids = homs.image_ids(iso, 1, amb, codomain_points=group)
-    assert census.is_normal(group, ids)
+    assert census.is_normal(group, homs.image(iso, 1, amb, codomain=group).ids)
 
 
 def test_lang_map_examples():
@@ -128,7 +133,7 @@ def test_lang_preserves_kernel():
 
 def test_cokernel_of_squaring_q5():
     amb = make_field(5, 2)
-    data = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 2), 1, amb)
+    data = _cokernel(homs.PowerIsogeny(GmSpec(5), 2), 1, amb)
     assert data.invariants == [2]
     assert len(data.lang_image_ids) == 1  # lang kills the rational kernel
     assert homs.verify_mu(data)
@@ -136,14 +141,14 @@ def test_cokernel_of_squaring_q5():
 
 def test_cokernel_of_identity_is_trivial():
     amb = make_field(5, 1)
-    data = homs.cokernel(homs.IdentityIsogeny(GmSpec(5)), 1, amb)
+    data = _cokernel(homs.IdentityIsogeny(GmSpec(5)), 1, amb)
     assert data.invariants == []
     assert homs.verify_mu(data)
 
 
 def test_cokernel_of_norm_cover_p7():
     amb = make_field(7, 2)
-    data = homs.cokernel(homs.NormCoverIsogeny(7), 1, amb)
+    data = _cokernel(homs.NormCoverIsogeny(7), 1, amb)
     assert data.invariants == [2]
     assert homs.verify_mu(data)
 
@@ -152,16 +157,20 @@ def test_cokernel_invariants_without_mu_table():
     amb = make_field(3, 3)
     iso = homs.PowerIsogeny(GmSpec(3), 2)
     kamb = make_field(3, iso.kernel_field_degree())
-    data = homs.cokernel(iso, 3, amb, with_mu=False, kernel_ambient=kamb)
+    data = homs.cokernel(iso, 3, homs.image(iso, 3, amb), kamb)
     assert data.invariants == [2]  # 3^3 - 1 = 26 is even
     assert data.sections is None
+    # sections live in the codomain points' field, and their Lang values
+    # must be looked up in a kernel enumerated there too
+    with pytest.raises(ValueError, match="section table needs the kernel"):
+        homs.with_sections(data, iso, 3)
 
 
 def test_cokernel_nontrivial_lang_action():
     # mu_4 over F_3 has lang image of order 2 at level 1: coker is C2, not C4
     amb = make_field(3, 4)
     iso = homs.PowerIsogeny(GmSpec(3), 4)
-    data = homs.cokernel(iso, 1, amb)
+    data = _cokernel(iso, 1, amb)
     assert data.invariants == [2]
     assert len(data.lang_image_ids) == 2
     assert data.kernel_min_level == 2
@@ -179,13 +188,13 @@ def test_image_index_walks_no_generating_set(monkeypatch):
     group = rational_points(NormTorusSpec(7), 1, amb)
     assert len(group.gens_hint) == 2
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
-    assert homs.check_image_index(iso, 1, amb, codomain_points=group) == (4, 4, True)
+    assert homs.check_image_index(homs.image(iso, 1, amb, codomain=group)) == (4, 4, True)
 
 
 def test_cokernel_and_verify_mu_share_one_program():
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
-    data = homs.cokernel(iso, 1, amb)
+    data = _cokernel(iso, 1, amb)
     assert homs.verify_mu(data)
     assert set(data.codomain.bfs_programs) == {tuple(data.section_gens)}
 
@@ -194,7 +203,7 @@ def test_preimage_not_found_is_loud():
     amb = make_field(3, 1)  # non-squares of F_3 have no square roots here
     iso = homs.PowerIsogeny(GmSpec(3), 2)
     with pytest.raises(homs.PreimageNotFound):
-        homs.cokernel(iso, 1, amb, with_mu=True)
+        _cokernel(iso, 1, amb)
 
 
 def test_section_degree_plans():
@@ -271,7 +280,7 @@ def test_induced_isogeny_boundary_cases():
     amb = make_field(3, 2)
     iso = homs.PowerIsogeny(GmSpec(3), 2)
     group = rational_points(GmSpec(3), 1, amb)
-    data = homs.cokernel(iso, 1, amb, codomain_points=group)
+    data = _cokernel(iso, 1, amb, group)
     whole = tuple(range(len(group)))
     k_ids, ok = homs.induced_isogeny_reaches(data, whole)
     assert ok and len(k_ids) == 2  # K = full kernel: rational isomorphism
@@ -283,10 +292,10 @@ def test_induced_isogeny_rejects_subgroup_missing_the_image():
     amb = make_field(5, 2)
     iso = homs.PowerIsogeny(GmSpec(5), 2)
     group = rational_points(GmSpec(5), 1, amb)
-    data = homs.cokernel(iso, 1, amb, codomain_points=group)
+    data = _cokernel(iso, 1, amb, group)
     with pytest.raises(ValueError):
         homs.induced_isogeny_reaches(data, (group.identity_id,))
-    without_table = homs.cokernel(iso, 1, amb, codomain_points=group, with_mu=False)
+    without_table = homs.cokernel(iso, 1, homs.image(iso, 1, amb, codomain=group), amb)
     with pytest.raises(ValueError):
         homs.induced_isogeny_reaches(without_table, tuple(range(len(group))))
 
@@ -320,7 +329,7 @@ def test_reached_by_matches_one_cokernel_per_subgroup():
     flags = homs.reached_by(group, subs, catalog, 1, amb)
     for h_ids, f in zip(subs, flags):
         for iso in catalog:
-            data = homs.cokernel(iso, 1, amb, codomain_points=group)
+            data = _cokernel(iso, 1, amb, group)
             want = set(data.image_ids) <= set(h_ids) and \
                 homs.induced_isogeny_reaches(data, h_ids)[1]
             assert f[iso.name] is want
@@ -367,7 +376,7 @@ def test_reached_by_matches_preimage_group_reference(family, name, p):
     subs = [tuple(range(len(group)))]
     subs += [h.ids for k in (2, 3) for h in census.index_k_subgroups(group, k)]
     flags = homs.reached_by(group, subs, [iso], 1, amb)
-    data = homs.cokernel(iso, 1, amb, codomain_points=group)
+    data = _cokernel(iso, 1, amb, group)
     compared = 0
     for h_ids, f in zip(subs, flags):
         if not set(data.image_ids) <= set(h_ids):
@@ -386,14 +395,14 @@ def _mutated_reached_by(monkeypatch, mutate):
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     group = rational_points(iso.codomain_spec, 1, amb)
-    real = homs.cokernel
+    real = homs.with_sections
 
     def mutated(*args, **kw):
         data = real(*args, **kw)
         mutate(data)
         return data
 
-    monkeypatch.setattr(homs, "cokernel", mutated)
+    monkeypatch.setattr(homs, "with_sections", mutated)
     return homs.reached_by(group, [tuple(range(len(group)))], [iso], 1, amb)
 
 
@@ -461,8 +470,8 @@ def test_image_values_reject_a_point_outside_the_codomain():
     trivial = FiniteGroup([one], Matrix.__mul__, one, inv=Matrix.inv)
     with pytest.raises(VerificationError, match="pow:2 maps a rational point "
                        "outside the codomain point group"):
-        homs.check_image_index(iso, 1, amb, codomain_points=trivial,
-                               domain_points=rational_points(GmSpec(5), 1, amb))
+        homs.image(iso, 1, amb, codomain=trivial,
+                   domain=rational_points(GmSpec(5), 1, amb))
 
 
 def _section_table_inputs():
@@ -503,14 +512,14 @@ def test_cokernel_rejects_unequal_invariants(monkeypatch):
     monkeypatch.setattr(homs, "lang_map", lambda y, q, n: y)
     with pytest.raises(VerificationError, match=r"cokernel invariants \[2\] "
                        r"differ from kernel-side invariants \[\]"):
-        homs.cokernel(homs.PowerIsogeny(GmSpec(3), 4), 1, make_field(3, 2),
-                      with_mu=False)
+        iso, amb = homs.PowerIsogeny(GmSpec(3), 4), make_field(3, 2)
+        homs.cokernel(iso, 1, homs.image(iso, 1, amb), amb)
 
 
 def test_cokernel_rejects_a_wrong_coset_rep_section(monkeypatch):
     iso, amb, codomain, _ = _section_table_inputs()
     quotient, _ = census.quotient_group(
-        codomain, homs.image_ids(iso, 1, amb, codomain_points=codomain), check=False)
+        codomain, homs.image(iso, 1, amb, codomain=codomain).ids, check=False)
     rep = next(x for x in quotient.elements if not x.is_identity())
     real = homs._section_table
 
@@ -522,7 +531,7 @@ def test_cokernel_rejects_a_wrong_coset_rep_section(monkeypatch):
     monkeypatch.setattr(homs, "_section_table", corrupted)
     with pytest.raises(VerificationError,
                        match="pow:2: coset rep section is not a preimage"):
-        homs.cokernel(iso, 1, amb, codomain_points=codomain)
+        _cokernel(iso, 1, amb, codomain)
 
 
 def _catalog_isogeny(family, name, p, e):
@@ -658,8 +667,8 @@ def test_composite_isogeny_behaves_like_power_product():
     comp = homs.CompositeIsogeny(sq, sq)
     kernel, level = homs.kernel_points(comp, amb)
     assert len(kernel) == 4 == comp.kernel_order()
-    data = homs.cokernel(comp, 1, amb)
-    direct = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, amb)
+    data = _cokernel(comp, 1, amb)
+    direct = _cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, amb)
     assert data.invariants == direct.invariants == [4]
     assert homs.verify_mu(data)
 
@@ -671,7 +680,7 @@ def test_composite_through_the_cover():
     amb = make_field(7, comp.kernel_field_degree())
     kernel, level = homs.kernel_points(comp, amb)
     assert len(kernel) == 8 and level == 2
-    assert homs.check_image_index(comp, 1, make_field(7, 1)) == (4, 4, True)
+    assert homs.check_image_index(homs.image(comp, 1, make_field(7, 1))) == (4, 4, True)
 
 
 def test_composite_factors_must_chain():
@@ -705,7 +714,7 @@ def test_mu_sampled_verification_above_small_cells():
     # the proof on generators stays cheap at this size
     iso = homs.PowerIsogeny(GmSpec(3), 2)
     amb = make_field(3, 12)
-    data = homs.cokernel(iso, 6, amb)
+    data = _cokernel(iso, 6, amb)
     assert data.invariants == [2]
     assert homs.verify_mu(data)
 
@@ -722,7 +731,7 @@ def _order_swap(group):
 def _relabelled_mu():
     """A cokernel C4 with its mu table, and a copy whose mu values are
     relabelled by _order_swap."""
-    data = homs.cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, make_field(5, 4))
+    data = _cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, make_field(5, 4))
     swap = _order_swap(data.kernel_quotient)
     bad = dataclasses.replace(
         data, kernel_proj=[swap.get(v, v) for v in data.kernel_proj])
@@ -808,7 +817,7 @@ def test_arithmetic_progression_of_full_kernel_levels():
         levels = []
         for n in range(1, n_max + 1):
             amb = make_field(q, n)
-            _, ker_n, _ = homs.check_image_index(iso, n, amb)
+            _, ker_n, _ = homs.check_image_index(homs.image(iso, n, amb))
             if ker_n == full:
                 levels.append(n)
         kamb = make_field(q, iso.kernel_field_degree())

@@ -250,9 +250,10 @@ def _declaration_raises_on_first_use(monkeypatch, spec, field, declared):
     monkeypatch.setattr(spec, "point_generators", lambda field, n: declared)
     group = _points_without_a_walk(monkeypatch, spec, field)
     assert group.gens_hint == tuple(group.index[g] for g in declared)
+    iso = homs.IdentityIsogeny(spec)
     uses = (small_generating_set, lambda g: index_k_subgroups(g, 2),
-            lambda g: homs.cokernel(homs.IdentityIsogeny(spec), 1, field,
-                                    codomain_points=g))
+            lambda g: homs.with_sections(
+                homs.cokernel(iso, 1, homs.image(iso, 1, field, codomain=g), field), iso, 1))
     for use in uses:
         with pytest.raises(VerificationError,
                            match=f"do not generate {re.escape(repr(group))}"):
