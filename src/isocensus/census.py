@@ -34,7 +34,7 @@ from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .ffield import VerificationError, factorize
-from .matgroup import EnumerationBound, FiniteGroup
+from .matgroup import EnumerationBound, FiniteGroup, cayley_walk
 
 DEFAULT_CANDIDATE_BOUND = 10**6
 DEFAULT_ORACLE_BOUND = 200
@@ -168,39 +168,17 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
 
 
 def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
-    """Breadth-first word structure of the group over the generators.
-
-    Returns (bfs_ids, program): bfs_ids lists element ids in discovery order
-    (identity first); program entries (is_check, gpos, spos, tpos) are the
-    edges g -> g*s of the right Cayley graph in BFS order, with tree edges
-    (the first edge into each element) assigning and the others checking.
-    The walk is the one proof that the generators generate (VerificationError
-    otherwise); programs are cached on the group by generator tuple.
-    """
+    """The program (bfs_ids, targets, first) of `matgroup.cayley_walk` over
+    ids by `group.mult`: the one proof that the generators generate
+    (VerificationError otherwise).  Cached on the group by generator tuple,
+    where `from_generators` leaves the walk that built the group."""
     key = tuple(gen_ids)
     cached = group.bfs_programs.get(key)
-    if cached is not None:
-        return cached
-    pos_of: dict[int, int] = {group.identity_id: 0}
-    bfs_ids = [group.identity_id]
-    program: list[tuple[bool, int, int, int]] = []
-    qi = 0
-    while qi < len(bfs_ids):
-        gid = bfs_ids[qi]
-        for spos, sid in enumerate(key):
-            tid = group.mult(gid, sid)
-            tpos = pos_of.get(tid)
-            if tpos is None:
-                tpos = len(bfs_ids)
-                pos_of[tid] = tpos
-                bfs_ids.append(tid)
-                program.append((False, qi, spos, tpos))
-            else:
-                program.append((True, qi, spos, tpos))
-        qi += 1
-    if len(bfs_ids) != len(group):
-        raise VerificationError(f"generators {list(key)} do not generate {group!r}")
-    cached = group.bfs_programs[key] = bfs_ids, program
+    if cached is None:
+        cached = cayley_walk(group.identity_id, key, group.mult, len(group))
+        if len(cached[0]) != len(group):
+            raise VerificationError(f"generators {list(key)} do not generate {group!r}")
+        group.bfs_programs[key] = cached
     return cached
 
 
@@ -235,7 +213,8 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
         if n > 1:
             raise ValueError("empty generating set for a nontrivial group")
         return []  # trivial group, k > 1
-    bfs_ids, program = _bfs_program(group, gens)
+    bfs_ids, targets, first = _bfs_program(group, gens)
+    r = len(gens)
     fwd = [[-1] * k for _ in gens]
     bwd = [[-1] * k for _ in gens]
     pt = [0] * n
@@ -246,23 +225,21 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
         # fwd is now total: the action of each element follows its tree edge
         act = [None] * n
         act[0] = ident = tuple(range(k))
-        for is_check, gpos, spos, tpos in program:
-            if not is_check:
-                f = fwd[spos]
-                act[tpos] = tuple(f[x] for x in act[gpos])
+        for i in itertools.compress(range(len(first)), first):
+            act[targets[i]] = tuple(map(fwd[i % r].__getitem__, act[i // r]))
         found.append((tuple(sorted(bfs_ids[i] for i in range(n) if pt[i] == 0)),
                       tuple(sorted(bfs_ids[i] for i in range(n) if act[i] == ident))))
 
     def walk(start: int, used: int) -> None:
         nonlocal branch_points
         defined = []
-        for i in range(start, len(program)):
-            is_check, gpos, spos, tpos = program[i]
+        for i in range(start, len(targets)):
+            gpos, spos = divmod(i, r)
             f, b = fwd[spos], bwd[spos]
-            x = pt[gpos]
+            x, t = pt[gpos], targets[i]
             y = f[x]
-            if is_check:
-                z = pt[tpos]
+            if not first[i]:
+                z = pt[t]
                 if y == z:
                     continue
                 if y >= 0 or b[z] >= 0:
@@ -270,7 +247,7 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
                 f[x], b[z] = z, x
                 defined.append((f, b, x, z))
             elif y >= 0:
-                pt[tpos] = y
+                pt[t] = y
             else:
                 branch_points += 1
                 if branch_points > candidate_bound:
@@ -278,7 +255,7 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
                         f"census cell passed {candidate_bound} branch points")
                 for z in range(min(used + 1, k)):
                     if b[z] < 0:
-                        f[x], b[z], pt[tpos] = z, x, z
+                        f[x], b[z], pt[t] = z, x, z
                         walk(i + 1, used + (z == used))
                         f[x] = b[z] = -1
                 break

@@ -25,8 +25,10 @@ Arithmetic takes one of two paths, fixed when the field is built:
   tables also serve matrix products (`mat_mul`): each entry's log is looked
   up once, and every dot product is summed in the log domain.
 * Polynomial path, for prime fields and fields above the limit: extended
-  Euclid for inverses and powers from the leading bit.  A product in
-  F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
+  Euclid for inverses and powers from the leading bit.  A prime field with
+  p <= TABLE_COEFF_LIMIT returns its own p element tuples, as the table
+  path returns its tables'; above the limit each result is new.  A product
+  in F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
   multiplication via multipoint Kronecker substitution", J. Symb. Comp. 44,
   2009): one bigint product of the packed operands, its D - 1 high slots
   folded onto the low D through the packed tails x^(D + i) mod the modulus,
@@ -66,7 +68,8 @@ DEFAULT_SIZE_LIMIT = 2**64
 #: bound on p^d for operations that materialize a full subfield
 DEFAULT_SCAN_LIMIT = 2**24
 
-#: fields with 1 < D and p^D * D at most this get exp/log/Zech tables
+#: fields with 1 < D and p^D * D at most this get exp/log/Zech tables, and
+#: prime fields with p at most this a list of their p element tuples
 TABLE_COEFF_LIMIT = 2**14
 
 
@@ -247,8 +250,10 @@ class AmbientField:
         self.p = p
         self.degree = degree
         self.modulus: Coeffs = _smallest_irreducible(p, degree)
-        self.zero: Coeffs = (0,) * degree
-        self.one: Coeffs = tuple(1 if i == 0 else 0 for i in range(degree))
+        # a prime field's elements (c,), indexed by c
+        self._elems = None if degree > 1 else \
+            [(c,) for c in range(p)] if p <= TABLE_COEFF_LIMIT else _FreshTuples()
+        self.zero, self.one = self.element_of(()), self.element_of((1,))
         self._frob_rows: dict[int, list[Coeffs]] = {}
         self._slot_cache: dict[int, Slots] = {}
         if degree > 1:
@@ -306,13 +311,14 @@ class AmbientField:
     # -- raw tuple arithmetic ------------------------------------------------
 
     def from_int(self, c: int) -> Coeffs:
-        return (c % self.p,) + (0,) * (self.degree - 1)
+        return self.element_of((c,))
 
     def element_of(self, coeffs) -> Coeffs:
         t = tuple(c % self.p for c in coeffs)
         if len(t) > self.degree:
             t = tuple(_poly_mod(list(t), list(self.modulus), self.p))
-        return t + (0,) * (self.degree - len(t))
+        t += (0,) * (self.degree - len(t))
+        return self._elems[t[0]] if self.degree == 1 else t
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         log = self._log
@@ -327,6 +333,8 @@ class AmbientField:
             return self.zero if z is None else self._exp[la + z - self._units]
         self._check(a, b)
         p = self.p
+        if self.degree == 1:
+            return self._elems[(a[0] + b[0]) % p]
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -343,6 +351,8 @@ class AmbientField:
             return self.zero if z is None else self._exp[la + z - n]
         self._check(a, b)
         p = self.p
+        if self.degree == 1:
+            return self._elems[(a[0] - b[0]) % p]
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a: Coeffs) -> Coeffs:
@@ -354,11 +364,13 @@ class AmbientField:
             return self._exp[la + self._half - self._units]
         self._check(a)
         p = self.p
+        if self.degree == 1:
+            return self._elems[-a[0] % p]
         return tuple(-x % p for x in a)
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         if self.degree == 1:
-            return (a[0] * b[0] % self.p,)
+            return self._elems[a[0] * b[0] % self.p]
         log = self._log
         if log is not None:
             la, lb = log[a], log[b]
@@ -376,11 +388,12 @@ class AmbientField:
         lookup, a zero entry (log None) is skipped, and one exp lookup turns
         the sum back into an entry.  A prime field takes integer dot
         products mod p on the single coefficient.  Both unroll m = 1 and
-        m = 2.  Other fields pack each of the 2m^2 entries once with slots
-        wide enough for a sum of m products (`_slots`), sum each dot
-        product as bigints and reduce once per entry: m^2 reductions in
-        place of m^3 products and m^2 (m - 1) sums.  Every path returns the
-        entries `mul` and `add` would.
+        m = 2.  Other fields take a 1 x 1 product as one `_poly_mul`, and
+        otherwise pack each of the 2m^2 entries once with slots wide enough
+        for a sum of m products (`_slots`), sum each dot product as bigints
+        and reduce once per entry: m^2 reductions in place of m^3 products
+        and m^2 (m - 1) sums.  Every path returns the entries `mul` and
+        `add` would.
         """
         m = len(a_rows)
         log = self._log
@@ -418,17 +431,19 @@ class AmbientField:
                 out.append(tuple(entries))
             return tuple(out)
         if self.degree == 1:
-            p = self.p
+            p, e = self.p, self._elems
             if m == 1:
-                return (((a_rows[0][0][0] * b_rows[0][0][0] % p,),),)
+                return ((e[a_rows[0][0][0] * b_rows[0][0][0] % p],),)
             if m == 2:
                 ((a0,), (a1,)), ((a2,), (a3,)) = a_rows
                 ((b0,), (b1,)), ((b2,), (b3,)) = b_rows
-                return (((a0 * b0 + a1 * b2) % p,), ((a0 * b1 + a1 * b3) % p,)), \
-                       (((a2 * b0 + a3 * b2) % p,), ((a2 * b1 + a3 * b3) % p,))
+                return (e[(a0 * b0 + a1 * b2) % p], e[(a0 * b1 + a1 * b3) % p]), \
+                       (e[(a2 * b0 + a3 * b2) % p], e[(a2 * b1 + a3 * b3) % p])
             cols = list(zip(*b_rows))
-            return tuple(tuple((sum(x[0] * y[0] for x, y in zip(row, col)) % p,)
+            return tuple(tuple(e[sum(x[0] * y[0] for x, y in zip(row, col)) % p]
                                for col in cols) for row in a_rows)
+        if m == 1:
+            return ((self._poly_mul(a_rows[0][0], b_rows[0][0]),),)
         slots = self._slots(m)
         w, pack, reduce = slots[0], self._pack, self._reduce
         cols = list(zip(*[[pack(y, w) for y in row] for row in b_rows]))
@@ -521,7 +536,7 @@ class AmbientField:
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
         if self.degree == 1:
-            return (pow(a[0], self.p - 2, self.p),)
+            return self._elems[pow(a[0], self.p - 2, self.p)]
         p = self.p
         r0, r1 = list(self.modulus), _trim(list(a))
         t0, t1 = [], [1]
@@ -548,9 +563,10 @@ class AmbientField:
         return tuple(t0) + (0,) * (self.degree - len(t0))
 
     def pow(self, a: Coeffs, e: int) -> Coeffs:
-        """a^e: one log lookup on the table path, and otherwise binary
-        powering from the leading bit, floor(log2 e) squarings and
-        popcount(e) - 1 further products; negative e inverts first."""
+        """a^e: one log lookup on the table path, one modular `pow` on a
+        prime field, and otherwise binary powering from the leading bit,
+        floor(log2 e) squarings and popcount(e) - 1 further products;
+        negative e inverts first."""
         log = self._log
         if log is not None:
             la = log[a]
@@ -561,6 +577,8 @@ class AmbientField:
             return self._exp[la * e % self._units]
         if e < 0:
             a, e = self.inv(a), -e
+        if self.degree == 1:
+            return self._elems[pow(a[0], e, self.p)]
         if e == 0:
             return self.one
         result = a
@@ -689,6 +707,13 @@ class AmbientField:
             if n > cap:
                 raise ValueError(f"multiplicative order exceeds cap {cap}")
         return n
+
+
+class _FreshTuples:
+    """A prime field's element list above TABLE_COEFF_LIMIT, not stored."""
+
+    def __getitem__(self, c: int) -> Coeffs:
+        return (c,)
 
 
 def _log_dot2(x0: Optional[int], y0: Optional[int], x1: Optional[int],

@@ -34,6 +34,7 @@ ambient degree by integer arithmetic, for the CLI and the experiments alike.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -525,16 +526,17 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
             raise VerificationError("a kernel element does not commute with a section")
         ygens.append(y)
         ygen_lang.append(kid)
-    bfs_ids, program = census._bfs_program(codomain, gens)
+    bfs_ids, targets, first = census._bfs_program(codomain, gens)
+    r = len(gens)
     sections: list[Optional[Matrix]] = [None] * len(codomain)
     lang_ids: list[Optional[int]] = [None] * len(codomain)
     sections[codomain.identity_id] = Matrix.identity(ambient, iso.domain_spec.m)
     lang_ids[codomain.identity_id] = kernel_group.identity_id
-    for is_check, gpos, spos, tpos in program:
-        if not is_check:
-            g, t = bfs_ids[gpos], bfs_ids[tpos]
-            sections[t] = sections[g] * ygens[spos]
-            lang_ids[t] = kernel_group.mult(lang_ids[g], ygen_lang[spos])
+    for i in itertools.compress(range(len(first)), first):
+        gpos, spos = divmod(i, r)
+        g, t = bfs_ids[gpos], bfs_ids[targets[i]]
+        sections[t] = sections[g] * ygens[spos]
+        lang_ids[t] = kernel_group.mult(lang_ids[g], ygen_lang[spos])
     return sections, lang_ids, gens
 
 
@@ -592,10 +594,11 @@ def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
     """
     if values[src.identity_id] != dst.identity_id:
         return False
-    bfs_ids, program = census._bfs_program(src, gens)
-    gen_values = [values[s] for s in gens]
-    return all(values[bfs_ids[t]] == dst.mult(values[bfs_ids[g]], gen_values[s])
-               for _, g, s, t in program)
+    bfs_ids, targets, _ = census._bfs_program(src, gens)
+    r, gen_values = len(gens), [values[s] for s in gens]
+    walked = [values[x] for x in bfs_ids]
+    return all(walked[t] == dst.mult(walked[i // r], gen_values[i % r])
+               for i, t in enumerate(targets))
 
 
 def verify_mu(data: CokernelData) -> bool:

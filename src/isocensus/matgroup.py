@@ -28,6 +28,7 @@ are cached.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .ffield import (AmbientField, Coeffs, Rows, VerificationError,
@@ -173,9 +174,10 @@ class FiniteGroup:
     Elements are sorted by `element_sort_key`, so the id assignment (and every
     report derived from it) is deterministic.  Products of small groups are
     cached without bound; larger groups recompute products on demand.
-    `gens_hint` declares generators, as elements of the group; that they
-    generate is proved where they are first walked (`census._bfs_program`).
-    `inv` inverts an element, as `op` multiplies two.
+    `gens_hint` declares generators, as elements of the group: either
+    `from_generators` built the group from them, or their first walk
+    (`census._bfs_program`) proves that they generate.  `inv` inverts an
+    element, as `op` multiplies two.
     """
 
     def __init__(self, elements: Iterable, op: Callable, identity, *,
@@ -200,7 +202,7 @@ class FiniteGroup:
         self._mult_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
         self._order_cache: dict[int, int] = {}
-        # census._bfs_program results by generator ids, small_generating_set's by seed
+        # Cayley-graph programs over ids and small_generating_set's results
         self.bfs_programs: dict[tuple[int, ...], tuple] = {}
         self.generating_sets: dict[int, tuple[int, ...]] = {}
 
@@ -248,40 +250,63 @@ class FiniteGroup:
         return r
 
     def closure_ids(self, seed_ids: Iterable[int]) -> tuple[int, ...]:
-        """Ids of the subgroup generated by the seeds (BFS over right products)."""
-        seeds = [s for s in dict.fromkeys(seed_ids)]
-        seen = {self.identity_id}
-        queue = [self.identity_id]
-        for q in queue:
-            for s in seeds:
-                t = self.mult(q, s)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return tuple(sorted(seen))
+        """Ids of the subgroup generated by the seeds (`cayley_walk`)."""
+        seeds = tuple(dict.fromkeys(seed_ids))
+        return tuple(sorted(cayley_walk(self.identity_id, seeds, self.mult,
+                                        len(self))[0]))
 
     def conjugate_id(self, g: int, h: int) -> int:
         """g^(-1) h g."""
         return self.mult(self.mult(self.inv(g), h), g)
 
 
+def cayley_walk(identity, gens: Sequence, op: Callable, bound: int):
+    """The breadth-first walk of the right Cayley graph of `gens` from
+    `identity`, op(x, g) for each visited x in turn and each g in order, as
+    the one definition of a Cayley-graph program (order, targets, first).
+
+    order lists the visited elements, the subgroup gens generate, in
+    discovery order; an element's position is its index there.  Edge
+    i = pos * r + j, r = len(gens), runs from position pos by gens[j]:
+    targets (array 'i') holds at i the position of op(order[pos], gens[j]),
+    and first (a bytearray) 1 exactly on the edges that first reach their
+    target, the tree edges, and 0 elsewhere: 5 bytes per edge.  Raises
+    EnumerationBound once more than `bound` elements are reached."""
+    pos_of = {identity: 0}
+    order = [identity]
+    targets, first = array("i"), bytearray()
+    for x in order:
+        for g in gens:
+            y = op(x, g)
+            t = pos_of.get(y)
+            if t is None:
+                if len(order) >= bound:
+                    raise EnumerationBound(f"generator closure exceeds bound {bound}")
+                t = pos_of[y] = len(order)
+                order.append(y)
+                first.append(1)
+            else:
+                first.append(0)
+            targets.append(t)
+    return order, targets, first
+
+
 def from_generators(gens: Sequence, op: Callable, identity, *,
                     inv: Callable, bound: int = DEFAULT_ORDER_BOUND,
                     label: str = "", meta: Optional[dict] = None) -> FiniteGroup:
-    """Enumerate the group generated by `gens` by breadth-first products."""
-    seen = {identity}
-    queue = [identity]
-    for x in queue:
-        for g in gens:
-            y = op(x, g)
-            if y not in seen:
-                if len(seen) >= bound:
-                    raise EnumerationBound(f"generator closure exceeds bound {bound}")
-                seen.add(y)
-                queue.append(y)
-    # sorted by element_sort_key, the hint lists ids in increasing order
-    return FiniteGroup(seen, op, identity, inv=inv, label=label, meta=meta,
-                       gens_hint=sorted(gens, key=element_sort_key))
+    """The group generated by `gens`, enumerated by one `cayley_walk` over
+    its distinct non-identity generators in `element_sort_key` order.  They
+    become the `gens_hint`, whose ids then increase, so the walk is the one
+    `census._bfs_program` makes over them; it is kept in `bfs_programs`,
+    with the order as ids.  A closure needs no proof that it is generated.
+    """
+    live = sorted({g for g in gens if g != identity}, key=element_sort_key)
+    order, targets, first = cayley_walk(identity, live, op, bound)
+    group = FiniteGroup(order, op, identity, inv=inv, label=label, meta=meta,
+                        gens_hint=live)
+    group.bfs_programs[group.gens_hint] = \
+        [group.index[x] for x in order], targets, first
+    return group
 
 
 def pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Iterable,
@@ -534,6 +559,13 @@ class NormTorusCoverSpec(GroupSpec):
                         yield _cover_matrix(field, a, b, c)
 
 
+def _with_entry(field: AmbientField, m: int, i: int, j: int, x: Coeffs) -> Matrix:
+    """The m x m identity matrix with entry (i, j) replaced by x."""
+    rows = [[field.one if r == c else field.zero for c in range(m)] for r in range(m)]
+    rows[i][j] = x
+    return Matrix(field, tuple(map(tuple, rows)))
+
+
 class SLSpec(GroupSpec):
     """Special linear group, enumerated by transvection closure."""
 
@@ -545,18 +577,9 @@ class SLSpec(GroupSpec):
 
     def generators(self, field: AmbientField, n: int) -> list[Matrix]:
         # E_ij(b) over an F_p-basis b of the entry subfield generates SL_m
-        d = self.entry_degree(n)
-        basis = field.subfield_basis(d)
-        gens = []
-        for i in range(self.m):
-            for j in range(self.m):
-                if i != j:
-                    for b in basis:
-                        g = [[field.one if r == c else field.zero
-                              for c in range(self.m)] for r in range(self.m)]
-                        g[i][j] = b
-                        gens.append(Matrix(field, tuple(map(tuple, g))))
-        return gens
+        basis, m = field.subfield_basis(self.entry_degree(n)), self.m
+        return [_with_entry(field, m, i, j, b)
+                for i in range(m) for j in range(m) if i != j for b in basis]
 
 
 class GLSpec(SLSpec):
@@ -572,11 +595,7 @@ class GLSpec(SLSpec):
         d = self.entry_degree(n)
         gens = [] if self.m == 1 else SLSpec.generators(self, field, n)
         if field.p**d > 2:
-            gamma = subfield_generator(field, d)
-            diag = [[field.one if r == c else field.zero for c in range(self.m)]
-                    for r in range(self.m)]
-            diag[0][0] = gamma
-            gens.append(Matrix(field, tuple(map(tuple, diag))))
+            gens.append(_with_entry(field, self.m, 0, 0, subfield_generator(field, d)))
         return gens
 
 
@@ -693,12 +712,13 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     """Enumerate the group of level-n rational points of a spec.
 
     The ambient field must contain the entry subfield.  The returned group is
-    canonical: element ids depend only on (spec, n, ambient degree).  The
-    spec's declared point generators, each checked to be a point, become its
-    `gens_hint`; only `census._bfs_program` proves that they generate.
-    `spec.strategy` picks the enumeration; more than order_bound points
-    raise EnumerationBound, and so does a "scan" spec whose full scan would
-    pass DEFAULT_MATRIX_SCAN_LIMIT matrices.
+    canonical: element ids depend only on (spec, n, ambient degree).  Other
+    than a "closure" spec (`from_generators`), the spec's declared point
+    generators, each checked to be a point, become its `gens_hint`; only
+    `census._bfs_program` proves that they generate.  `spec.strategy` picks
+    the enumeration; more than order_bound points raise EnumerationBound,
+    and so does a "scan" spec whose full scan would pass
+    DEFAULT_MATRIX_SCAN_LIMIT matrices.
     """
     if n < 1:
         raise ValueError("level n must be positive")

@@ -7,6 +7,7 @@ share one Runner so field/group caches flow between criteria, mirroring how
 """
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -17,12 +18,20 @@ import pytest
 
 from corpus import build_corpus
 from isocensus import census, homs
-from isocensus.experiments import ExperimentConfig, Runner
+from isocensus.experiments import ExperimentConfig, Runner, report_json
 from isocensus.ffield import is_prime
 
 # `isocensus all` output for the criterion-10 config, recorded before the
 # refactors it guards; every later change must reproduce it byte for byte
 GOLDEN = Path(__file__).parent / "golden"
+
+# sha256 of the default-grid E1, E2 and E5 reports (`report_json`), which
+# every refactor must reproduce byte for byte
+DEFAULT_GRID_SHA256 = {
+    "E1": "430b05f6b329daac49e6866b6805ffefc165c5c2801e0026b71f53b9a3a4ead7",
+    "E2": "0359baf9009c6e98c3d0f6ccc418d9a0a142f12a2d489d77ef484a304f4540f5",
+    "E5": "4ed14d2c70074fe22a3856f18561bc8cb7e22e3994e2a3fb9b1c2b5c4cbc46f1",
+}
 
 SKIP_REASONS = {"k shares a factor with q", "group order exceeds bound",
                 "cover is disconnected in characteristic 3",
@@ -53,6 +62,12 @@ def cells_by(report, **match):
     return out
 
 
+def check_digest(report):
+    eid = report["experiment"]
+    got = hashlib.sha256(report_json(report).encode()).hexdigest()
+    assert got == DEFAULT_GRID_SHA256[eid], (eid, got)
+
+
 def check_statuses(report):
     assert report["summary"]["failed"] == 0, [
         (c["spec"], c["isogeny"], c["q"], c["n"], c["k"], c["reason"])
@@ -65,6 +80,7 @@ def check_statuses(report):
 def test_criterion_1_image_index_identity(runner, reports):
     report = get_report(runner, reports, "E1")
     check_statuses(report)
+    check_digest(report)
     live = [c for c in report["cells"] if c["status"] == "pass"]
     assert len(live) >= 100
     for cell in live:
@@ -91,6 +107,7 @@ def test_e2_reads_the_images_e1_computed(runner, reports, monkeypatch):
 def test_criterion_2_cokernel_isomorphism(runner, reports):
     report = get_report(runner, reports, "E2")
     check_statuses(report)
+    check_digest(report)
     live = [c for c in report["cells"] if c["status"] == "pass"]
     assert len(live) >= 100
     mu_checked = [c for c in live if c["flags"]["mu_checked"]]
@@ -116,6 +133,7 @@ def test_criterion_3_arithmetic_progression(runner, reports):
 def test_criterion_4_norm_torus_census(runner, reports):
     report = get_report(runner, reports, "E5")
     check_statuses(report)
+    check_digest(report)
     for cell in report["cells"]:
         p = cell["q"]
         if cell["status"] == "skipped":

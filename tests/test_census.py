@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -16,8 +17,8 @@ from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
                               subgroup_lattice_oracle)
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GmSpec,
-                                Matrix, NormTorusSpec, SLSpec, direct_product,
-                                from_generators, rational_points)
+                                Matrix, NormTorusSpec, SLSpec, cayley_walk,
+                                direct_product, from_generators, rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -300,6 +301,73 @@ def test_generating_set_is_searched_once_per_group(monkeypatch, name):
         index_k_subgroups(group, k)
         counts.append(len(closures))
     assert counts[0] > 0 and set(counts) == {counts[0]}
+
+
+@pytest.fixture(scope="module")
+def sl2f17():
+    # 4,896 elements: above the product-cache threshold
+    return rational_points(SLSpec(2, 17), 1, make_field(17, 1))
+
+
+def _check_program(group, gens):
+    """Every edge of the program of gens is the product group.mult reads,
+    and the flagged edges are exactly the first visits, in discovery order."""
+    bfs_ids, targets, first = census._bfs_program(group, gens)
+    r = len(gens)
+    assert bfs_ids[0] == group.identity_id
+    assert sorted(bfs_ids) == list(range(len(group)))
+    assert len(targets) == len(first) == len(group) * r
+    visited = 1
+    for i, t in enumerate(targets):
+        assert bfs_ids[t] == group.mult(bfs_ids[i // r], gens[i % r])
+        assert first[i] == (t == visited)
+        assert t <= visited
+        visited += first[i]
+
+
+def test_programs_match_the_group_product(sl2f17):
+    for label, group in build_corpus() + [("SL2(F_17)", sl2f17)]:
+        gens = small_generating_set(group)
+        if gens:
+            _check_program(group, gens)
+
+
+def test_closure_groups_keep_the_walk_that_built_them(sl2f17):
+    # the stored program is the one the census would walk over the hint
+    fresh = [rational_points(SLSpec(2, 3), 1, F3),
+             rational_points(SLSpec(2, 2), 2, F4),
+             dict(build_corpus())["N(T)_GL2(F_13)"]]
+    for group in fresh + [sl2f17]:
+        [(key, stored)] = group.bfs_programs.items()
+        assert key == group.gens_hint == tuple(sorted(key))
+        assert cayley_walk(group.identity_id, key, group.mult, len(group)) \
+            == stored
+
+
+def test_census_of_a_closure_group_multiplies_nothing(monkeypatch):
+    group = rational_points(SLSpec(2, 7), 1, F7)
+    calls = []
+    real = FiniteGroup.mult
+    monkeypatch.setattr(FiniteGroup, "mult",
+                        lambda self, i, j: calls.append((i, j)) or real(self, i, j))
+    # SL2(F_7) has no proper subgroup of index below 7
+    assert [len(index_k_subgroups(group, k)) for k in (2, 3, 4)] == [0, 0, 0]
+    assert calls == []
+
+
+def test_program_costs_at_most_40_bytes_per_edge(sl2f17):
+    # tuples of (is_check, gpos, spos, tpos) cost 99 bytes per edge here
+    gens = small_generating_set(sl2f17)
+    sl2f17.bfs_programs.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = census._bfs_program(sl2f17, gens)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert program is sl2f17.bfs_programs[tuple(gens)]
+    assert size <= 40 * len(sl2f17) * len(gens), size
 
 
 def test_quotient_group_structure():

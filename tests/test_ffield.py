@@ -549,6 +549,39 @@ def cancelling_pair(field, rng, m):
     return tuple(map(tuple, a)), tuple(map(tuple, b))
 
 
+@pytest.mark.parametrize("p", [2, 7, 17])
+def test_prime_field_results_are_its_own_element_tuples(p):
+    # as the table path returns its table's tuples; the operands are new ones
+    field = make_field(p, 1)
+    elems = [field.from_int(c) for c in range(p)]
+    assert field.zero is elems[0] and field.one is elems[1]
+    rng = random.Random(p)
+    results = []
+    for _ in range(50):
+        a, b = (rng.randrange(p),), (rng.randrange(1, p),)
+        results += [field.add(a, b), field.sub(a, b), field.neg(a),
+                    field.mul(a, b), field.inv(b), field.pow(b, rng.randrange(-5, 6)),
+                    field.pow(a, 1), field.from_int(a[0] + p),
+                    field.element_of([a[0], b[0]])]
+    for m in (1, 2, 3):
+        for _ in range(20):
+            product = field.mat_mul(random_matrix(field, rng, m),
+                                    random_matrix(field, rng, m))
+            results += [x for row in product for x in row]
+    assert all(x is elems[x[0]] for x in results)
+
+
+def test_prime_field_above_the_limit_builds_each_tuple():
+    p = 16411
+    field = make_field(p, 1)
+    assert p > ffield.TABLE_COEFF_LIMIT
+    assert (field.zero, field.one, field.from_int(-1)) == ((0,), (1,), (p - 1,))
+    assert field.mul((p - 1,), (p - 1,)) == field.inv((1,)) == (1,)
+    assert field.mat_mul((((2,), (0,)), ((1,), (1,))),
+                         (((3,), (1,)), ((0,), (p - 1,)))) == \
+        (((6,), (2,)), ((3,), (0,)))
+
+
 @pytest.mark.parametrize("p,degree", [(17, 1), (7, 2), (2, 10), (89, 2),
                                       (97, 2), (7, 5), (7, 12), (2, 12),
                                       (65521, 2)])

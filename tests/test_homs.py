@@ -771,7 +771,7 @@ def test_multiplicativity_is_checked_on_cycle_closing_edges():
     src = rational_points(GmSpec(2), 2, make_field(2, 2))
     dst = rational_points(GmSpec(3), 1, make_field(3, 1))
     gens = census.small_generating_set(src)
-    bfs_ids, _ = census._bfs_program(src, gens)
+    bfs_ids, _, _ = census._bfs_program(src, gens)
     values = [None] * len(src)
     for i, x in enumerate(bfs_ids):
         values[x] = dst.pow_id(dst.gens_hint[0], i)
