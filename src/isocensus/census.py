@@ -168,17 +168,23 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
 
 
 def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
-    """The program (bfs_ids, targets, first) of `matgroup.cayley_walk` over
-    ids by `group.mult`: the one proof that the generators generate
-    (VerificationError otherwise).  Cached on the group by generator tuple,
-    where `from_generators` leaves the walk that built the group."""
+    """The program (bfs_ids, targets, first) of `matgroup.cayley_walk` from
+    the identity over the generators' elements by `group.op`, its order
+    turned into ids by `group.index`: the one proof that the generators
+    generate (VerificationError otherwise).  The walk leaves nothing in the
+    product cache: its targets already hold every product it takes.  Cached
+    on the group by generator tuple, where `from_generators` leaves the walk
+    that built the group."""
     key = tuple(gen_ids)
     cached = group.bfs_programs.get(key)
     if cached is None:
-        cached = cayley_walk(group.identity_id, key, group.mult, len(group))
-        if len(cached[0]) != len(group):
+        elems = group.elements
+        order, targets, first = cayley_walk(group.identity, [elems[g] for g in key],
+                                            group.op, len(group))
+        if len(order) != len(group):
             raise VerificationError(f"generators {list(key)} do not generate {group!r}")
-        group.bfs_programs[key] = cached
+        index = group.index
+        cached = group.bfs_programs[key] = [index[x] for x in order], targets, first
     return cached
 
 

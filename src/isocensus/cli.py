@@ -29,7 +29,7 @@ def cmd_points(args) -> int:
     payload = {"spec": args.spec, "q": spec.q, "n": args.n,
                "order": len(group)}
     if args.list:
-        payload["elements"] = [[[list(c) for c in row] for row in g.rows]
+        payload["elements"] = [[[list(c) for c in row] for row in g.rows()]
                                for g in group.elements[:args.list]]
     _emit(payload)
     return 0

@@ -22,8 +22,9 @@ Arithmetic takes one of two paths, fixed when the field is built:
   Results are the tables' own canonical tuples, so equality, hashing and
   ordering are those of the coefficient tuples.  Zero has no log and is
   handled explicitly; a tuple that is not a field element raises.  The
-  tables also serve matrix products (`mat_mul`): each entry's log is looked
-  up once, and every dot product is summed in the log domain.
+  tables also serve matrix products (`mat_mul`, on the row-major tuple of
+  a matrix's m^2 entries): each entry's log is looked up once, and every
+  dot product is summed in the log domain.
 * Polynomial path, for prime fields and fields above the limit: extended
   Euclid for inverses and powers from the leading bit.  A prime field with
   p <= TABLE_COEFF_LIMIT returns its own p element tuples, as the table
@@ -41,7 +42,8 @@ Arithmetic takes one of two paths, fixed when the field is built:
 
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
-wrapper with operator overloading.
+wrapper with operator overloading.  `canonical` turns an outside tuple into
+the field's own, and raises unless it is an element.
 
 Bounds are module constants, read when they are checked: DEFAULT_SIZE_LIMIT
 on p^D at construction, DEFAULT_SCAN_LIMIT on a subfield that is listed
@@ -53,12 +55,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Optional
 
 Coeffs = tuple[int, ...]
-#: a square matrix as its tuple of rows
-Rows = tuple[tuple[Coeffs, ...], ...]
+#: an m x m matrix as the row-major tuple of its m^2 entries
+Flat = tuple[Coeffs, ...]
 #: slot width, masks of one slot and of D slots, packed tails (see `_slots`)
 Slots = tuple[int, int, int, tuple[int, ...]]
 
@@ -320,6 +322,13 @@ class AmbientField:
         t += (0,) * (self.degree - len(t))
         return self._elems[t[0]] if self.degree == 1 else t
 
+    def canonical(self, a) -> Coeffs:
+        """The field's own tuple equal to a, as `add` returns it; ValueError
+        naming the field unless a is D coefficients in [0, p)."""
+        a = tuple(a)
+        self._check(a)
+        return self.add(a, self.zero)
+
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         log = self._log
         if log is not None:
@@ -379,8 +388,9 @@ class AmbientField:
             return self._exp[la + lb - self._units]
         return self._poly_mul(a, b)
 
-    def mat_mul(self, a_rows: Rows, b_rows: Rows) -> Rows:
-        """Rows of the product of two m x m matrices given by their rows.
+    def mat_mul(self, a: Flat, b: Flat) -> Flat:
+        """The product of two m x m matrices given by their m^2 entries in
+        row-major order, in the same order.
 
         On the table path each of the 2m^2 entries is looked up in the log
         table once.  Each dot product is then built as a log: a product of
@@ -395,31 +405,31 @@ class AmbientField:
         and m^2 (m - 1) sums.  Every path returns the entries `mul` and
         `add` would.
         """
-        m = len(a_rows)
+        size = len(a)
         log = self._log
         if log is not None:
             exp, zech, n, zero = self._exp, self._zech, self._units, self.zero
-            if m == 1:
-                x, y = log[a_rows[0][0]], log[b_rows[0][0]]
-                return ((zero if x is None or y is None else exp[x + y - n],),)
-            if m == 2:
-                (a0, a1), (a2, a3) = a_rows
-                (b0, b1), (b2, b3) = b_rows
+            if size == 1:
+                x, y = log[a[0]], log[b[0]]
+                return (zero if x is None or y is None else exp[x + y - n],)
+            if size == 4:
+                a0, a1, a2, a3 = a
+                b0, b1, b2, b3 = b
                 a0, a1, a2, a3 = log[a0], log[a1], log[a2], log[a3]
                 b0, b1, b2, b3 = log[b0], log[b1], log[b2], log[b3]
-                return ((_log_dot2(a0, b0, a1, b2, exp, zech, n, zero),
-                         _log_dot2(a0, b1, a1, b3, exp, zech, n, zero)),
-                        (_log_dot2(a2, b0, a3, b2, exp, zech, n, zero),
-                         _log_dot2(a2, b1, a3, b3, exp, zech, n, zero)))
-            b_logs = [[log[y] for y in row] for row in b_rows]
+                return (_log_dot2(a0, b0, a1, b2, exp, zech, n, zero),
+                        _log_dot2(a0, b1, a1, b3, exp, zech, n, zero),
+                        _log_dot2(a2, b0, a3, b2, exp, zech, n, zero),
+                        _log_dot2(a2, b1, a3, b3, exp, zech, n, zero))
+            m = isqrt(size)
+            xs, ys = [log[x] for x in a], [log[y] for y in b]
+            cols = [ys[j::m] for j in range(m)]
             out = []
-            for row in a_rows:
-                xs = [log[x] for x in row]
-                entries = []
-                for j in range(m):
+            for i in range(0, size, m):
+                row = xs[i:i + m]
+                for col in cols:
                     acc = None  # log of the partial sum, None while it is 0
-                    for x, b_row in zip(xs, b_logs):
-                        y = b_row[j]
+                    for x, y in zip(row, col):
                         if x is None or y is None:
                             continue
                         if acc is None:
@@ -427,29 +437,31 @@ class AmbientField:
                         else:
                             z = zech[(x + y - acc) % n]
                             acc = None if z is None else acc + z
-                    entries.append(zero if acc is None else exp[acc % n])
-                out.append(tuple(entries))
+                    out.append(zero if acc is None else exp[acc % n])
             return tuple(out)
         if self.degree == 1:
             p, e = self.p, self._elems
-            if m == 1:
-                return ((e[a_rows[0][0][0] * b_rows[0][0][0] % p],),)
-            if m == 2:
-                ((a0,), (a1,)), ((a2,), (a3,)) = a_rows
-                ((b0,), (b1,)), ((b2,), (b3,)) = b_rows
-                return (e[(a0 * b0 + a1 * b2) % p], e[(a0 * b1 + a1 * b3) % p]), \
-                       (e[(a2 * b0 + a3 * b2) % p], e[(a2 * b1 + a3 * b3) % p])
-            cols = list(zip(*b_rows))
-            return tuple(tuple(e[sum(x[0] * y[0] for x, y in zip(row, col)) % p]
-                               for col in cols) for row in a_rows)
-        if m == 1:
-            return ((self._poly_mul(a_rows[0][0], b_rows[0][0]),),)
+            if size == 1:
+                return (e[a[0][0] * b[0][0] % p],)
+            if size == 4:
+                (a0,), (a1,), (a2,), (a3,) = a
+                (b0,), (b1,), (b2,), (b3,) = b
+                return (e[(a0 * b0 + a1 * b2) % p], e[(a0 * b1 + a1 * b3) % p],
+                        e[(a2 * b0 + a3 * b2) % p], e[(a2 * b1 + a3 * b3) % p])
+            m = isqrt(size)
+            xs, ys = [x for x, in a], [y for y, in b]
+            cols = [ys[j::m] for j in range(m)]
+            return tuple(e[sum(map(operator.mul, xs[i:i + m], col)) % p]
+                         for i in range(0, size, m) for col in cols)
+        if size == 1:
+            return (self._poly_mul(a[0], b[0]),)
+        m = isqrt(size)
         slots = self._slots(m)
         w, pack, reduce = slots[0], self._pack, self._reduce
-        cols = list(zip(*[[pack(y, w) for y in row] for row in b_rows]))
-        return tuple(tuple(reduce(sum(map(operator.mul, xs, col)), slots)
-                           for col in cols)
-                     for xs in [[pack(x, w) for x in row] for row in a_rows])
+        xs, ys = [pack(x, w) for x in a], [pack(y, w) for y in b]
+        cols = [ys[j::m] for j in range(m)]
+        return tuple(reduce(sum(map(operator.mul, xs[i:i + m], col)), slots)
+                     for i in range(0, size, m) for col in cols)
 
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         """Product on the polynomial path (D > 1): the packed operands

@@ -44,8 +44,8 @@ from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
                      _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
                        NormTorusSpec, pair_group, rational_points, _cover_matrix,
-                       _cube_root_of_unity, _norm_det, _norm_from_eigenvalues,
-                       _norm_matrix)
+                       _cube_root_of_unity, _flat_matrix, _norm_det,
+                       _norm_from_eigenvalues, _norm_matrix)
 
 
 class KernelNotCaptured(RuntimeError):
@@ -77,7 +77,7 @@ def _matrix_pow(mat: Matrix, e: int) -> Matrix:
     """
     if mat.m == 1:
         f = mat.field
-        return Matrix(f, ((f.pow(mat.rows[0][0], e),),))
+        return _flat_matrix(f, 1, (f.pow(mat.flat[0], e),))
     if e == 0:
         return Matrix.identity(mat.field, mat.m)
     base = mat if e > 0 else mat.inv()
@@ -209,7 +209,7 @@ class PowerIsogeny(Isogeny):
         for _ in range(k - 1):
             roots.append(ambient.mul(roots[-1], delta))
         if not self._is_plane_torus():
-            return [Matrix(ambient, ((r,),)) for r in roots]
+            return [_flat_matrix(ambient, 1, (r,)) for r in roots]
         if self.domain_spec.p == 3:
             return [_norm_matrix(ambient, r, ambient.zero) for r in roots]
         xi = _cube_root_of_unity(ambient)
@@ -231,9 +231,9 @@ class PowerIsogeny(Isogeny):
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
         k = self.k
         if not self._is_plane_torus():
-            r = kth_root(ambient, x.rows[0][0], k)
-            return None if r is None else Matrix(ambient, ((r,),))
-        a, b = x.rows[0][0], x.rows[1][0]
+            r = kth_root(ambient, x.flat[0], k)
+            return None if r is None else _flat_matrix(ambient, 1, (r,))
+        a, b = x.flat[0], x.flat[2]
         if self.domain_spec.p == 3:
             e0 = ambient.add(a, b)
             root = kth_root(ambient, e0, k)
@@ -269,8 +269,8 @@ class NormCoverIsogeny(Isogeny):
         self.name = "normcover"
 
     def apply(self, mat: Matrix) -> Matrix:
-        r = mat.rows
-        return Matrix(mat.field, ((r[0][0], r[0][1]), (r[1][0], r[1][1])))
+        r = mat.flat
+        return _flat_matrix(mat.field, 2, (r[0], r[1], r[3], r[4]))
 
     def kernel_order(self) -> int:
         return 1 if self.q % 2 == 0 else 2
@@ -283,9 +283,9 @@ class NormCoverIsogeny(Isogeny):
         mats = [Matrix.identity(ambient, 3)]
         if self.q % 2:
             minus = ambient.neg(one)
-            mats.append(Matrix(ambient, ((one, zero, zero),
-                                         (zero, one, zero),
-                                         (zero, zero, minus))))
+            mats.append(_flat_matrix(ambient, 3, (one, zero, zero,
+                                                  zero, one, zero,
+                                                  zero, zero, minus)))
         return mats
 
     def section_degree(self, n: int) -> int:
@@ -294,7 +294,7 @@ class NormCoverIsogeny(Isogeny):
         return 1 if self.q % 2 == 0 else 2
 
     def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
-        a, b = x.rows[0][0], x.rows[1][0]
+        a, b = x.flat[0], x.flat[2]
         det = _norm_det(ambient, a, b)
         c = kth_root(ambient, det, 2)
         return None if c is None else _cover_matrix(ambient, a, b, c)

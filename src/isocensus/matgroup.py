@@ -31,8 +31,11 @@ import itertools
 from array import array
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .ffield import (AmbientField, Coeffs, Rows, VerificationError,
+from .ffield import (AmbientField, Coeffs, Flat, VerificationError,
                      _element_of_order, factorize, subfield_generator)
+
+#: a square matrix as its tuple of rows, as `Matrix` takes and prints it
+Rows = tuple[tuple[Coeffs, ...], ...]
 
 #: enumerated point groups are limited to this many elements
 DEFAULT_ORDER_BOUND = 200_000
@@ -51,70 +54,84 @@ class EnumerationBound(RuntimeError):
 class Matrix:
     """Immutable square matrix over an ambient field.
 
-    Entries are stored as coefficient tuples (`rows`) and handled with the
-    field's tuple API; a product is one `AmbientField.mat_mul`, which takes
-    it in the log domain on a tabled field.  Equality and ordering ignore
-    the field object itself: matrices are only ever compared within one
-    ambient field.
+    An m x m matrix is stored as `flat`, one row-major tuple of its m^2
+    entries, each a coefficient tuple handled with the field's tuple API:
+    entry (i, j) is flat[i * m + j].  A product is one
+    `AmbientField.mat_mul` on the flat tuples, which takes it in the log
+    domain on a tabled field.  Hashing and equality are those of `flat`, and
+    ignore the field object itself: matrices are only ever compared within
+    one ambient field.  `Matrix(field, rows)` flattens nested rows once;
+    products, powers, inverses and the specs' points build `flat` directly
+    (`_flat_matrix`).  Nested rows (`rows()`) are for printing and m > 2
+    eliminations only.
     """
 
-    __slots__ = ("field", "m", "rows")
+    __slots__ = ("field", "m", "flat")
 
     def __init__(self, field: AmbientField, rows: Rows):
         self.field = field
         self.m = len(rows)
-        self.rows = rows
+        self.flat = tuple(x for row in rows for x in row)
 
     @classmethod
     def from_entries(cls, field: AmbientField, entries) -> "Matrix":
-        rows = tuple(tuple(field.element_of(x) if not isinstance(x, tuple) else x
-                           for x in row) for row in entries)
-        return cls(field, rows)
+        """The matrix of nested rows whose entries are ints (mapped by
+        `from_int`) or field elements, each returned as the field's own
+        tuple; ValueError naming the field for any other entry."""
+        def entry(x):
+            return field.canonical(field.from_int(x) if isinstance(x, int) else x)
+
+        return cls(field, tuple(tuple(map(entry, row)) for row in entries))
 
     @classmethod
     def identity(cls, field: AmbientField, m: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(m))
-                                for i in range(m)))
+        return _flat_matrix(field, m, tuple(one if i == j else zero
+                                            for i in range(m) for j in range(m)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = self.field
-        return Matrix(f, f.mat_mul(self.rows, other.rows))
+        return _flat_matrix(f, self.m, f.mat_mul(self.flat, other.flat))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.flat == other.flat
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.flat)
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows})"
+        return f"Matrix({self.rows()})"
+
+    def rows(self) -> Rows:
+        """The nested rows, for printing and the eliminations of m > 2."""
+        m, flat = self.m, self.flat
+        return tuple(flat[i:i + m] for i in range(0, m * m, m))
 
     def is_identity(self) -> bool:
-        f = self.field
-        return all(self.rows[i][j] == (f.one if i == j else f.zero)
-                   for i in range(self.m) for j in range(self.m))
+        f, m = self.field, self.m
+        return all(x == (f.one if i % (m + 1) == 0 else f.zero)
+                   for i, x in enumerate(self.flat))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field,
-                      tuple(tuple(self.rows[j][i] for j in range(self.m))
-                            for i in range(self.m)))
+        m, flat = self.m, self.flat
+        # row j of the transpose is column j, flat[j::m]
+        return _flat_matrix(self.field, m,
+                            tuple(x for j in range(m) for x in flat[j::m]))
 
     def frobenius(self, e: int) -> "Matrix":
         """Entrywise x -> x^(p^e)."""
         f = self.field
-        return Matrix(f, tuple(tuple(f.frobenius(x, e) for x in row)
-                               for row in self.rows))
+        return _flat_matrix(f, self.m, tuple(f.frobenius(x, e) for x in self.flat))
 
     def det(self) -> Coeffs:
         f, m = self.field, self.m
         if m == 1:
-            return self.rows[0][0]
+            return self.flat[0]
         if m == 2:
-            (a, b), (c, d) = self.rows
+            a, b, c, d = self.flat
             return f.sub(f.mul(a, d), f.mul(b, c))
         # Gaussian elimination with pivot tracking
-        rows = [list(r) for r in self.rows]
+        rows = [list(r) for r in self.rows()]
         det = f.one
         for col in range(m):
             piv = next((r for r in range(col, m) if any(rows[r][col])), None)
@@ -136,14 +153,14 @@ class Matrix:
     def inv(self) -> "Matrix":
         f, m = self.field, self.m
         if m == 1:
-            return Matrix(f, ((f.inv(self.rows[0][0]),),))
+            return _flat_matrix(f, 1, (f.inv(self.flat[0]),))
         if m == 2:
-            (a, b), (c, d) = self.rows
+            a, b, c, d = self.flat
             det_inv = f.inv(f.sub(f.mul(a, d), f.mul(b, c)))
-            return Matrix(f, ((f.mul(d, det_inv), f.mul(f.neg(b), det_inv)),
-                              (f.mul(f.neg(c), det_inv), f.mul(a, det_inv))))
-        aug = [list(self.rows[i]) + [f.one if i == j else f.zero for j in range(m)]
-               for i in range(m)]
+            return _flat_matrix(f, 2, (f.mul(d, det_inv), f.mul(f.neg(b), det_inv),
+                                       f.mul(f.neg(c), det_inv), f.mul(a, det_inv)))
+        aug = [list(row) + [f.one if i == j else f.zero for j in range(m)]
+               for i, row in enumerate(self.rows())]
         for col in range(m):
             piv = next((r for r in range(col, m) if any(aug[r][col])), None)
             if piv is None:
@@ -156,13 +173,31 @@ class Matrix:
                     factor = aug[r][col]
                     aug[r] = [f.sub(x, f.mul(factor, y))
                               for x, y in zip(aug[r], aug[col])]
-        return Matrix(f, tuple(tuple(aug[i][m:]) for i in range(m)))
+        return _flat_matrix(f, m, tuple(x for row in aug for x in row[m:]))
+
+
+_new_matrix = object.__new__
+
+
+def _flat_matrix(field: AmbientField, m: int, flat: Flat) -> Matrix:
+    """The m x m matrix whose row-major entries are `flat`, without a copy:
+    the one constructor of products, powers, inverses and spec points."""
+    mat = _new_matrix(Matrix)
+    mat.field, mat.m, mat.flat = field, m, flat
+    return mat
 
 
 def element_sort_key(x):
-    """Canonical ordering key for group elements (matrices or tuples of them)."""
+    """Canonical ordering key for group elements (matrices or tuples of them).
+
+    A matrix sorts by its flat entry tuple.  Within one group every matrix
+    is m x m, so its flat tuple is the concatenation of m rows of equal
+    length m; two such concatenations first differ at the first differing
+    entry of the first differing row, so they compare as the tuples of rows
+    do, and the ids are those of sorting by nested rows.
+    """
     if isinstance(x, Matrix):
-        return x.rows
+        return x.flat
     if isinstance(x, tuple):
         return tuple(element_sort_key(c) for c in x)
     return x
@@ -199,7 +234,8 @@ class FiniteGroup:
             tuple(self.index[g] for g in gens_hint)
         self.meta = dict(meta or {})
         self._cache_products = len(self.elements) <= TABLE_THRESHOLD
-        self._mult_cache: dict[tuple[int, int], int] = {}
+        # the product of ids i and j under the key i * len(self) + j
+        self._mult_cache: dict[int, int] = {}
         self._inv_cache: dict[int, int] = {}
         self._order_cache: dict[int, int] = {}
         # Cayley-graph programs over ids and small_generating_set's results
@@ -215,10 +251,11 @@ class FiniteGroup:
 
     def mult(self, i: int, j: int) -> int:
         if self._cache_products:
-            r = self._mult_cache.get((i, j))
+            key = i * len(self.elements) + j
+            r = self._mult_cache.get(key)
             if r is None:
-                r = self.index[self.op(self.elements[i], self.elements[j])]
-                self._mult_cache[i, j] = r
+                r = self._mult_cache[key] = \
+                    self.index[self.op(self.elements[i], self.elements[j])]
             return r
         return self.index[self.op(self.elements[i], self.elements[j])]
 
@@ -391,19 +428,19 @@ class GmSpec(GroupSpec):
         super().__init__(1, p, e)
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        return any(mat.rows[0][0])
+        return any(mat.flat[0])
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
         for c in field.enumerate_subfield(self.entry_degree(n)):
             if any(c):
-                yield Matrix(field, ((c,),))
+                yield _flat_matrix(field, 1, (c,))
 
     def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
         d = self.entry_degree(n)
         if field.p**d == 2:  # trivial group
             return []
         g = subfield_generator(field, d)
-        return [Matrix(field, ((g,),))]
+        return [_flat_matrix(field, 1, (g,))]
 
 
 class GaSpec(GroupSpec):
@@ -416,31 +453,31 @@ class GaSpec(GroupSpec):
         super().__init__(2, p, e)
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        (a, b), (c, d) = mat.rows
+        a, b, c, d = mat.flat
         return a == field.one and d == field.one and c == field.zero \
             and field.in_subfield(b, self.entry_degree(n))
 
     def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
         one, zero = field.one, field.zero
         for t in field.enumerate_subfield(self.entry_degree(n)):
-            yield Matrix(field, ((one, t), (zero, one)))
+            yield _flat_matrix(field, 2, (one, t, zero, one))
 
     def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
         one, zero = field.one, field.zero
         basis = field.subfield_basis(self.entry_degree(n))
-        return [Matrix(field, ((one, b), (zero, one))) for b in basis]
+        return [_flat_matrix(field, 2, (one, b, zero, one)) for b in basis]
 
 
 def _norm_matrix(field: AmbientField, a: Coeffs, b: Coeffs) -> Matrix:
-    return Matrix(field, ((a, field.neg(b)), (b, field.sub(a, b))))
+    return _flat_matrix(field, 2, (a, field.neg(b), b, field.sub(a, b)))
 
 
 def _cover_matrix(field: AmbientField, a: Coeffs, b: Coeffs, c: Coeffs) -> Matrix:
     """The norm-torus cover point diag(M(a, b), c)."""
     zero = field.zero
-    return Matrix(field, ((a, field.neg(b), zero),
-                          (b, field.sub(a, b), zero),
-                          (zero, zero, c)))
+    return _flat_matrix(field, 3, (a, field.neg(b), zero,
+                                   b, field.sub(a, b), zero,
+                                   zero, zero, c))
 
 
 def _norm_det(field: AmbientField, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -483,7 +520,7 @@ class NormTorusSpec(GroupSpec):
         super().__init__(2, p, e)
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        (a, mb), (b, amb) = mat.rows
+        a, mb, b, amb = mat.flat
         return mb == field.neg(b) and amb == field.sub(a, b) \
             and any(_norm_det(field, a, b))
 
@@ -536,12 +573,11 @@ class NormTorusCoverSpec(GroupSpec):
         super().__init__(3, p, e)
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        r = mat.rows
+        a, mb, z02, b, amb, z12, z20, z21, c = mat.flat
         zero = field.zero
-        a, b, c = r[0][0], r[1][0], r[2][2]
-        shape_ok = (r[0][1] == field.neg(b) and r[1][1] == field.sub(a, b)
-                    and r[0][2] == zero and r[1][2] == zero
-                    and r[2][0] == zero and r[2][1] == zero)
+        shape_ok = (mb == field.neg(b) and amb == field.sub(a, b)
+                    and z02 == zero and z12 == zero
+                    and z20 == zero and z21 == zero)
         det = _norm_det(field, a, b)
         return shape_ok and any(det) and field.mul(c, c) == det
 
@@ -561,9 +597,9 @@ class NormTorusCoverSpec(GroupSpec):
 
 def _with_entry(field: AmbientField, m: int, i: int, j: int, x: Coeffs) -> Matrix:
     """The m x m identity matrix with entry (i, j) replaced by x."""
-    rows = [[field.one if r == c else field.zero for c in range(m)] for r in range(m)]
-    rows[i][j] = x
-    return Matrix(field, tuple(map(tuple, rows)))
+    flat = list(Matrix.identity(field, m).flat)
+    flat[i * m + j] = x
+    return _flat_matrix(field, m, tuple(flat))
 
 
 class SLSpec(GroupSpec):
@@ -612,11 +648,11 @@ class SpSpec(GroupSpec):
 
     def _form(self, field: AmbientField) -> Matrix:
         m, h = self.m, self.m // 2
-        rows = [[field.zero] * m for _ in range(m)]
+        flat = [field.zero] * (m * m)
         for i in range(h):
-            rows[i][h + i] = field.one
-            rows[h + i][i] = field.neg(field.one)
-        return Matrix(field, tuple(map(tuple, rows)))
+            flat[i * m + h + i] = field.one
+            flat[(h + i) * m + i] = field.neg(field.one)
+        return _flat_matrix(field, m, tuple(flat))
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
         j = self._form(field)
@@ -631,10 +667,10 @@ class SOSpec(GroupSpec):
 
     def _form(self, field: AmbientField) -> Matrix:
         m = self.m
-        rows = [[field.zero] * m for _ in range(m)]
+        flat = [field.zero] * (m * m)
         for i in range(m):
-            rows[i][m - 1 - i] = field.one
-        return Matrix(field, tuple(map(tuple, rows)))
+            flat[i * m + m - 1 - i] = field.one
+        return _flat_matrix(field, m, tuple(flat))
 
     def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
         q = self._form(field)
@@ -700,9 +736,7 @@ def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
         raise EnumerationBound(
             f"full scan of {len(sub)}^{spec.m**2} matrices exceeds bound {scan_limit}")
     for combo in itertools.product(sub, repeat=spec.m**2):
-        rows = tuple(tuple(combo[i * spec.m + j] for j in range(spec.m))
-                     for i in range(spec.m))
-        mat = Matrix(field, rows)
+        mat = _flat_matrix(field, spec.m, combo)
         if spec.predicate(mat, field, n):
             yield mat
 

@@ -370,6 +370,27 @@ def test_program_costs_at_most_40_bytes_per_edge(sl2f17):
     assert size <= 40 * len(sl2f17) * len(gens), size
 
 
+def test_point_groups_cost_at_most_240_bytes_per_element():
+    # nested row tuples cost 294 bytes per element here
+    field = make_field(13, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = rational_points(SLSpec(2, 13), 1, field)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 2184
+    assert size <= 240 * len(group), size / len(group)
+
+
+def test_census_walk_leaves_the_product_cache_empty():
+    # the walk's targets hold its products; it used to cache 4,608 of them
+    group = rational_points(NormTorusSpec(7), 2, make_field(7, 2))
+    assert len(index_k_subgroups(group, 3)) == 4
+    assert group.bfs_programs and not group._mult_cache
+
+
 def test_quotient_group_structure():
     sl = SL2F3
     z = center(sl)

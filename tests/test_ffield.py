@@ -313,9 +313,9 @@ def test_tables_reject_tuples_outside_the_field():
             with pytest.raises(KeyError):
                 fn(one, bad)
         for m in (1, 2, 3):
-            rows = ((one,) * (m - 1) + (bad,),) * m
+            entries = ((one,) * (m - 1) + (bad,)) * m
             with pytest.raises(KeyError):
-                field.mat_mul(rows, ((one,) * m,) * m)
+                field.mat_mul(entries, (one,) * (m * m))
         for fn in (field.inv, field.neg, field.mult_order,
                    lambda x: field.pow(x, 2), lambda x: field.frobenius(x, 1)):
             with pytest.raises(KeyError):
@@ -433,9 +433,9 @@ def test_polynomial_path_rejects_tuples_outside_the_field(p, degree):
             with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
                 fn(bad)
         for m in (1, 2, 3, 4):
-            good = ((one,) * m,) * m
-            rows = ((one,) * (m - 1) + (bad,),) * m
-            for a, b in [(rows, good), (good, rows)]:
+            good = (one,) * (m * m)
+            entries = ((one,) * (m - 1) + (bad,)) * m
+            for a, b in [(entries, good), (good, entries)]:
                 with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
                     field.mat_mul(a, b)
 
@@ -528,6 +528,11 @@ def schoolbook(field, a, b):
     return tuple(out)
 
 
+def flat(rows):
+    """The row-major entry tuple that `mat_mul` takes and returns."""
+    return tuple(x for row in rows for x in row)
+
+
 def random_matrix(field, rng, m):
     """Entries uniform over the field, with one in three forced to zero."""
     p, d = field.p, field.degree
@@ -565,9 +570,8 @@ def test_prime_field_results_are_its_own_element_tuples(p):
                     field.element_of([a[0], b[0]])]
     for m in (1, 2, 3):
         for _ in range(20):
-            product = field.mat_mul(random_matrix(field, rng, m),
-                                    random_matrix(field, rng, m))
-            results += [x for row in product for x in row]
+            results += field.mat_mul(flat(random_matrix(field, rng, m)),
+                                     flat(random_matrix(field, rng, m)))
     assert all(x is elems[x[0]] for x in results)
 
 
@@ -577,9 +581,8 @@ def test_prime_field_above_the_limit_builds_each_tuple():
     assert p > ffield.TABLE_COEFF_LIMIT
     assert (field.zero, field.one, field.from_int(-1)) == ((0,), (1,), (p - 1,))
     assert field.mul((p - 1,), (p - 1,)) == field.inv((1,)) == (1,)
-    assert field.mat_mul((((2,), (0,)), ((1,), (1,))),
-                         (((3,), (1,)), ((0,), (p - 1,)))) == \
-        (((6,), (2,)), ((3,), (0,)))
+    assert field.mat_mul(((2,), (0,), (1,), (1,)),
+                         ((3,), (1,), (0,), (p - 1,))) == ((6,), (2,), (3,), (0,))
 
 
 @pytest.mark.parametrize("p,degree", [(17, 1), (7, 2), (2, 10), (89, 2),
@@ -602,8 +605,9 @@ def test_mat_mul_matches_schoolbook_reference(p, degree):
         if m > 1:
             pairs.append(cancelling_pair(field, rng, m))
         for a, b in pairs:
-            assert field.mat_mul(a, b) == schoolbook(field, a, b), (m, a, b)
+            assert field.mat_mul(flat(a), flat(b)) == flat(schoolbook(field, a, b)), \
+                (m, a, b)
         if m > 1:
             a, b = pairs[-1]
             u = b[0][0]
-            assert field.mat_mul(a, b)[0][0] == (field.zero if m == 2 else u)
+            assert field.mat_mul(flat(a), flat(b))[0] == (field.zero if m == 2 else u)

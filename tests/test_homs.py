@@ -33,7 +33,7 @@ def test_kernel_of_squaring_on_gm():
     amb = make_field(3, 2)
     group, level = homs.kernel_points(homs.PowerIsogeny(GmSpec(3), 2), amb)
     assert len(group) == 2 and level == 1
-    elems = {g.rows[0][0] for g in group.elements}
+    elems = {g.flat[0] for g in group.elements}
     assert elems == {amb.one, amb.neg(amb.one)}
 
 

@@ -6,6 +6,7 @@ from functools import reduce
 
 import pytest
 
+from corpus import build_corpus
 from isocensus import homs, matgroup, orderform
 from isocensus.census import (index_k_subgroups, invariant_factors_abelian,
                               small_generating_set)
@@ -139,6 +140,46 @@ def test_canonical_order_is_deterministic():
     assert a.gens_hint == b.gens_hint
 
 
+def test_from_entries_maps_ints_and_checks_tuples():
+    for field in (F7, make_field(7, 2), make_field(97, 2)):
+        ident = Matrix.identity(field, 2)
+        p = field.p
+        assert Matrix.from_entries(field, ((1, 0), (p, 1 - p))) == ident
+        g = Matrix.from_entries(field, ((3, 1), (field.from_int(5), 2)))
+        assert g.flat == tuple(map(field.from_int, (3, 1, 5, 2)))
+        assert g * g.inv() == ident
+        one = field.one
+        for bad in [(p + 2,) + one[1:], one + (0,), one[:-1], (-1,) + one[1:]]:
+            with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
+                Matrix.from_entries(field, ((one, bad), (field.zero, one)))
+    # each entry is the field's own tuple, as the field's results are
+    for field in (F7, make_field(7, 2)):
+        g = Matrix.from_entries(field, ((tuple(field.from_int(3)), 0), (0, 1)))
+        assert g.flat[0] is field.mul(field.one, field.from_int(3))
+        assert g.flat[1] is field.zero
+
+
+def _nested_sort_key(x):
+    """`element_sort_key` as it was on tuples of rows."""
+    if isinstance(x, Matrix):
+        return x.rows()
+    if isinstance(x, tuple):
+        return tuple(_nested_sort_key(c) for c in x)
+    return x
+
+
+def test_flat_sort_key_gives_the_ids_of_nested_rows():
+    sl2f5 = rational_points(SLSpec(2, 5), 1, F5)
+    cover = rational_points(NormTorusCoverSpec(7), 1, F7)
+    groups = [g for _, g in build_corpus()] + [
+        sl2f5, direct_product(sl2f5, rational_points(GmSpec(2), 2, F4)),
+        direct_product(cover, cover)]
+    for group in groups:
+        assert sorted(group.elements, key=_nested_sort_key) == list(group.elements)
+        assert sorted(reversed(group.elements), key=element_sort_key) == \
+            list(group.elements)
+
+
 def test_determinant_multiplicative_and_associativity():
     group = rational_points(GLSpec(2, 3), 1, F3)
     rng = random.Random(2)
@@ -168,7 +209,7 @@ def test_frobenius_map_examples():
     g = Matrix.from_entries(F4, ((x, F4.one), (F4.one, F4.zero)))
     assert g in group.index
     mapped = g.frobenius(1)
-    assert mapped.rows[0][0] == F4.mul(x, x)
+    assert mapped.flat[0] == F4.mul(x, x)
     # rational points are exactly the fixed points of their own Frobenius
     for h in group.elements:
         assert h.frobenius(2) == h
@@ -215,8 +256,8 @@ def test_from_generators_and_direct_product():
     f = F7
     gm7 = rational_points(GmSpec(7), 1, F7)
     gamma = gm7.elements[gm7.gens_hint[0]]
-    diag = Matrix.from_entries(f, ((gamma.rows[0][0], f.zero),
-                                   (f.zero, f.inv(gamma.rows[0][0]))))
+    diag = Matrix.from_entries(f, ((gamma.flat[0], f.zero),
+                                   (f.zero, f.inv(gamma.flat[0]))))
     flip = Matrix.from_entries(f, ((f.zero, f.one), (f.one, f.zero)))
     dihedral = from_generators([diag, flip], Matrix.__mul__,
                                Matrix.identity(f, 2), inv=Matrix.inv)
@@ -297,7 +338,7 @@ def test_matrix_products_take_no_field_mul_or_add(monkeypatch, field):
              for m in (1, 2, 3) for _ in range(30)]
     want = [Matrix(field, tuple(
         tuple(reduce(field.add, (field.mul(x, y) for x, y in zip(row, col)))
-              for col in zip(*b.rows)) for row in a.rows)) for a, b in pairs]
+              for col in zip(*b.rows())) for row in a.rows())) for a, b in pairs]
 
     def forbidden(*args):
         raise AssertionError("field mul/add called in a matrix product")
