@@ -4,8 +4,8 @@ from .census import (CensusReport, SubgroupHandle, index_k_subgroups,
                      run_census, subgroup_lattice_oracle)
 from .ffield import AmbientField, VerificationError, make_field
 from .homs import (CokernelData, Image, Isogeny, NormCoverIsogeny, PowerIsogeny,
-                   check_image_index, cokernel, fiber_product, image, kernel_points,
-                   lang_map, plan_degree, quotient_by_central, reached_by, with_sections)
+                   check_image_index, cokernel, image, kernel_points, lang_map,
+                   plan_degree, reached_by, with_sections)
 from .matgroup import (FiniteGroup, GroupSpec, Matrix, builtin_specs,
                        make_spec, rational_points)
 from .orderform import BN_CATALOG, OrderFormula, bn_order, center_order, closed_order
@@ -18,9 +18,8 @@ __all__ = [
     "NormCoverIsogeny", "OrderFormula", "PowerIsogeny", "SubgroupHandle",
     "VerificationError",
     "bn_order", "builtin_specs", "center_order", "check_image_index",
-    "closed_order", "cokernel", "fiber_product", "image", "index_k_subgroups",
-    "kernel_points", "lang_map", "make_field",
-    "make_spec", "plan_degree", "quotient_by_central",
+    "closed_order", "cokernel", "image", "index_k_subgroups",
+    "kernel_points", "lang_map", "make_field", "make_spec", "plan_degree",
     "rational_points", "reached_by", "run_census", "subgroup_lattice_oracle",
     "with_sections",
 ]

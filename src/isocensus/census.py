@@ -22,7 +22,8 @@ elements, p the least prime dividing |G| (Lagrange).
 
 The normal core of every subgroup found at index k is the kernel of its
 coset action and must have index between k and k! (the action embeds
-G/core into Sym(k); the weaker k^k bound is implied).
+G/core into Sym(k); the weaker k^k bound is implied).  The subgroup is
+normal exactly when it equals its core.
 """
 
 from __future__ import annotations
@@ -45,34 +46,23 @@ class CensusBoundExceeded(EnumerationBound):
 
 
 class SubgroupHandle:
-    """A subgroup of an enumerated parent group, as a sorted id tuple."""
+    """A subgroup of an enumerated parent group, as a sorted id tuple, with
+    its normal core.  It is normal exactly when it is its own core: the core
+    is the intersection of its conjugates."""
 
-    def __init__(self, parent: FiniteGroup, ids: Sequence[int], *,
-                 normal: Optional[bool] = None,
-                 core_ids: Optional[Sequence[int]] = None):
+    def __init__(self, parent: FiniteGroup, ids: Sequence[int],
+                 core_ids: Sequence[int]):
         self.parent = parent
         self.ids = tuple(sorted(ids))
         if len(parent) % len(self.ids):
             raise ValueError("subgroup order does not divide group order")
         self.index = len(parent) // len(self.ids)
-        self._normal = normal
-        self._core_ids = tuple(core_ids) if core_ids is not None else None
+        self.core_ids = tuple(sorted(core_ids))
+        self.normal = self.core_ids == self.ids
 
     @property
     def order(self) -> int:
         return len(self.ids)
-
-    @property
-    def normal(self) -> bool:
-        if self._normal is None:
-            self._normal = is_normal(self.parent, self.ids)
-        return self._normal
-
-    @property
-    def core_ids(self) -> tuple[int, ...]:
-        if self._core_ids is None:
-            self._core_ids = normal_core(self.parent, self.ids).ids
-        return self._core_ids
 
     @property
     def core_index(self) -> int:
@@ -112,11 +102,12 @@ def small_generating_set(group: FiniteGroup, *, seed: int = 0) -> list[int]:
     """A small generating set of element ids, proved once and kept per seed.
 
     Prefers the group's declared generators: a pair or triple of them that
-    generates, tested by closure, or else all of them, proved by their
-    Cayley-graph program (VerificationError naming the group if they do not
-    generate).  Without a declaration it runs a seeded randomized search
-    biased toward high-order elements, tested by closure, with a
-    deterministic greedy-closure fallback that always succeeds.
+    generates, or else all of them (VerificationError naming the group if
+    they do not generate).  Without a declaration it runs a seeded
+    randomized search biased toward high-order elements, with a
+    deterministic greedy-closure fallback that always succeeds.  Every
+    candidate is tested by the walk of `_bfs_program`, and the program of
+    the set returned is kept, so the census does not walk it again.
     """
     if seed not in group.generating_sets:
         group.generating_sets[seed] = tuple(_generating_set(group, seed))
@@ -127,7 +118,6 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
     n = len(group)
     if n == 1:
         return []
-    full = tuple(range(n))
     hint = group.gens_hint
     if hint:
         live = [i for i in hint if i != group.identity_id]
@@ -136,7 +126,7 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
             ordered = sorted(live, key=lambda i: (-group.element_order(i), i))
             for size in (2, 3):
                 for subset in itertools.combinations(ordered, size):
-                    if group.closure_ids(subset) == full:
+                    if len(_walk(group, subset)[0]) == n:
                         return list(subset)
         _bfs_program(group, live)
         return live
@@ -144,22 +134,19 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
     pool = sorted(rng.sample(range(n), min(n, 24)))
     pool = [i for i in pool if i != group.identity_id] or [group.identity_id]
     ranked = sorted(pool, key=lambda i: (-group.element_order(i), i))
-    for single in ranked[:8]:
-        if group.closure_ids([single]) == full:
-            return [single]
-    for pair in itertools.combinations(ranked[:8], 2):
-        if group.closure_ids(pair) == full:
-            return list(pair)
-    for triple in itertools.combinations(ranked[:6], 3):
-        if group.closure_ids(triple) == full:
-            return list(triple)
+    candidates = itertools.chain(itertools.combinations(ranked[:8], 1),
+                                 itertools.combinations(ranked[:8], 2),
+                                 itertools.combinations(ranked[:6], 3))
+    for subset in candidates:
+        if len(_walk(group, subset)[0]) == n:
+            return list(subset)
     # deterministic greedy growth over the canonical element order
     gens: list[int] = []
     have = {group.identity_id}
     while len(have) < n:
         nxt = next(i for i in range(n) if i not in have)
         gens.append(nxt)
-        have = set(group.closure_ids(gens))
+        have = set(_walk(group, gens)[0])
     return gens
 
 
@@ -167,25 +154,33 @@ def _generating_set(group: FiniteGroup, seed: int) -> list[int]:
 # index-k census by low-index backtracking
 
 
-def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
+def _walk(group: FiniteGroup, gen_ids: Sequence[int]):
     """The program (bfs_ids, targets, first) of `matgroup.cayley_walk` from
     the identity over the generators' elements by `group.op`, its order
-    turned into ids by `group.index`: the one proof that the generators
-    generate (VerificationError otherwise).  The walk leaves nothing in the
-    product cache: its targets already hold every product it takes.  Cached
-    on the group by generator tuple, where `from_generators` leaves the walk
-    that built the group."""
+    turned into ids by `group.index`; bfs_ids lists the subgroup they
+    generate.  A program that reaches every element is kept on the group
+    by generator tuple, where `from_generators` leaves the walk that built
+    the group, and read from there.  The walk leaves nothing in the product
+    cache: its targets already hold every product it takes."""
     key = tuple(gen_ids)
-    cached = group.bfs_programs.get(key)
-    if cached is None:
-        elems = group.elements
+    program = group.bfs_programs.get(key)
+    if program is None:
+        elems, index = group.elements, group.index
         order, targets, first = cayley_walk(group.identity, [elems[g] for g in key],
                                             group.op, len(group))
-        if len(order) != len(group):
-            raise VerificationError(f"generators {list(key)} do not generate {group!r}")
-        index = group.index
-        cached = group.bfs_programs[key] = [index[x] for x in order], targets, first
-    return cached
+        program = [index[x] for x in order], targets, first
+        if len(order) == len(group):
+            group.bfs_programs[key] = program
+    return program
+
+
+def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
+    """The program of `_walk`, which must reach every element: the one
+    proof that the generators generate (VerificationError otherwise)."""
+    program = _walk(group, gen_ids)
+    if len(program[0]) != len(group):
+        raise VerificationError(f"generators {list(gen_ids)} do not generate {group!r}")
+    return program
 
 
 def index_k_subgroups(group: FiniteGroup, k: int, *,
@@ -209,8 +204,7 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
         raise ValueError("index must be positive")
     n = len(group)
     if k == 1:
-        return [SubgroupHandle(group, range(n), normal=True,
-                               core_ids=range(n))]
+        return [SubgroupHandle(group, range(n), range(n))]
     if n % k:
         return []
     if gens is None:
@@ -272,8 +266,7 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
             f[x] = b[z] = -1
 
     walk(0, 1)
-    handles = [SubgroupHandle(group, ids, core_ids=core)
-               for ids, core in sorted(found)]
+    handles = [SubgroupHandle(group, ids, core) for ids, core in sorted(found)]
     for h in handles:
         if not (k <= h.core_index <= factorial(k)):
             raise VerificationError(
@@ -375,48 +368,7 @@ def subgroup_lattice_oracle(group: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# cores, commutators, centers, abelian structure
-
-
-def normal_core(group: FiniteGroup, ids: Sequence[int]) -> SubgroupHandle:
-    """Intersection of all conjugates: the kernel of the coset action."""
-    idset = set(ids)
-    if is_normal(group, idset):
-        return SubgroupHandle(group, ids, normal=True, core_ids=ids)
-    n = len(group)
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            c = len(reps)
-            reps.append(i)
-            for h in idset:
-                coset_of[group.mult(i, h)] = c
-    core = [g for g in range(n)
-            if all(coset_of[group.mult(g, r)] == x for x, r in enumerate(reps))]
-    return SubgroupHandle(group, core, normal=True, core_ids=core)
-
-
-def derived_subgroup(group: FiniteGroup) -> tuple[int, ...]:
-    """The commutator subgroup, via the normal closure of generator commutators."""
-    gens = small_generating_set(group)
-    seeds = set()
-    for a in gens:
-        for b in gens:
-            c = group.mult(group.mult(group.inv(a), group.inv(b)),
-                           group.mult(a, b))
-            seeds.add(c)
-    seeds.discard(group.identity_id)
-    current = list(seeds)
-    sub = set(group.closure_ids(current))
-    while True:
-        new = [group.conjugate_id(g, h)
-               for g in gens for h in current
-               if group.conjugate_id(g, h) not in sub]
-        if not new:
-            return tuple(sorted(sub))
-        current.extend(dict.fromkeys(new))
-        sub = set(group.closure_ids(current))
+# quotients, centers, abelian structure
 
 
 def quotient_group(group: FiniteGroup, normal_ids: Sequence[int], *,
@@ -459,13 +411,6 @@ def center(group: FiniteGroup) -> tuple[int, ...]:
     gens = small_generating_set(group)
     return tuple(i for i in range(len(group))
                  if all(group.mult(i, g) == group.mult(g, i) for g in gens))
-
-
-def abelianization_invariants(group: FiniteGroup) -> list[int]:
-    """Invariant factors of G/[G, G], ascending with divisibility."""
-    derived = derived_subgroup(group)
-    quotient, _ = quotient_group(group, derived, check=False)
-    return invariant_factors_abelian(quotient)
 
 
 def invariant_factors_abelian(group: FiniteGroup) -> list[int]:

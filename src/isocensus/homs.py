@@ -43,7 +43,7 @@ from . import census
 from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
                      _element_of_order)
 from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, pair_group, rational_points, _cover_matrix,
+                       NormTorusSpec, rational_points, _cover_matrix,
                        _cube_root_of_unity, _flat_matrix, _norm_det,
                        _norm_from_eigenvalues, _norm_matrix)
 
@@ -616,50 +616,6 @@ def verify_mu(data: CokernelData) -> bool:
     if {i for i, v in enumerate(values) if v == kq.identity_id} != set(data.image_ids):
         return False
     return _multiplicative_on_gens(data.codomain, kq, values, data.section_gens)
-
-
-def quotient_by_central(group: FiniteGroup, central_ids: Sequence[int]
-                        ) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a central subgroup, with the projection map.
-
-    Raises ValueError unless the ids form a subgroup whose elements commute
-    with every element of the group.
-    """
-    ids = sorted(set(central_ids))
-    if not census.is_subgroup(group, ids):
-        raise ValueError("central quotient needs a subgroup")
-    if any(group.mult(k, g) != group.mult(g, k)
-           for k in ids if k != group.identity_id for g in range(len(group))):
-        raise ValueError("subgroup is not central")
-    return census.quotient_group(group, ids, check=False)
-
-
-def fiber_product(a: FiniteGroup, b: FiniteGroup, c: FiniteGroup, psi, pi
-                  ) -> tuple[FiniteGroup, dict, dict]:
-    """The subgroup of A x B of pairs with psi(a) = pi(b), with projections.
-
-    psi: A -> C and pi: B -> C act on elements; each must map into C and is
-    proved a homomorphism on a generating set of its source.
-    Returns (group of pairs, projection dicts pair -> a and pair -> b).
-    """
-    maps = []
-    for hom, src, tag in ((psi, a, "psi"), (pi, b, "pi")):
-        values = [c.index.get(hom(x)) for x in src.elements]
-        if None in values:
-            raise ValueError(f"{tag} maps an element outside C")
-        if not _multiplicative_on_gens(src, c, values,
-                                       census.small_generating_set(src)):
-            raise ValueError(f"{tag} is not a homomorphism")
-        maps.append(values)
-    psi_ids, pi_ids = maps
-    buckets: dict = {}
-    for x, v in zip(a.elements, psi_ids):
-        buckets.setdefault(v, []).append(x)
-    pairs = [(x, y) for y, v in zip(b.elements, pi_ids) for x in buckets.get(v, ())]
-    group = pair_group(a, b, pairs, f"{a.label} x_C {b.label}")
-    proj_a = {pair: pair[0] for pair in group.elements}
-    proj_b = {pair: pair[1] for pair in group.elements}
-    return group, proj_a, proj_b
 
 
 def induced_isogeny_reaches(data: CokernelData, h_ids: Sequence[int]

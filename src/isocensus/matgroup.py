@@ -286,12 +286,6 @@ class FiniteGroup:
             self._order_cache[i] = r
         return r
 
-    def closure_ids(self, seed_ids: Iterable[int]) -> tuple[int, ...]:
-        """Ids of the subgroup generated by the seeds (`cayley_walk`)."""
-        seeds = tuple(dict.fromkeys(seed_ids))
-        return tuple(sorted(cayley_walk(self.identity_id, seeds, self.mult,
-                                        len(self))[0]))
-
     def conjugate_id(self, g: int, h: int) -> int:
         """g^(-1) h g."""
         return self.mult(self.mult(self.inv(g), h), g)
@@ -346,10 +340,8 @@ def from_generators(gens: Sequence, op: Callable, identity, *,
     return group
 
 
-def pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Iterable,
-               label: str) -> FiniteGroup:
-    """The pairs (x, y), x in a and y in b, under the componentwise operation;
-    they must be closed under it."""
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """Direct product with componentwise operation on element pairs."""
 
     def op(u, v):
         return (a.op(u[0], v[0]), b.op(u[1], v[1]))
@@ -357,13 +349,8 @@ def pair_group(a: FiniteGroup, b: FiniteGroup, pairs: Iterable,
     def inv(u):
         return (a.elements[a.inv(a.index[u[0]])], b.elements[b.inv(b.index[u[1]])])
 
-    return FiniteGroup(pairs, op, (a.identity, b.identity), inv=inv, label=label)
-
-
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Direct product with componentwise operation on element pairs."""
-    return pair_group(a, b, [(x, y) for x in a.elements for y in b.elements],
-                      f"{a.label}x{b.label}")
+    return FiniteGroup([(x, y) for x in a.elements for y in b.elements], op,
+                       (a.identity, b.identity), inv=inv, label=f"{a.label}x{b.label}")
 
 
 # ---------------------------------------------------------------------------

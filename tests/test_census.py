@@ -7,13 +7,11 @@ import tracemalloc
 import pytest
 
 from corpus import build_corpus
-from isocensus import census
-from isocensus.census import (CensusBoundExceeded, SubgroupHandle,
-                              abelianization_invariants, center,
-                              conjugacy_classes_of_subgroups,
-                              derived_subgroup, index_k_subgroups,
+from isocensus import census, matgroup
+from isocensus.census import (CensusBoundExceeded, SubgroupHandle, center,
+                              conjugacy_classes_of_subgroups, index_k_subgroups,
                               invariant_factors_abelian, is_normal,
-                              is_subgroup, normal_core, quotient_group, small_generating_set,
+                              is_subgroup, quotient_group, small_generating_set,
                               subgroup_lattice_oracle)
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GmSpec,
@@ -37,6 +35,45 @@ def factorial(k):
     for i in range(2, k + 1):
         out *= i
     return out
+
+
+def _closure(group, ids):
+    """Sorted ids of the subgroup the ids generate, by `cayley_walk` over
+    `group.mult`."""
+    seeds = tuple(dict.fromkeys(ids))
+    return tuple(sorted(cayley_walk(group.identity_id, seeds, group.mult,
+                                    len(group))[0]))
+
+
+def _normal_core(group, ids):
+    """Sorted ids of the intersection of all conjugates of the subgroup ids:
+    the kernel of the action on its left cosets."""
+    n = len(group)
+    coset_of = [-1] * n
+    reps = []
+    for i in range(n):
+        if coset_of[i] < 0:
+            reps.append(i)
+            for h in ids:
+                coset_of[group.mult(i, h)] = len(reps) - 1
+    return tuple(g for g in range(n)
+                 if all(coset_of[group.mult(g, r)] == x for x, r in enumerate(reps)))
+
+
+def _derived_subgroup(group):
+    """Sorted ids of [G, G], generated by the commutators [x, s] for every
+    element x and generator s.  Their closure N is normal, since
+    y^-1 [x, s] y = [xy, s] [y, s]^-1, and every generator is central
+    modulo N, so G/N is abelian and N contains [G, G]."""
+    comms = [group.mult(group.mult(group.inv(x), group.inv(s)), group.mult(x, s))
+             for x in range(len(group)) for s in small_generating_set(group)]
+    return _closure(group, [c for c in comms if c != group.identity_id])
+
+
+def _abelianization(group):
+    """Invariant factors of G/[G, G]."""
+    quotient, _ = quotient_group(group, _derived_subgroup(group), check=False)
+    return invariant_factors_abelian(quotient)
 
 
 def test_index_one_is_whole_group():
@@ -113,7 +150,8 @@ def test_census_cores_match_normal_core_on_corpus():
     for label, group in build_corpus():
         for k in range(2, 7):
             for h in index_k_subgroups(group, k):
-                assert h.core_ids == normal_core(group, h.ids).ids, (label, k)
+                assert h.core_ids == _normal_core(group, h.ids), (label, k)
+                assert h.normal == is_normal(group, h.ids), (label, k)
 
 
 def test_census_is_independent_of_the_generating_set():
@@ -168,7 +206,7 @@ def _pairwise_oracle(group):
     gens_of = {}
     queue = []
     for i in range(len(group)):
-        sub = group.closure_ids([i])
+        sub = _closure(group, [i])
         if sub not in gens_of:
             gens_of[sub] = (i,)
             queue.append(sub)
@@ -177,7 +215,7 @@ def _pairwise_oracle(group):
         a = queue[qi]
         qi += 1
         for b in list(gens_of):
-            join = group.closure_ids(gens_of[a] + gens_of[b])
+            join = _closure(group, gens_of[a] + gens_of[b])
             if join not in gens_of:
                 gens_of[join] = tuple(dict.fromkeys(gens_of[a] + gens_of[b]))
                 queue.append(join)
@@ -199,7 +237,7 @@ def test_core_bounds_on_corpus_sample():
 
 def test_subgroup_handle_validates_lagrange():
     with pytest.raises(ValueError):
-        SubgroupHandle(SL2F2, range(4))
+        SubgroupHandle(SL2F2, range(4), (SL2F2.identity_id,))
 
 
 def test_oracle_lattice_sizes_from_the_literature():
@@ -212,10 +250,10 @@ def test_oracle_lattice_sizes_from_the_literature():
 def test_oracle_multiplies_at_most_log2_n_columns(monkeypatch):
     groups = [group for _, group in build_corpus()] + [SL2F5]
 
-    def no_closure(self, seed_ids, bound=None):
-        raise AssertionError("the oracle called closure_ids")
+    def no_walk(group, gen_ids):
+        raise AssertionError("the oracle walked a generating set")
 
-    monkeypatch.setattr(FiniteGroup, "closure_ids", no_closure)
+    monkeypatch.setattr(census, "_walk", no_walk)
     for group in groups:
         products = 0
 
@@ -238,22 +276,22 @@ def test_oracle_on_s3():
 
 def test_index_two_count_equals_two_rank_formula():
     for label, group in build_corpus():
-        invariants = abelianization_invariants(group)
+        invariants = _abelianization(group)
         rank2 = sum(1 for d in invariants if d % 2 == 0)
         count = len(index_k_subgroups(group, 2))
         assert count == 2**rank2 - 1, label
 
 
 def test_perfect_groups_have_no_index_two():
-    assert derived_subgroup(SL2F4) == tuple(range(60))
+    assert _derived_subgroup(SL2F4) == tuple(range(60))
     assert index_k_subgroups(SL2F4, 2) == []
 
 
 def test_abelianization_examples():
-    assert abelianization_invariants(SL2F3) == [3]
+    assert _abelianization(SL2F3) == [3]
     gm7 = rational_points(GmSpec(7), 1, F7)
-    assert abelianization_invariants(gm7) == [6]
-    assert derived_subgroup(gm7) == (gm7.identity_id,)
+    assert _abelianization(gm7) == [6]
+    assert _derived_subgroup(gm7) == (gm7.identity_id,)
 
 
 def test_center_of_sl2():
@@ -266,41 +304,76 @@ def test_normal_core_of_nonnormal_subgroup():
     # an order-2 subgroup of S3 has trivial core and index 2 over it... no:
     # its three conjugates intersect trivially, so the core is trivial
     sub = next(h for h in index_k_subgroups(SL2F2, 3) if not h.normal)
-    core = normal_core(SL2F2, sub.ids)
-    assert core.ids == (SL2F2.identity_id,)
+    assert sub.core_ids == _normal_core(SL2F2, sub.ids) == (SL2F2.identity_id,)
 
 
 def test_small_generating_set_paths():
     gm = rational_points(GmSpec(5), 1, make_field(5, 1))
     gens = small_generating_set(gm)
-    assert len(gens) == 1 and gm.closure_ids(gens) == tuple(range(len(gm)))
+    assert len(gens) == 1 and _closure(gm, gens) == tuple(range(len(gm)))
     assert small_generating_set(rational_points(GmSpec(2), 1, F2)) == []
     # a group with no hint: strip it first
     nt = rational_points(NormTorusSpec(7), 1, F7)
     nt.gens_hint = None
     gens = small_generating_set(nt, seed=0)
-    assert nt.closure_ids(gens) == tuple(range(len(nt)))
+    assert _closure(nt, gens) == tuple(range(len(nt)))
     assert len(gens) <= 4
 
 
 @pytest.mark.parametrize("name", ["Ga(F_16)", "C2xC2xC2"])
 def test_generating_set_is_searched_once_per_group(monkeypatch, name):
     # neither group has a generating pair or triple among its declared
-    # generators, so each search tries every pair and triple by closure
+    # generators, so each search walks every pair and triple
     if name == "Ga(F_16)":
         group = rational_points(GaSpec(2), 4, make_field(2, 4))
     else:
         c2 = rational_points(GmSpec(3), 1, F3)
         group = direct_product(direct_product(c2, c2), c2)
-    closures = []
-    real = FiniteGroup.closure_ids
-    monkeypatch.setattr(FiniteGroup, "closure_ids",
-                        lambda self, ids: closures.append(ids) or real(self, ids))
+    walks = []
+    real = census.cayley_walk
+    monkeypatch.setattr(census, "cayley_walk",
+                        lambda *args: walks.append(args[1]) or real(*args))
     counts = []
     for k in range(2, 7):
         index_k_subgroups(group, k)
-        counts.append(len(closures))
-    assert counts[0] > 0 and set(counts) == {counts[0]}
+        counts.append(len(walks))
+    assert counts[0] > 1 and set(counts) == {counts[0]}
+
+
+def _searched_groups():
+    """SL2(F_4), whose four declared generators are pruned to a triple, Ga(F_16)
+    and C2xC2xC2, where no pair or triple generates, and NormTorus(F_7)
+    without its declaration, which the seeded search covers."""
+    c2 = rational_points(GmSpec(3), 1, F3)
+    nt = rational_points(NormTorusSpec(7), 1, F7)
+    nt.gens_hint = None
+    return [rational_points(SLSpec(2, 2), 2, F4),
+            rational_points(GaSpec(2), 4, make_field(2, 4)),
+            direct_product(direct_product(c2, c2), c2), nt]
+
+
+def test_census_walks_no_generating_set_the_search_returned(monkeypatch):
+    groups = _searched_groups()
+    sl2f4, nt = groups[0], groups[-1]
+    assert len(small_generating_set(sl2f4)) == 3 < len(sl2f4.gens_hint)
+    assert len(small_generating_set(nt)) < len(nt)
+
+    def no_walk(*args):
+        raise AssertionError("a generating set was walked again")
+
+    monkeypatch.setattr(matgroup, "cayley_walk", no_walk)
+    monkeypatch.setattr(census, "cayley_walk", no_walk)
+    assert len(index_k_subgroups(sl2f4, 5)) == 5
+    assert len(index_k_subgroups(nt, 2)) == 3
+
+
+def test_generating_set_search_adds_nothing_to_the_product_cache():
+    for group in _searched_groups():
+        for i in range(len(group)):
+            group.element_order(i)
+        cached = len(group._mult_cache)
+        small_generating_set(group)
+        assert len(group._mult_cache) == cached, group
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +479,9 @@ def test_invariant_factors_examples():
     assert invariant_factors_abelian(gm) == [6]
     ga = rational_points(GaSpec(2), 3, F8)
     assert invariant_factors_abelian(ga) == [2, 2, 2]
+    c2xc4 = direct_product(rational_points(GmSpec(3), 1, F3),
+                           rational_points(GmSpec(5), 1, make_field(5, 1)))
+    assert invariant_factors_abelian(c2xc4) == [2, 4]
 
 
 def test_conjugacy_classes_of_subgroups():

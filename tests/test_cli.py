@@ -127,6 +127,15 @@ def test_every_exported_name_imports():
     assert {"Image", "image", "with_sections"} <= set(isocensus.__all__)
     for name in isocensus.__all__:
         assert getattr(isocensus, name) is not None
+    # group API that no experiment or command reached is gone
+    deleted = {isocensus.homs: ("quotient_by_central", "fiber_product"),
+               isocensus.census: ("abelianization_invariants", "derived_subgroup",
+                                  "normal_core"),
+               isocensus.matgroup: ("pair_group",),
+               isocensus.FiniteGroup: ("closure_ids",)}
+    for owner, names in deleted.items():
+        for name in names:
+            assert name not in isocensus.__all__ and not hasattr(owner, name), name
 
 
 def test_composite_isogeny_parsing():

@@ -182,7 +182,7 @@ def test_image_index_walks_no_generating_set(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a generating set was walked")
 
-    monkeypatch.setattr(FiniteGroup, "closure_ids", forbidden)
+    monkeypatch.setattr(census, "_walk", forbidden)
     monkeypatch.setattr(census, "_bfs_program", forbidden)
     amb = make_field(7, 1)
     group = rational_points(NormTorusSpec(7), 1, amb)
@@ -264,18 +264,6 @@ def test_matrix_pow_spends_no_extra_products(monkeypatch, k, products):
     assert len(calls) == products
 
 
-def test_quotient_by_central():
-    amb = make_field(3, 1)
-    sl = rational_points(__import__("isocensus.matgroup", fromlist=["SLSpec"])
-                         .SLSpec(2, 3), 1, amb)
-    z = census.center(sl)
-    quotient, proj = homs.quotient_by_central(sl, z)
-    assert len(quotient) == 12
-    q8 = census.index_k_subgroups(sl, 3)[0]
-    with pytest.raises(ValueError):
-        homs.quotient_by_central(sl, q8.ids)
-
-
 def test_induced_isogeny_boundary_cases():
     amb = make_field(3, 2)
     iso = homs.PowerIsogeny(GmSpec(3), 2)
@@ -343,7 +331,8 @@ def _reach_by_preimage_group(iso, data, h_ids, n, amb):
 
     K is found from the Lang value of each section of H.  Y is the group of
     all section * kernel products whose Lang value lies in K; K must be a
-    central subgroup of Y, and the isogeny is applied to every element of Y.
+    central subgroup of Y, checked in Y itself, and the isogeny is applied
+    to every element of Y.
     """
     kernel = data.kernel_group
 
@@ -356,7 +345,10 @@ def _reach_by_preimage_group(iso, data, h_ids, n, amb):
                if homs.lang_map(y0 * a, iso.q, n) in k_mats}
     y_group = FiniteGroup(y_elems, Matrix.__mul__,
                           Matrix.identity(amb, iso.domain_spec.m), inv=Matrix.inv)
-    homs.quotient_by_central(y_group, [y_group.index[a] for a in k_mats])
+    k_ids = [y_group.index[a] for a in k_mats]
+    assert census.is_subgroup(y_group, k_ids)
+    assert all(y_group.mult(k, y) == y_group.mult(y, k)
+               for k in k_ids for y in range(len(y_group)))
     reached = {data.codomain.index[iso.apply(y)] for y in y_group.elements}
     return len(k_mats), reached == set(h_ids)
 
@@ -633,34 +625,6 @@ def test_plan_degree_with_sections_covers_the_kernel():
     assert homs.plan_degree(iso, n=2, sections=True) == 12
 
 
-def test_fiber_product_examples():
-    amb = make_field(5, 1)
-    group = rational_points(GmSpec(5), 1, amb)
-
-    def sq(mat):
-        return mat * mat
-
-    def ident(mat):
-        return mat
-
-    def trivial(mat):
-        return group.identity
-
-    diag, _, _ = homs.fiber_product(group, group, group, ident, ident)
-    assert len(diag) == len(group)
-    pairs, pa, pb = homs.fiber_product(group, group, group, sq, sq)
-    assert len(pairs) == 8
-    assert census.invariant_factors_abelian(pairs) == [2, 4]
-    kerb, _, _ = homs.fiber_product(group, group, group, sq, trivial)
-    assert len(kerb) == 2 * 4
-
-    def bad(mat):  # constant non-identity map: not a homomorphism
-        return group.elements[1]
-
-    with pytest.raises(ValueError):
-        homs.fiber_product(group, group, group, bad, ident)
-
-
 def test_composite_isogeny_behaves_like_power_product():
     amb = make_field(5, 4)
     sq = homs.PowerIsogeny(GmSpec(5), 2)
@@ -739,11 +703,10 @@ def _relabelled_mu():
 
 
 def _swapping_map():
-    """Gm(F_5), cyclic of order 4, and _order_swap acting on its elements."""
+    """Gm(F_5), cyclic of order 4, and _order_swap as an id map on it."""
     group = rational_points(GmSpec(5), 1, make_field(5, 1))
     swap = _order_swap(group)
-    return group, lambda mat: group.elements[
-        swap.get(group.index[mat], group.index[mat])]
+    return group, [swap.get(x, x) for x in range(len(group))]
 
 
 def test_verify_mu_rejects_relabelled_values():
@@ -753,16 +716,15 @@ def test_verify_mu_rejects_relabelled_values():
     assert not homs.verify_mu(bad)
 
 
-def test_fiber_product_rejects_non_multiplicative_map():
-    group, twisted = _swapping_map()
-    assert twisted(group.identity) == group.identity
-    with pytest.raises(ValueError, match="not a homomorphism"):
-        homs.fiber_product(group, group, group, twisted, lambda mat: mat)
-    outside = make_field(5, 2)
-    with pytest.raises(ValueError, match="outside C"):
-        homs.fiber_product(group, group, group,
-                           lambda mat: Matrix.identity(outside, 1),
-                           lambda mat: mat)
+def test_multiplicativity_rejects_the_swapping_map():
+    group, values = _swapping_map()
+    gens = census.small_generating_set(group)
+    assert values[group.identity_id] == group.identity_id
+    assert not homs._multiplicative_on_gens(group, group, values, gens)
+    assert homs._multiplicative_on_gens(group, group, list(range(len(group))), gens)
+    # a constant map to a non-identity element misses the identity
+    other = next(x for x in range(len(group)) if x != group.identity_id)
+    assert not homs._multiplicative_on_gens(group, group, [other] * len(group), gens)
 
 
 def test_multiplicativity_is_checked_on_cycle_closing_edges():
@@ -786,20 +748,17 @@ def test_rejections_hold_under_python_O():
     script = "\n".join([
         "import sys",
         f"sys.path[:0] = [{src_dir!r}, {tests_dir!r}]",
-        "from isocensus import homs",
+        "from isocensus import census, homs",
         "from test_homs import _relabelled_mu, _swapping_map",
         "if not sys.flags.optimize:",
         "    sys.exit('not running under -O')",
         "data, bad = _relabelled_mu()",
         "if not homs.verify_mu(data) or homs.verify_mu(bad):",
         "    sys.exit('verify_mu missed the relabelling')",
-        "group, twisted = _swapping_map()",
-        "try:",
-        "    homs.fiber_product(group, group, group, twisted, lambda m: m)",
-        "except ValueError:",
-        "    pass",
-        "else:",
-        "    sys.exit('fiber_product accepted a non-homomorphism')",
+        "group, values = _swapping_map()",
+        "gens = census.small_generating_set(group)",
+        "if homs._multiplicative_on_gens(group, group, values, gens):",
+        "    sys.exit('_multiplicative_on_gens accepted a non-homomorphism')",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
