@@ -291,11 +291,12 @@ def subgroup_lattice_oracle(group: FiniteGroup,
 
     All products are read from the right-regular table right[t][a] = a t.
     Walking the ids in order, an element not yet reached becomes a new
-    generator and its column costs n products of `group.mult`; every other
-    column is composed, col(u s) = [col(s)[x] for x in col(u)].  Each new
-    generator at least doubles the reached subgroup, so at most
-    floor(log2 n) columns are multiplied.  A cyclic subgroup is the walk of
-    e along its generator's column.
+    generator and its column costs n products of `group.op`, which leave
+    nothing in the group's product cache; every other column is composed,
+    col(u s) = [col(s)[x] for x in col(u)].  Each new generator at least
+    doubles the reached subgroup, so at most floor(log2 n) columns are
+    multiplied.  A cyclic subgroup is the walk of e along its generator's
+    column.
 
     A join <A, c> is grown by right cosets of A (Dimino; G. Butler,
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): from
@@ -312,6 +313,7 @@ def subgroup_lattice_oracle(group: FiniteGroup,
     if n > bound:
         raise EnumerationBound(f"oracle limited to order {bound}, got {n}")
     e = group.identity_id
+    elems, index, op = group.elements, group.index, group.op
     right: list[Optional[list[int]]] = [None] * n
     right[e] = list(range(n))
     table_gens: list[int] = []
@@ -319,7 +321,8 @@ def subgroup_lattice_oracle(group: FiniteGroup,
     for s in range(n):
         if right[s] is not None:
             continue
-        right[s] = [group.mult(a, s) for a in range(n)]
+        t = elems[s]
+        right[s] = [index[op(x, t)] for x in elems]
         table_gens.append(s)
         reached.append(s)
         # from the start: elements reached earlier meet the new generator
@@ -407,10 +410,13 @@ def quotient_group(group: FiniteGroup, normal_ids: Sequence[int], *,
 
 
 def center(group: FiniteGroup) -> tuple[int, ...]:
-    """Ids of elements commuting with a generating set (hence with all)."""
-    gens = small_generating_set(group)
-    return tuple(i for i in range(len(group))
-                 if all(group.mult(i, g) == group.mult(g, i) for g in gens))
+    """Ids of elements commuting with a generating set (hence with all),
+    compared as elements by `group.op`: no product is read twice, so none
+    goes to the product cache."""
+    op, elems = group.op, group.elements
+    gens = [elems[g] for g in small_generating_set(group)]
+    return tuple(i for i, x in enumerate(elems)
+                 if all(op(x, g) == op(g, x) for g in gens))
 
 
 def invariant_factors_abelian(group: FiniteGroup) -> list[int]:

@@ -15,7 +15,7 @@ import sys
 from . import census, homs, orderform
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
 from .ffield import make_field
-from .matgroup import builtin_specs, make_spec, rational_points
+from .matgroup import builtin_specs, make_spec, mat_rows, rational_points
 
 
 def _emit(payload: dict) -> None:
@@ -29,7 +29,7 @@ def cmd_points(args) -> int:
     payload = {"spec": args.spec, "q": spec.q, "n": args.n,
                "order": len(group)}
     if args.list:
-        payload["elements"] = [[[list(c) for c in row] for row in g.rows()]
+        payload["elements"] = [[[list(c) for c in row] for row in mat_rows(g)]
                                for g in group.elements[:args.list]]
     _emit(payload)
     return 0

@@ -143,7 +143,7 @@ class Runner:
         codomain = self.group(iso.codomain_spec, n, degree)
         if (iso.name, codomain) not in self._images:
             self._images[iso.name, codomain] = homs.image(
-                iso, n, codomain.identity.field, codomain=codomain,
+                iso, n, codomain.meta["field"], codomain=codomain,
                 domain=self.group(iso.domain_spec, n, degree))
         return self._images[iso.name, codomain]
 

@@ -14,19 +14,26 @@ x -> x^(p^d), and can be tested for membership or enumerated in place.
 Arithmetic takes one of two paths, fixed when the field is built:
 
 * Table path, for 1 < D and q * D <= TABLE_COEFF_LIMIT, where q = p^D: exp,
-  log and Zech tables over the first primitive element g in canonical order
-  (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 36, 1990).
-  The tables hold q tuples of D coefficients, so q * D tracks their memory.
-  A product is a sum of two logs, a sum a Zech lookup log(1 + g^n), and an
-  inverse, power, Frobenius image or multiplicative order one log lookup.
-  Results are the tables' own canonical tuples, so equality, hashing and
-  ordering are those of the coefficient tuples.  Zero has no log and is
-  handled explicitly; a tuple that is not a field element raises.  The
-  tables also serve matrix products (`mat_mul`, on the row-major tuple of
-  a matrix's m^2 entries): each entry's log is looked up once, and every
-  dot product is summed in the log domain.
+  log and Zech tables over a primitive element g (Huber, "Some comments on
+  Zech's logarithms", IEEE Trans. IT 36, 1990).  Any primitive element
+  gives valid tables; g is the monic one of least degree
+  (`_least_primitive`), x + c on every tabled field but F_{2^8}, F_{2^9},
+  F_{3^4} and F_{5^4}, so the walk over its powers takes one pass over D
+  coefficients per power.  The tables hold q tuples of D coefficients, so
+  q * D tracks their memory.  A product is a sum of two logs, a sum a Zech
+  lookup log(1 + g^n), and an inverse, power, Frobenius image or
+  multiplicative order one log lookup.  Results are the tables' own
+  canonical tuples, so equality, hashing and ordering are those of the
+  coefficient tuples.  Zero has no log and is handled explicitly; a tuple
+  that is not a field element raises.  The tables also serve matrix
+  products (`mat_mul`, on the row-major tuple of a matrix's m^2 entries)
+  and powers (`mat_pow`), which share one log-domain core
+  (`_log_mat_mul`): each entry's log is looked up once, every dot product
+  is summed in the log domain, a power keeps every intermediate product as
+  logs, and one exp lookup per entry ends it.
 * Polynomial path, for prime fields and fields above the limit: extended
-  Euclid for inverses and powers from the leading bit.  A prime field with
+  Euclid for inverses and powers from the leading bit (`mat_pow` powers a
+  matrix by `mat_mul` the same way).  A prime field with
   p <= TABLE_COEFF_LIMIT returns its own p element tuples, as the table
   path returns its tables'; above the limit each result is new.  A product
   in F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
@@ -35,10 +42,11 @@ Arithmetic takes one of two paths, fixed when the field is built:
   folded onto the low D through the packed tails x^(D + i) mod the modulus,
   and each slot reduced mod p.  `_slots` derives a slot width at which no
   slot carries into the next; a tuple that is not a field element would,
-  and raises.  This path builds the tables, and the tests check it against
-  the list helper `_poly_mulmod`.  A prime field takes its matrix products
-  as integer dot products mod p; a field above the limit packs each entry
-  once, sums each dot product as bigints and reduces once per entry.
+  and raises.  This path tests the tables' generator for primitivity, and
+  the tests check it against the list helper `_poly_mulmod`.  A prime field
+  takes its matrix products as integer dot products mod p; a field above
+  the limit packs each entry once, sums each dot product as bigints and
+  reduces once per entry.
 
 The tuple API on :class:`AmbientField` is the only field API: every other
 module passes coefficient tuples to its methods, and there is no element
@@ -55,8 +63,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import partial
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Coeffs = tuple[int, ...]
 #: an m x m matrix as the row-major tuple of its m^2 entries
@@ -235,7 +244,7 @@ class AmbientField:
     coefficient tuples of length D.
 
     When 1 < D and p^D * D <= TABLE_COEFF_LIMIT, construction also builds
-    exp/log/Zech tables over the first primitive element and the raw-tuple
+    exp/log/Zech tables over `_least_primitive` and the raw-tuple
     methods use them; prime fields and larger fields use polynomial
     arithmetic.  Both paths return the same tuples.  Construction raises
     ValueError when p^D exceeds DEFAULT_SIZE_LIMIT.
@@ -268,22 +277,38 @@ class AmbientField:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """exp/log/Zech tables over the first primitive element g.
+        """exp/log/Zech tables over g = `_least_primitive(self)`.
 
         exp[i] = g^i for i < q - 1; log maps each element to its exponent and
         zero to None; zech[i] = log(1 + g^i), None where 1 + g^i = 0.  Sums of
         logs are not reduced: every index lands in [-(q - 1), q - 1), where
-        Python's negative indexing supplies the wrap.  The polynomial path
-        computes every entry, and the build fails unless g^i reaches q - 1
-        distinct elements.
+        Python's negative indexing supplies the wrap.  Any primitive element
+        gives valid tables (Huber), and a monic one of least degree s is the
+        cheapest to walk by: the next power h g is s Horner steps
+        r -> x r + g_j h, j = s - 1, ..., 0, from r = h, each one pass over
+        the D coefficients that shifts r up, folds its top coefficient back
+        through x^D = -(c_0 + ... + c_{D-1} x^(D-1)) and adds a scalar
+        multiple of h.  On every tabled field but F_{2^8}, F_{2^9}, F_{3^4}
+        and F_{5^4}, whose g has degree 2, g is some x + c: one pass per
+        power.  The build fails unless the walk reaches q - 1 distinct
+        elements.
         """
-        n, p = self.order - 1, self.p
-        g = subfield_generator(self, self.degree)
+        n, p, d = self.order - 1, self.p, self.degree
+        g = list(_least_primitive(self))
+        _trim(g)
+        low = g[-2::-1]  # g_{s-1}, ..., g_0 below the leading 1
+        tail = [-c % p for c in self.modulus[:d]]
         exp: list[Coeffs] = []
         cur = self.one
         for _ in range(n):
             exp.append(cur)
-            cur = self._poly_mul(cur, g)
+            # Horner: r = x r + g_j cur for j = s - 1, ..., 0, from r = cur
+            r = cur
+            for gj in low:
+                top = r[-1]
+                r = tuple([(b + top * t + gj * a) % p
+                           for a, b, t in zip(cur, (0,) + r[:-1], tail)])
+            cur = r
         log: dict[Coeffs, Optional[int]] = {t: i for i, t in enumerate(exp)}
         if len(log) != n:
             raise VerificationError(
@@ -393,12 +418,10 @@ class AmbientField:
         row-major order, in the same order.
 
         On the table path each of the 2m^2 entries is looked up in the log
-        table once.  Each dot product is then built as a log: a product of
-        two entries is a sum of logs, each further term costs one Zech
-        lookup, a zero entry (log None) is skipped, and one exp lookup turns
-        the sum back into an entry.  A prime field takes integer dot
-        products mod p on the single coefficient.  Both unroll m = 1 and
-        m = 2.  Other fields take a 1 x 1 product as one `_poly_mul`, and
+        table once, `_log_mat_mul` takes the product in the log domain, and
+        one exp lookup turns each entry back.  A prime field takes integer
+        dot products mod p on the single coefficient, with m = 1 and m = 2
+        unrolled.  Other fields take a 1 x 1 product as one `_poly_mul`, and
         otherwise pack each of the 2m^2 entries once with slots wide enough
         for a sum of m products (`_slots`), sum each dot product as bigints
         and reduce once per entry: m^2 reductions in place of m^3 products
@@ -408,37 +431,12 @@ class AmbientField:
         size = len(a)
         log = self._log
         if log is not None:
-            exp, zech, n, zero = self._exp, self._zech, self._units, self.zero
+            exp, zero = self._exp, self.zero
             if size == 1:
                 x, y = log[a[0]], log[b[0]]
-                return (zero if x is None or y is None else exp[x + y - n],)
-            if size == 4:
-                a0, a1, a2, a3 = a
-                b0, b1, b2, b3 = b
-                a0, a1, a2, a3 = log[a0], log[a1], log[a2], log[a3]
-                b0, b1, b2, b3 = log[b0], log[b1], log[b2], log[b3]
-                return (_log_dot2(a0, b0, a1, b2, exp, zech, n, zero),
-                        _log_dot2(a0, b1, a1, b3, exp, zech, n, zero),
-                        _log_dot2(a2, b0, a3, b2, exp, zech, n, zero),
-                        _log_dot2(a2, b1, a3, b3, exp, zech, n, zero))
-            m = isqrt(size)
-            xs, ys = [log[x] for x in a], [log[y] for y in b]
-            cols = [ys[j::m] for j in range(m)]
-            out = []
-            for i in range(0, size, m):
-                row = xs[i:i + m]
-                for col in cols:
-                    acc = None  # log of the partial sum, None while it is 0
-                    for x, y in zip(row, col):
-                        if x is None or y is None:
-                            continue
-                        if acc is None:
-                            acc = x + y
-                        else:
-                            z = zech[(x + y - acc) % n]
-                            acc = None if z is None else acc + z
-                    out.append(zero if acc is None else exp[acc % n])
-            return tuple(out)
+                return (zero if x is None or y is None else exp[x + y - self._units],)
+            return tuple([zero if r is None else exp[r] for r in _log_mat_mul(
+                self._zech, self._units, [log[x] for x in a], [log[y] for y in b])])
         if self.degree == 1:
             p, e = self.p, self._elems
             if size == 1:
@@ -463,11 +461,40 @@ class AmbientField:
         return tuple(reduce(sum(map(operator.mul, xs[i:i + m], col)), slots)
                      for i in range(0, size, m) for col in cols)
 
+    def mat_pow(self, a: Flat, e: int) -> Flat:
+        """a^e for an m x m matrix given as `mat_mul` takes it, and e >= 1
+        (ValueError otherwise), by binary powering from the leading bit:
+        floor(log2 e) squarings and popcount(e) - 1 further products.
+
+        A 1 x 1 matrix is one `pow`.  On the table path each entry's log is
+        looked up once, every product is `_log_mat_mul` on logs, and one exp
+        lookup per entry ends it; other fields multiply by `mat_mul`.
+        """
+        if e < 1:
+            raise ValueError(f"matrix power needs a positive exponent, got {e}")
+        if len(a) == 1:
+            return (self.pow(a[0], e),)
+        log = self._log
+        if log is None:
+            mul, base = self.mat_mul, a
+        else:
+            zech, n = self._zech, self._units
+            mul, base = partial(_log_mat_mul, zech, n), [log[x] for x in a]
+        result = base
+        for bit in bin(e)[3:]:
+            result = mul(result, result)
+            if bit == "1":
+                result = mul(result, base)
+        if log is None:
+            return result
+        exp, zero = self._exp, self.zero
+        return tuple([zero if r is None else exp[r] for r in result])
+
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         """Product on the polynomial path (D > 1): the packed operands
         (`_pack`, slots of `_slots(1)`) are multiplied as one bigint, whose
         2D - 1 slots `_reduce` folds back to an element.  `mul`, `pow`,
-        `mult_order`, `kth_root` and the table walk all multiply here."""
+        `mult_order`, `kth_root` and `_least_primitive` all multiply here."""
         slots = self._slot_cache[1]
         w = slots[0]
         return self._reduce(self._pack(a, w) * self._pack(b, w), slots)
@@ -728,18 +755,49 @@ class _FreshTuples:
         return (c,)
 
 
+def _log_mat_mul(zech: list[Optional[int]], n: int, xs: Sequence[Optional[int]],
+                 ys: Sequence[Optional[int]]) -> Sequence[Optional[int]]:
+    """The logs of the entries of the product of two m x m matrices, given
+    and returned as the logs of their m^2 row-major entries, each in
+    [0, n) or None for zero: the one log-domain product core of `mat_mul`
+    and `mat_pow`.  A product of two entries is a sum of logs, each further
+    term of a dot product one Zech lookup (g^s + g^t = g^s (1 + g^(t - s))),
+    and a zero entry is skipped; m = 2, the bulk of E1's powers (2x2
+    norm-torus points), is unrolled as four `_log_dot2`."""
+    if len(xs) == 4:
+        x0, x1, x2, x3 = xs
+        y0, y1, y2, y3 = ys
+        return (_log_dot2(x0, y0, x1, y2, zech, n), _log_dot2(x0, y1, x1, y3, zech, n),
+                _log_dot2(x2, y0, x3, y2, zech, n), _log_dot2(x2, y1, x3, y3, zech, n))
+    m = isqrt(len(xs))
+    cols = [ys[j::m] for j in range(m)]
+    out = []
+    for i in range(0, len(xs), m):
+        row = xs[i:i + m]
+        for col in cols:
+            acc = None  # log of the partial sum, None while it is 0
+            for x, y in zip(row, col):
+                if x is None or y is None:
+                    continue
+                if acc is None:
+                    acc = x + y
+                else:
+                    z = zech[(x + y - acc) % n]
+                    acc = None if z is None else acc + z
+            out.append(None if acc is None else acc % n)
+    return out
+
+
 def _log_dot2(x0: Optional[int], y0: Optional[int], x1: Optional[int],
-              y1: Optional[int], exp: list[Coeffs], zech: list[Optional[int]],
-              n: int, zero: Coeffs) -> Coeffs:
-    """g^x0 g^y0 + g^x1 g^y1 from logs, where None stands for log 0."""
+              y1: Optional[int], zech: list[Optional[int]], n: int) -> Optional[int]:
+    """log(g^x0 g^y0 + g^x1 g^y1) in [0, n), where None stands for log 0."""
     if x0 is None or y0 is None:
-        return zero if x1 is None or y1 is None else exp[x1 + y1 - n]
+        return None if x1 is None or y1 is None else (x1 + y1) % n
     s = x0 + y0
     if x1 is None or y1 is None:
-        return exp[s - n]
-    # g^s + g^t = g^s * (1 + g^(t - s))
+        return s % n
     z = zech[(x1 + y1 - s) % n]
-    return zero if z is None else exp[(s + z) % n]
+    return None if z is None else (s + z) % n
 
 
 def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
@@ -817,6 +875,16 @@ def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
     return None
 
 
+def _first_of_order(field: AmbientField, candidates: Iterable[Coeffs], n: int) -> Coeffs:
+    """The first nonzero candidate of multiplicative order n, for candidates
+    in the subgroup of order n: a^(n / l) != 1 for every prime l | n."""
+    checks = [n // ell for ell in factorize(n)]
+    for a in candidates:
+        if any(a) and all(field.pow(a, c) != field.one for c in checks):
+            return a
+    raise VerificationError("multiplicative group of a finite field is cyclic")
+
+
 def subfield_generator(field: AmbientField, d: int) -> Coeffs:
     """First element (in coefficient order) generating F_{p^d}^*.
 
@@ -826,16 +894,22 @@ def subfield_generator(field: AmbientField, d: int) -> Coeffs:
     target = field.p**d - 1
     if target == 0:
         raise ValueError("F_p^0 has no multiplicative generator")
-    checks = [target // ell for ell in factorize(target)] if target > 1 else []
     # the whole field is walked lazily: its canonical order is lexicographic
     elements = field.iter_elements() if d == field.degree \
         else field.enumerate_subfield(d)
-    for a in elements:
-        if not any(a):
-            continue
-        if all(field.pow(a, c) != field.one for c in checks):
-            return a
-    raise VerificationError("multiplicative group of a finite field is cyclic")
+    return _first_of_order(field, elements, target)
+
+
+def _least_primitive(field: AmbientField) -> Coeffs:
+    """The first monic primitive element of least degree over F_p, taking
+    the monics of one degree s in the order of their low coefficients
+    (c_0, ..., c_{s-1}), as `_smallest_irreducible` takes moduli; the table
+    walk multiplies by it.  Degree 1 (some x + c) serves every tabled field
+    but F_{2^8}, F_{2^9}, F_{3^4} and F_{5^4}."""
+    d = field.degree
+    monics = ((*low, 1) + (0,) * (d - s - 1)
+              for s in range(1, d) for low in itertools.product(range(field.p), repeat=s))
+    return _first_of_order(field, monics, field.order - 1)
 
 
 def _prime_root(field: AmbientField, x: Coeffs, ell: int) -> Optional[Coeffs]:

@@ -36,16 +36,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from . import census
-from .ffield import (AmbientField, VerificationError, kth_root, prime_power,
+from .ffield import (AmbientField, Flat, VerificationError, kth_root, prime_power,
                      _element_of_order)
-from .matgroup import (FiniteGroup, GmSpec, GroupSpec, Matrix, NormTorusCoverSpec,
-                       NormTorusSpec, rational_points, _cover_matrix,
-                       _cube_root_of_unity, _flat_matrix, _norm_det,
-                       _norm_from_eigenvalues, _norm_matrix)
+from .matgroup import (FiniteGroup, GmSpec, GroupSpec, NormTorusCoverSpec,
+                       NormTorusSpec, mat_frobenius, mat_identity, mat_inv,
+                       rational_points, _cover_matrix,
+                       _cube_root_of_unity, _norm_det, _norm_from_eigenvalues,
+                       _norm_matrix)
 
 
 class KernelNotCaptured(RuntimeError):
@@ -68,29 +70,12 @@ def _mult_ord(a: int, mod: int) -> int:
     return t
 
 
-def _matrix_pow(mat: Matrix, e: int) -> Matrix:
-    """mat^e by left-to-right binary powering from the leading bit.
-
-    Takes floor(log2 |e|) squarings and one product per further set bit;
-    negative e inverts first.  A 1x1 matrix is one `field.pow`, a single log
-    lookup on a tabled field.
-    """
-    if mat.m == 1:
-        f = mat.field
-        return _flat_matrix(f, 1, (f.pow(mat.flat[0], e),))
-    if e == 0:
-        return Matrix.identity(mat.field, mat.m)
-    base = mat if e > 0 else mat.inv()
-    result = base
-    for bit in bin(abs(e))[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * base
-    return result
-
-
 class Isogeny:
-    """Base class: a matrix map between two specs with finite kernel."""
+    """Base class: a matrix map between two specs with finite kernel.
+
+    Points are flat entry tuples over an ambient field, as the point groups
+    of `rational_points` hold them; `apply(field, x)` maps one.
+    """
 
     name: str = ""
 
@@ -110,7 +95,7 @@ class Isogeny:
         c = self.codomain_spec
         return type(spec) is type(c) and spec.m == c.m and spec.q == c.q
 
-    def apply(self, mat: Matrix) -> Matrix:
+    def apply(self, field: AmbientField, x: Flat) -> Flat:
         raise NotImplementedError
 
     def kernel_field_degree(self) -> int:
@@ -121,11 +106,11 @@ class Isogeny:
         """Cardinality of the geometric kernel (the order of the isogeny)."""
         raise NotImplementedError
 
-    def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
+    def kernel_matrices(self, ambient: AmbientField) -> list[Flat]:
         """The geometric kernel, or raise KernelNotCaptured."""
         raise NotImplementedError
 
-    def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
+    def section_over(self, x: Flat, ambient: AmbientField) -> Optional[Flat]:
         """Some preimage of the codomain point x inside the ambient field."""
         raise NotImplementedError
 
@@ -144,8 +129,8 @@ class IdentityIsogeny(Isogeny):
         super().__init__(spec, spec)
         self.name = "id"
 
-    def apply(self, mat: Matrix) -> Matrix:
-        return mat
+    def apply(self, field: AmbientField, x: Flat) -> Flat:
+        return x
 
     def kernel_field_degree(self) -> int:
         return 1
@@ -153,10 +138,10 @@ class IdentityIsogeny(Isogeny):
     def kernel_order(self) -> int:
         return 1
 
-    def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
-        return [Matrix.identity(ambient, self.domain_spec.m)]
+    def kernel_matrices(self, ambient: AmbientField) -> list[Flat]:
+        return [mat_identity(ambient, self.domain_spec.m)]
 
-    def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
+    def section_over(self, x: Flat, ambient: AmbientField) -> Optional[Flat]:
         return x
 
     def section_degree(self, n: int) -> int:
@@ -177,8 +162,8 @@ class PowerIsogeny(Isogeny):
         self.k = k
         self.name = f"pow:{k}"
 
-    def apply(self, mat: Matrix) -> Matrix:
-        return _matrix_pow(mat, self.k)
+    def apply(self, field: AmbientField, x: Flat) -> Flat:
+        return field.mat_pow(x, self.k)
 
     def _is_plane_torus(self) -> bool:
         return isinstance(self.domain_spec, NormTorusSpec)
@@ -196,7 +181,7 @@ class PowerIsogeny(Isogeny):
             s = lcm(s, s_xi)
         return s
 
-    def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
+    def kernel_matrices(self, ambient: AmbientField) -> list[Flat]:
         k = self.k
         roots_of_unity = lcm(k, 3) if self._needs_cube_root() else k
         if (ambient.order - 1) % roots_of_unity:
@@ -209,7 +194,7 @@ class PowerIsogeny(Isogeny):
         for _ in range(k - 1):
             roots.append(ambient.mul(roots[-1], delta))
         if not self._is_plane_torus():
-            return [_flat_matrix(ambient, 1, (r,)) for r in roots]
+            return [(r,) for r in roots]
         if self.domain_spec.p == 3:
             return [_norm_matrix(ambient, r, ambient.zero) for r in roots]
         xi = _cube_root_of_unity(ambient)
@@ -228,12 +213,12 @@ class PowerIsogeny(Isogeny):
         big_q = q**level
         return scale * _mult_ord(big_q, k * (big_q - 1))
 
-    def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
+    def section_over(self, x: Flat, ambient: AmbientField) -> Optional[Flat]:
         k = self.k
         if not self._is_plane_torus():
-            r = kth_root(ambient, x.flat[0], k)
-            return None if r is None else _flat_matrix(ambient, 1, (r,))
-        a, b = x.flat[0], x.flat[2]
+            r = kth_root(ambient, x[0], k)
+            return None if r is None else (r,)
+        a, b = x[0], x[2]
         if self.domain_spec.p == 3:
             e0 = ambient.add(a, b)
             root = kth_root(ambient, e0, k)
@@ -256,7 +241,7 @@ class PowerIsogeny(Isogeny):
             if ru is None or rv is None:
                 return None
             y = _norm_from_eigenvalues(ambient, ru, rv, xi)
-        if self.apply(y) != x:
+        if self.apply(ambient, y) != x:
             raise VerificationError(f"{self.name}: extracted section is not a preimage")
         return y
 
@@ -268,9 +253,8 @@ class NormCoverIsogeny(Isogeny):
         super().__init__(NormTorusCoverSpec(p, e), NormTorusSpec(p, e))
         self.name = "normcover"
 
-    def apply(self, mat: Matrix) -> Matrix:
-        r = mat.flat
-        return _flat_matrix(mat.field, 2, (r[0], r[1], r[3], r[4]))
+    def apply(self, field: AmbientField, x: Flat) -> Flat:
+        return (x[0], x[1], x[3], x[4])
 
     def kernel_order(self) -> int:
         return 1 if self.q % 2 == 0 else 2
@@ -278,14 +262,13 @@ class NormCoverIsogeny(Isogeny):
     def kernel_field_degree(self) -> int:
         return 1
 
-    def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
+    def kernel_matrices(self, ambient: AmbientField) -> list[Flat]:
         one, zero = ambient.one, ambient.zero
-        mats = [Matrix.identity(ambient, 3)]
+        mats = [mat_identity(ambient, 3)]
         if self.q % 2:
-            minus = ambient.neg(one)
-            mats.append(_flat_matrix(ambient, 3, (one, zero, zero,
-                                                  zero, one, zero,
-                                                  zero, zero, minus)))
+            mats.append((one, zero, zero,
+                         zero, one, zero,
+                         zero, zero, ambient.neg(one)))
         return mats
 
     def section_degree(self, n: int) -> int:
@@ -293,8 +276,8 @@ class NormCoverIsogeny(Isogeny):
         # squaring is bijective and the cover is one-to-one on points
         return 1 if self.q % 2 == 0 else 2
 
-    def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
-        a, b = x.flat[0], x.flat[2]
+    def section_over(self, x: Flat, ambient: AmbientField) -> Optional[Flat]:
+        a, b = x[0], x[2]
         det = _norm_det(ambient, a, b)
         c = kth_root(ambient, det, 2)
         return None if c is None else _cover_matrix(ambient, a, b, c)
@@ -313,8 +296,8 @@ class CompositeIsogeny(Isogeny):
         self.inner = inner
         self.name = f"compose:({outer.name},{inner.name})"
 
-    def apply(self, mat: Matrix) -> Matrix:
-        return self.outer.apply(self.inner.apply(mat))
+    def apply(self, field: AmbientField, x: Flat) -> Flat:
+        return self.outer.apply(field, self.inner.apply(field, x))
 
     def kernel_order(self) -> int:
         return self.outer.kernel_order() * self.inner.kernel_order()
@@ -324,7 +307,7 @@ class CompositeIsogeny(Isogeny):
         return lcm(self.inner.kernel_field_degree(),
                    so * self.inner.section_degree(so))
 
-    def kernel_matrices(self, ambient: AmbientField) -> list[Matrix]:
+    def kernel_matrices(self, ambient: AmbientField) -> list[Flat]:
         inner_kernel = self.inner.kernel_matrices(ambient)
         out = []
         for w in self.outer.kernel_matrices(ambient):
@@ -332,14 +315,14 @@ class CompositeIsogeny(Isogeny):
             if y0 is None:
                 raise KernelNotCaptured(
                     f"{self.name}: no preimage of an outer kernel point in ambient")
-            out.extend(y0 * a for a in inner_kernel)
+            out.extend(ambient.mat_mul(y0, a) for a in inner_kernel)
         return out
 
     def section_degree(self, n: int) -> int:
         so = self.outer.section_degree(n)
         return so * self.inner.section_degree(n * so)
 
-    def section_over(self, x: Matrix, ambient: AmbientField) -> Optional[Matrix]:
+    def section_over(self, x: Flat, ambient: AmbientField) -> Optional[Flat]:
         mid = self.outer.section_over(x, ambient)
         if mid is None:
             return None
@@ -404,12 +387,14 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
 def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int]:
     """The full geometric kernel as a group, and the minimal level m with
     kernel = kernel(F_{q^m}).  Every element is checked to map to the
-    identity; the cokernel and every induced isogeny rest on this."""
+    identity; the cokernel and every induced isogeny rest on this.  Like a
+    point group, the kernel holds flats and records `meta["field"]`."""
     mats = iso.kernel_matrices(ambient)
-    group = FiniteGroup(mats, Matrix.__mul__, Matrix.identity(ambient, iso.domain_spec.m),
-                        inv=Matrix.inv, label=f"ker({iso.name})",
-                        meta={"isogeny": iso.name})
-    if not all(iso.apply(a).is_identity() for a in group.elements):
+    group = FiniteGroup(mats, ambient.mat_mul, mat_identity(ambient, iso.domain_spec.m),
+                        inv=partial(mat_inv, ambient), label=f"ker({iso.name})",
+                        meta={"isogeny": iso.name, "field": ambient})
+    one = mat_identity(ambient, iso.codomain_spec.m)
+    if not all(iso.apply(ambient, a) == one for a in group.elements):
         raise VerificationError(f"{iso.name}: a kernel point does not map to the identity")
     if len(group) != iso.kernel_order():
         raise KernelNotCaptured(
@@ -418,9 +403,9 @@ def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int
     m = 1
     for g in group.elements:
         t = 1
-        cur = g.frobenius(e)
+        cur = mat_frobenius(ambient, g, e)
         while cur != g:
-            cur = cur.frobenius(e)
+            cur = mat_frobenius(ambient, cur, e)
             t += 1
         m = lcm(m, t)
     return group, m
@@ -447,7 +432,8 @@ def image(iso: Isogeny, n: int, ambient: AmbientField, *,
     if domain is None:
         domain = codomain if iso.domain_spec is iso.codomain_spec \
             else rational_points(iso.domain_spec, n, ambient)
-    values = [codomain.index.get(iso.apply(g)) for g in domain.elements]
+    apply, index = iso.apply, codomain.index
+    values = [index.get(apply(ambient, g)) for g in domain.elements]
     if None in values:
         raise VerificationError(f"{iso.name} maps a rational point outside "
                                 "the codomain point group")
@@ -461,12 +447,13 @@ def check_image_index(img: Image) -> tuple[int, int, bool]:
     return index, img.rational_kernel, index == img.rational_kernel
 
 
-def lang_map(y: Matrix, q: int, n: int) -> Matrix:
-    """The twisted translation y -> y^(-1) sigma_{q^n}(y)."""
+def lang_map(field: AmbientField, y: Flat, q: int, n: int) -> Flat:
+    """The twisted translation y -> y^(-1) sigma_{q^n}(y) of a point y over
+    field."""
     p, e = prime_power(q)
-    if p != y.field.p:
-        raise ValueError(f"q={q} is not a power of the field characteristic {y.field.p}")
-    return y.inv() * y.frobenius(e * n)
+    if p != field.p:
+        raise ValueError(f"q={q} is not a power of the field characteristic {field.p}")
+    return field.mat_mul(mat_inv(field, y), mat_frobenius(field, y, e * n))
 
 
 @dataclass
@@ -482,7 +469,7 @@ class CokernelData:
     lang_image_ids: tuple[int, ...]
     kernel_quotient: FiniteGroup
     kernel_proj: list[int]
-    sections: Optional[list[Matrix]] = None
+    sections: Optional[list[Flat]] = None
     section_lang_ids: Optional[list[int]] = None
     section_gens: Optional[list[int]] = None
 
@@ -495,7 +482,7 @@ class CokernelData:
 
 def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
                    codomain: FiniteGroup, kernel_group: FiniteGroup,
-                   seed: int) -> tuple[list[Matrix], list[int], list[int]]:
+                   seed: int) -> tuple[list[Flat], list[int], list[int]]:
     """A preimage of every codomain point, its Lang value's kernel id, and
     the codomain generators the table is built from.
 
@@ -512,6 +499,7 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     if any(codomain.mult(a, b) != codomain.mult(b, a)
            for a in gens for b in gens):
         raise ValueError("transversal construction needs an abelian codomain")
+    mul = ambient.mat_mul
     ygens, ygen_lang = [], []
     for g in gens:
         y = iso.section_over(codomain.elements[g], ambient)
@@ -519,23 +507,23 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
             raise PreimageNotFound(
                 f"{iso.name}: generator of level-{n} points has no preimage in "
                 f"ambient of degree {ambient.degree}")
-        kid = kernel_group.index.get(lang_map(y, iso.q, n))
+        kid = kernel_group.index.get(lang_map(ambient, y, iso.q, n))
         if kid is None:
             raise VerificationError("lang value of a section must lie in the kernel")
-        if any(a * y != y * a for a in kernel_group.elements):
+        if any(mul(a, y) != mul(y, a) for a in kernel_group.elements):
             raise VerificationError("a kernel element does not commute with a section")
         ygens.append(y)
         ygen_lang.append(kid)
     bfs_ids, targets, first = census._bfs_program(codomain, gens)
     r = len(gens)
-    sections: list[Optional[Matrix]] = [None] * len(codomain)
+    sections: list[Optional[Flat]] = [None] * len(codomain)
     lang_ids: list[Optional[int]] = [None] * len(codomain)
-    sections[codomain.identity_id] = Matrix.identity(ambient, iso.domain_spec.m)
+    sections[codomain.identity_id] = mat_identity(ambient, iso.domain_spec.m)
     lang_ids[codomain.identity_id] = kernel_group.identity_id
     for i in itertools.compress(range(len(first)), first):
         gpos, spos = divmod(i, r)
         g, t = bfs_ids[gpos], bfs_ids[targets[i]]
-        sections[t] = sections[g] * ygens[spos]
+        sections[t] = mul(sections[g], ygens[spos])
         lang_ids[t] = kernel_group.mult(lang_ids[g], ygen_lang[spos])
     return sections, lang_ids, gens
 
@@ -550,7 +538,7 @@ def cokernel(iso: Isogeny, n: int, img: Image,
     lhs = census.invariant_factors_abelian(quotient)
 
     kernel_group, min_level = kernel_points(iso, kernel_ambient)
-    lam_ids = sorted({kernel_group.index[lang_map(a, iso.q, n)]
+    lam_ids = sorted({kernel_group.index[lang_map(kernel_ambient, a, iso.q, n)]
                       for a in kernel_group.elements})
     kq, kproj = census.quotient_group(kernel_group, lam_ids, check=False)
     rhs = census.invariant_factors_abelian(kq)
@@ -570,12 +558,13 @@ def with_sections(data: CokernelData, iso: Isogeny, n: int, *,
     (ValueError) and cover section_degree(n) (PreimageNotFound).  The
     section of every coset representative is checked to be a preimage."""
     codomain = data.codomain
-    ambient = codomain.identity.field
-    if data.kernel_group.identity.field != ambient:
+    ambient = codomain.meta["field"]
+    if data.kernel_group.meta["field"] != ambient:
         raise ValueError(f"the section table needs the kernel in {ambient!r}")
     sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
                                               data.kernel_group, seed)
-    if any(iso.apply(sections[codomain.index[x]]) != x for x in data.quotient.elements):
+    if any(iso.apply(ambient, sections[codomain.index[x]]) != x
+           for x in data.quotient.elements):
         raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
     return replace(data, sections=sections, section_lang_ids=lang_ids, section_gens=gens)
 
@@ -675,7 +664,8 @@ def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
         if any(kernel.mult(a, b) != kernel.mult(b, a)
                for a in range(len(kernel)) for b in range(a)):
             raise VerificationError(f"ker({iso.name}) is not abelian")
-        if any(iso.apply(y) != x for y, x in zip(data.sections, data.codomain.elements)):
+        if any(iso.apply(ambient, y) != x
+               for y, x in zip(data.sections, data.codomain.elements)):
             raise VerificationError(f"{iso.name}: a section is not a preimage")
         image_set = set(img.ids)
         for f, h_ids in zip(flags, subgroups):

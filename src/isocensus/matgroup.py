@@ -7,9 +7,15 @@ subfield F_{q^n}, equivalently the fixed points of the entrywise Frobenius
 map raising entries to the q^n-th power.
 
 Enumerated groups are wrapped in :class:`FiniteGroup`, which also hosts
-abstract groups (quotients, direct products, fiber products) whose elements
-are not matrices; all downstream algorithms only use the group operation
-through canonical element ids.
+abstract groups (quotients, direct products) whose elements are not
+matrices; all downstream algorithms only use the group operation through
+canonical element ids.  A point group's elements are flat entry tuples
+(`Flat`: the row-major tuple of a matrix's m^2 entries), its operation the
+field's `mat_mul`, and `mat_identity`, `mat_inv`, `mat_det`,
+`mat_frobenius`, `mat_transpose` and `mat_rows` are functions of them,
+with m read off their length.  :class:`Matrix` wraps a flat tuple with its
+field for callers outside the package; `FiniteGroup` and the census take
+either.
 
 Built-in specs: GL, SL, Sp (standard alternating form), split SO (hyperbolic
 form), SU (relative to the quadratic subextension), Gm, Ga (as 2x2 unipotent
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from functools import partial
+from math import isqrt
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .ffield import (AmbientField, Coeffs, Flat, VerificationError,
@@ -51,19 +59,107 @@ class EnumerationBound(RuntimeError):
     """An enumeration would exceed its configured size bound."""
 
 
-class Matrix:
-    """Immutable square matrix over an ambient field.
+def mat_identity(field: AmbientField, m: int) -> Flat:
+    """The m x m identity matrix as its row-major entries."""
+    one, zero = field.one, field.zero
+    return tuple(one if i % (m + 1) == 0 else zero for i in range(m * m))
 
-    An m x m matrix is stored as `flat`, one row-major tuple of its m^2
-    entries, each a coefficient tuple handled with the field's tuple API:
-    entry (i, j) is flat[i * m + j].  A product is one
-    `AmbientField.mat_mul` on the flat tuples, which takes it in the log
-    domain on a tabled field.  Hashing and equality are those of `flat`, and
-    ignore the field object itself: matrices are only ever compared within
-    one ambient field.  `Matrix(field, rows)` flattens nested rows once;
-    products, powers, inverses and the specs' points build `flat` directly
-    (`_flat_matrix`).  Nested rows (`rows()`) are for printing and m > 2
-    eliminations only.
+
+def mat_rows(a: Flat) -> Rows:
+    """The nested rows of a, for printing and the eliminations of m > 2."""
+    m = isqrt(len(a))
+    return tuple(a[i:i + m] for i in range(0, m * m, m))
+
+
+def mat_transpose(a: Flat) -> Flat:
+    m = isqrt(len(a))
+    # row j of the transpose is column j, a[j::m]
+    return tuple(x for j in range(m) for x in a[j::m])
+
+
+def mat_frobenius(field: AmbientField, a: Flat, e: int) -> Flat:
+    """Entrywise x -> x^(p^e)."""
+    return tuple(field.frobenius(x, e) for x in a)
+
+
+def mat_det(field: AmbientField, a: Flat) -> Coeffs:
+    f, size = field, len(a)
+    if size == 1:
+        return a[0]
+    if size == 4:
+        a0, a1, a2, a3 = a
+        return f.sub(f.mul(a0, a3), f.mul(a1, a2))
+    # Gaussian elimination with pivot tracking
+    m = isqrt(size)
+    rows = [list(r) for r in mat_rows(a)]
+    det = f.one
+    for col in range(m):
+        piv = next((r for r in range(col, m) if any(rows[r][col])), None)
+        if piv is None:
+            return f.zero
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = f.neg(det)
+        pivot = rows[col][col]
+        det = f.mul(det, pivot)
+        inv = f.inv(pivot)
+        for r in range(col + 1, m):
+            if any(rows[r][col]):
+                factor = f.mul(rows[r][col], inv)
+                rows[r] = [f.sub(x, f.mul(factor, y))
+                           for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def mat_inv(field: AmbientField, a: Flat) -> Flat:
+    """The inverse matrix; ZeroDivisionError when a is singular."""
+    f, size = field, len(a)
+    if size == 1:
+        return (f.inv(a[0]),)
+    if size == 4:
+        a0, a1, a2, a3 = a
+        det_inv = f.inv(mat_det(f, a))
+        return (f.mul(a3, det_inv), f.mul(f.neg(a1), det_inv),
+                f.mul(f.neg(a2), det_inv), f.mul(a0, det_inv))
+    m = isqrt(size)
+    aug = [list(row) + [f.one if i == j else f.zero for j in range(m)]
+           for i, row in enumerate(mat_rows(a))]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if any(aug[r][col])), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = f.inv(aug[col][col])
+        aug[col] = [f.mul(inv, x) for x in aug[col]]
+        for r in range(m):
+            if r != col and any(aug[r][col]):
+                factor = aug[r][col]
+                aug[r] = [f.sub(x, f.mul(factor, y))
+                          for x, y in zip(aug[r], aug[col])]
+    return tuple(x for row in aug for x in row[m:])
+
+
+class Matrix:
+    """Immutable square matrix over an ambient field, the type for callers
+    outside the package: it wraps `flat`, the row-major tuple of its m^2
+    entries (entry (i, j) is flat[i * m + j]), each a coefficient tuple
+    handled with the field's tuple API.
+
+    The point groups of specs hold flat tuples themselves, multiplied by
+    `AmbientField.mat_mul` and handled by the `mat_*` functions of this
+    module; a `Matrix` is one of them with its field attached.  A product is
+    one `mat_mul` on the flat tuples.  Hashing, equality and order are those
+    of `flat`, and ignore the field object itself: matrices are only ever
+    compared within one ambient field.  `Matrix(field, rows)` flattens
+    nested rows once, and `rows()` gives them back for printing.
+
+    Within one group every matrix is m x m, so its flat tuple is the
+    concatenation of m rows of length m; two such tuples first differ at
+    the first differing entry of the first differing row, so they sort as
+    their nested rows do.  A flat tuple sorts as the `Matrix` wrapping it,
+    and a `direct_product` pair compares its first components first, so a
+    group of flats, or of pairs of them, gets the ids of the same group of
+    matrices.
     """
 
     __slots__ = ("field", "m", "flat")
@@ -85,9 +181,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: AmbientField, m: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return _flat_matrix(field, m, tuple(one if i == j else zero
-                                            for i in range(m) for j in range(m)))
+        return _flat_matrix(field, m, mat_identity(field, m))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         f = self.field
@@ -99,118 +193,40 @@ class Matrix:
     def __hash__(self) -> int:
         return hash(self.flat)
 
+    def __lt__(self, other: "Matrix") -> bool:
+        return self.flat < other.flat
+
     def __repr__(self) -> str:
         return f"Matrix({self.rows()})"
 
     def rows(self) -> Rows:
-        """The nested rows, for printing and the eliminations of m > 2."""
-        m, flat = self.m, self.flat
-        return tuple(flat[i:i + m] for i in range(0, m * m, m))
-
-    def is_identity(self) -> bool:
-        f, m = self.field, self.m
-        return all(x == (f.one if i % (m + 1) == 0 else f.zero)
-                   for i, x in enumerate(self.flat))
-
-    def transpose(self) -> "Matrix":
-        m, flat = self.m, self.flat
-        # row j of the transpose is column j, flat[j::m]
-        return _flat_matrix(self.field, m,
-                            tuple(x for j in range(m) for x in flat[j::m]))
-
-    def frobenius(self, e: int) -> "Matrix":
-        """Entrywise x -> x^(p^e)."""
-        f = self.field
-        return _flat_matrix(f, self.m, tuple(f.frobenius(x, e) for x in self.flat))
-
-    def det(self) -> Coeffs:
-        f, m = self.field, self.m
-        if m == 1:
-            return self.flat[0]
-        if m == 2:
-            a, b, c, d = self.flat
-            return f.sub(f.mul(a, d), f.mul(b, c))
-        # Gaussian elimination with pivot tracking
-        rows = [list(r) for r in self.rows()]
-        det = f.one
-        for col in range(m):
-            piv = next((r for r in range(col, m) if any(rows[r][col])), None)
-            if piv is None:
-                return f.zero
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = f.neg(det)
-            pivot = rows[col][col]
-            det = f.mul(det, pivot)
-            inv = f.inv(pivot)
-            for r in range(col + 1, m):
-                if any(rows[r][col]):
-                    factor = f.mul(rows[r][col], inv)
-                    rows[r] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(rows[r], rows[col])]
-        return det
+        return mat_rows(self.flat)
 
     def inv(self) -> "Matrix":
-        f, m = self.field, self.m
-        if m == 1:
-            return _flat_matrix(f, 1, (f.inv(self.flat[0]),))
-        if m == 2:
-            a, b, c, d = self.flat
-            det_inv = f.inv(f.sub(f.mul(a, d), f.mul(b, c)))
-            return _flat_matrix(f, 2, (f.mul(d, det_inv), f.mul(f.neg(b), det_inv),
-                                       f.mul(f.neg(c), det_inv), f.mul(a, det_inv)))
-        aug = [list(row) + [f.one if i == j else f.zero for j in range(m)]
-               for i, row in enumerate(self.rows())]
-        for col in range(m):
-            piv = next((r for r in range(col, m) if any(aug[r][col])), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = f.inv(aug[col][col])
-            aug[col] = [f.mul(inv, x) for x in aug[col]]
-            for r in range(m):
-                if r != col and any(aug[r][col]):
-                    factor = aug[r][col]
-                    aug[r] = [f.sub(x, f.mul(factor, y))
-                              for x, y in zip(aug[r], aug[col])]
-        return _flat_matrix(f, m, tuple(x for row in aug for x in row[m:]))
+        return _flat_matrix(self.field, self.m, mat_inv(self.field, self.flat))
 
 
 _new_matrix = object.__new__
 
 
 def _flat_matrix(field: AmbientField, m: int, flat: Flat) -> Matrix:
-    """The m x m matrix whose row-major entries are `flat`, without a copy:
-    the one constructor of products, powers, inverses and spec points."""
+    """The m x m matrix whose row-major entries are `flat`, without a copy."""
     mat = _new_matrix(Matrix)
     mat.field, mat.m, mat.flat = field, m, flat
     return mat
 
 
-def element_sort_key(x):
-    """Canonical ordering key for group elements (matrices or tuples of them).
-
-    A matrix sorts by its flat entry tuple.  Within one group every matrix
-    is m x m, so its flat tuple is the concatenation of m rows of equal
-    length m; two such concatenations first differ at the first differing
-    entry of the first differing row, so they compare as the tuples of rows
-    do, and the ids are those of sorting by nested rows.
-    """
-    if isinstance(x, Matrix):
-        return x.flat
-    if isinstance(x, tuple):
-        return tuple(element_sort_key(c) for c in x)
-    return x
-
-
 class FiniteGroup:
     """An explicitly enumerated finite group with canonical element ids.
 
-    Elements are sorted by `element_sort_key`, so the id assignment (and every
-    report derived from it) is deterministic.  Products of small groups are
-    cached without bound; larger groups recompute products on demand.
-    `gens_hint` declares generators, as elements of the group: either
-    `from_generators` built the group from them, or their first walk
+    Elements are sorted as they compare, so the id assignment (and every
+    report derived from it) is deterministic; see `Matrix` for why a point
+    group's flats and the matrices wrapping them get the same ids.
+    A point group of a spec holds flat entry tuples, with `op` its field's
+    `mat_mul`, and records that field as `meta["field"]`.  Products of
+    small groups are cached without bound; larger groups recompute products
+    on demand.  `gens_hint` declares generators, as elements of the group:
+    either `from_generators` built the group from them, or their first walk
     (`census._bfs_program`) proves that they generate.  `inv` inverts an
     element, as `op` multiplies two.
     """
@@ -218,8 +234,7 @@ class FiniteGroup:
     def __init__(self, elements: Iterable, op: Callable, identity, *,
                  inv: Callable, label: str = "",
                  gens_hint: Optional[Sequence] = None, meta: Optional[dict] = None):
-        elems = sorted(elements, key=element_sort_key)
-        self.elements = tuple(elems)
+        self.elements = tuple(sorted(elements))
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements in group construction")
@@ -326,12 +341,12 @@ def from_generators(gens: Sequence, op: Callable, identity, *,
                     inv: Callable, bound: int = DEFAULT_ORDER_BOUND,
                     label: str = "", meta: Optional[dict] = None) -> FiniteGroup:
     """The group generated by `gens`, enumerated by one `cayley_walk` over
-    its distinct non-identity generators in `element_sort_key` order.  They
+    its distinct non-identity generators in sorted order.  They
     become the `gens_hint`, whose ids then increase, so the walk is the one
     `census._bfs_program` makes over them; it is kept in `bfs_programs`,
     with the order as ids.  A closure needs no proof that it is generated.
     """
-    live = sorted({g for g in gens if g != identity}, key=element_sort_key)
+    live = sorted({g for g in gens if g != identity})
     order, targets, first = cayley_walk(identity, live, op, bound)
     group = FiniteGroup(order, op, identity, inv=inv, label=label, meta=meta,
                         gens_hint=live)
@@ -364,7 +379,8 @@ class GroupSpec:
     enumeration strategy.  The predicate must hold for the identity matrix,
     and its coefficients must lie in the base field; both are structural for
     the built-ins.  `entry_degree(n)` is the subfield degree (over F_p) that
-    entries of level-n rational points live in.
+    entries of level-n rational points live in.  Points, generators and
+    predicate arguments are flat entry tuples (`Flat`).
     """
 
     tag: str = ""
@@ -386,18 +402,19 @@ class GroupSpec:
         """Exponent t such that sigma_{q^n} is x -> x^(p^t)."""
         return self.e * n
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         raise NotImplementedError
 
-    def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
-        """Parametrized enumeration; only for strategy == 'parametrized'."""
+    def scan_points(self, field: AmbientField, n: int) -> Iterator[Flat]:
+        """Parametrized enumeration, each point once; only for strategy ==
+        'parametrized'."""
         raise NotImplementedError
 
-    def generators(self, field: AmbientField, n: int) -> list[Matrix]:
+    def generators(self, field: AmbientField, n: int) -> list[Flat]:
         """Generators for closure enumeration; only for strategy == 'closure'."""
         raise NotImplementedError
 
-    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
+    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Flat]]:
         """Canonical small generating set of the point group, if one is known."""
         return None
 
@@ -414,20 +431,19 @@ class GmSpec(GroupSpec):
     def __init__(self, p: int, e: int = 1):
         super().__init__(1, p, e)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        return any(mat.flat[0])
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        return any(mat[0])
 
-    def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
+    def scan_points(self, field: AmbientField, n: int) -> Iterator[Flat]:
         for c in field.enumerate_subfield(self.entry_degree(n)):
             if any(c):
-                yield _flat_matrix(field, 1, (c,))
+                yield (c,)
 
-    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
+    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Flat]]:
         d = self.entry_degree(n)
         if field.p**d == 2:  # trivial group
             return []
-        g = subfield_generator(field, d)
-        return [_flat_matrix(field, 1, (g,))]
+        return [(subfield_generator(field, d),)]
 
 
 class GaSpec(GroupSpec):
@@ -439,32 +455,32 @@ class GaSpec(GroupSpec):
     def __init__(self, p: int, e: int = 1):
         super().__init__(2, p, e)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        a, b, c, d = mat.flat
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        a, b, c, d = mat
         return a == field.one and d == field.one and c == field.zero \
             and field.in_subfield(b, self.entry_degree(n))
 
-    def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
+    def scan_points(self, field: AmbientField, n: int) -> Iterator[Flat]:
         one, zero = field.one, field.zero
         for t in field.enumerate_subfield(self.entry_degree(n)):
-            yield _flat_matrix(field, 2, (one, t, zero, one))
+            yield (one, t, zero, one)
 
-    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
+    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Flat]]:
         one, zero = field.one, field.zero
         basis = field.subfield_basis(self.entry_degree(n))
-        return [_flat_matrix(field, 2, (one, b, zero, one)) for b in basis]
+        return [(one, b, zero, one) for b in basis]
 
 
-def _norm_matrix(field: AmbientField, a: Coeffs, b: Coeffs) -> Matrix:
-    return _flat_matrix(field, 2, (a, field.neg(b), b, field.sub(a, b)))
+def _norm_matrix(field: AmbientField, a: Coeffs, b: Coeffs) -> Flat:
+    return (a, field.neg(b), b, field.sub(a, b))
 
 
-def _cover_matrix(field: AmbientField, a: Coeffs, b: Coeffs, c: Coeffs) -> Matrix:
+def _cover_matrix(field: AmbientField, a: Coeffs, b: Coeffs, c: Coeffs) -> Flat:
     """The norm-torus cover point diag(M(a, b), c)."""
     zero = field.zero
-    return _flat_matrix(field, 3, (a, field.neg(b), zero,
-                                   b, field.sub(a, b), zero,
-                                   zero, zero, c))
+    return (a, field.neg(b), zero,
+            b, field.sub(a, b), zero,
+            zero, zero, c)
 
 
 def _norm_det(field: AmbientField, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -483,12 +499,25 @@ def _cube_root_of_unity(field: AmbientField) -> Coeffs:
 
 
 def _norm_from_eigenvalues(field: AmbientField, u: Coeffs, v: Coeffs,
-                           xi: Coeffs) -> Matrix:
+                           xi: Coeffs) -> Flat:
     """The norm-torus matrix with eigenvalues a + xi*b = u and a + xi^2*b = v."""
     xi2 = field.mul(xi, xi)
     b = field.mul(field.sub(u, v), field.inv(field.sub(xi, xi2)))
     a = field.sub(u, field.mul(xi, b))
     return _norm_matrix(field, a, b)
+
+
+def _norm_zeros(field: AmbientField, d: int) -> list[Coeffs]:
+    """The roots rho of t^2 - t + 1 in the subfield F_{p^d}: a^2 - ab + b^2,
+    for a != 0, vanishes exactly at b = a rho, since it is a^2 (t^2 - t + 1)
+    at t = b / a, and at a = 0 only for b = 0.  Outside characteristic 3
+    the roots are -xi and -xi^2 for a primitive cube root of unity xi, in
+    F_{p^d} exactly when 3 divides p^d - 1; in characteristic 3 the form is
+    (a + b)^2 and -1 is its double root."""
+    if field.p != 3 and (field.p**d - 1) % 3:
+        return []
+    xi = _cube_root_of_unity(field)
+    return sorted({field.neg(xi), field.neg(field.mul(xi, xi))})
 
 
 class NormTorusSpec(GroupSpec):
@@ -506,19 +535,25 @@ class NormTorusSpec(GroupSpec):
     def __init__(self, p: int, e: int = 1):
         super().__init__(2, p, e)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        a, mb, b, amb = mat.flat
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        a, mb, b, amb = mat
         return mb == field.neg(b) and amb == field.sub(a, b) \
             and any(_norm_det(field, a, b))
 
-    def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
-        sub = field.enumerate_subfield(self.entry_degree(n))
+    def scan_points(self, field: AmbientField, n: int) -> Iterator[Flat]:
+        """Every pair (a, b) of the entry subfield, a outer and b inner,
+        except the zero set of a^2 - ab + b^2 (`_norm_zeros`)."""
+        d = self.entry_degree(n)
+        sub = field.enumerate_subfield(d)
+        negs = [field.neg(b) for b in sub]
+        rhos = _norm_zeros(field, d)
         for a in sub:
-            for b in sub:
-                if any(_norm_det(field, a, b)):
-                    yield _norm_matrix(field, a, b)
+            zeros = {field.mul(a, rho) for rho in rhos} if any(a) else {a}
+            for b, nb in zip(sub, negs):
+                if b not in zeros:
+                    yield (a, nb, b, field.sub(a, b))
 
-    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Matrix]]:
+    def point_generators(self, field: AmbientField, n: int) -> Optional[list[Flat]]:
         d = self.entry_degree(n)
         p = field.p
         if p == 3:
@@ -559,8 +594,8 @@ class NormTorusCoverSpec(GroupSpec):
     def __init__(self, p: int, e: int = 1):
         super().__init__(3, p, e)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        a, mb, z02, b, amb, z12, z20, z21, c = mat.flat
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        a, mb, z02, b, amb, z12, z20, z21, c = mat
         zero = field.zero
         shape_ok = (mb == field.neg(b) and amb == field.sub(a, b)
                     and z02 == zero and z12 == zero
@@ -568,25 +603,30 @@ class NormTorusCoverSpec(GroupSpec):
         det = _norm_det(field, a, b)
         return shape_ok and any(det) and field.mul(c, c) == det
 
-    def scan_points(self, field: AmbientField, n: int) -> Iterator[Matrix]:
-        d = self.entry_degree(n)
-        sub = field.enumerate_subfield(d)
+    def scan_points(self, field: AmbientField, n: int) -> Iterator[Flat]:
+        """Every (a, b, c) of the entry subfield with c^2 = a^2 - ab + b^2
+        != 0, a outer, then b, then c; squares and negatives are looked up."""
+        sub = field.enumerate_subfield(self.entry_degree(n))
+        squares = [field.mul(c, c) for c in sub]
+        negs = [field.neg(b) for b in sub]
         roots: dict[Coeffs, list[Coeffs]] = {}
-        for c in sub:
-            roots.setdefault(field.mul(c, c), []).append(c)
-        for a in sub:
-            for b in sub:
-                det = _norm_det(field, a, b)
+        for c, c2 in zip(sub, squares):
+            roots.setdefault(c2, []).append(c)
+        zero = field.zero
+        for a, a2 in zip(sub, squares):
+            for b, b2, nb in zip(sub, squares, negs):
+                det = field.add(field.sub(a2, field.mul(a, b)), b2)
                 if any(det):
+                    amb = field.sub(a, b)
                     for c in roots.get(det, ()):
-                        yield _cover_matrix(field, a, b, c)
+                        yield (a, nb, zero, b, amb, zero, zero, zero, c)
 
 
-def _with_entry(field: AmbientField, m: int, i: int, j: int, x: Coeffs) -> Matrix:
+def _with_entry(field: AmbientField, m: int, i: int, j: int, x: Coeffs) -> Flat:
     """The m x m identity matrix with entry (i, j) replaced by x."""
-    flat = list(Matrix.identity(field, m).flat)
+    flat = list(mat_identity(field, m))
     flat[i * m + j] = x
-    return _flat_matrix(field, m, tuple(flat))
+    return tuple(flat)
 
 
 class SLSpec(GroupSpec):
@@ -595,10 +635,10 @@ class SLSpec(GroupSpec):
     tag = "SL"
     strategy = "closure"
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        return mat.det() == field.one
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        return mat_det(field, mat) == field.one
 
-    def generators(self, field: AmbientField, n: int) -> list[Matrix]:
+    def generators(self, field: AmbientField, n: int) -> list[Flat]:
         # E_ij(b) over an F_p-basis b of the entry subfield generates SL_m
         basis, m = field.subfield_basis(self.entry_degree(n)), self.m
         return [_with_entry(field, m, i, j, b)
@@ -611,15 +651,21 @@ class GLSpec(SLSpec):
     tag = "GL"
     strategy = "closure"
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        return any(mat.det())
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        return any(mat_det(field, mat))
 
-    def generators(self, field: AmbientField, n: int) -> list[Matrix]:
+    def generators(self, field: AmbientField, n: int) -> list[Flat]:
         d = self.entry_degree(n)
         gens = [] if self.m == 1 else SLSpec.generators(self, field, n)
         if field.p**d > 2:
             gens.append(_with_entry(field, self.m, 0, 0, subfield_generator(field, d)))
         return gens
+
+
+def _preserves_form(field: AmbientField, mat: Flat, form: Flat) -> bool:
+    """mat^T form mat == form."""
+    mul = field.mat_mul
+    return mul(mul(mat_transpose(mat), form), mat) == form
 
 
 class SpSpec(GroupSpec):
@@ -633,17 +679,16 @@ class SpSpec(GroupSpec):
             raise ValueError("symplectic groups need even dimension")
         super().__init__(m, p, e)
 
-    def _form(self, field: AmbientField) -> Matrix:
+    def _form(self, field: AmbientField) -> Flat:
         m, h = self.m, self.m // 2
         flat = [field.zero] * (m * m)
         for i in range(h):
             flat[i * m + h + i] = field.one
             flat[(h + i) * m + i] = field.neg(field.one)
-        return _flat_matrix(field, m, tuple(flat))
+        return tuple(flat)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        j = self._form(field)
-        return (mat.transpose() * j * mat) == j
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        return _preserves_form(field, mat, self._form(field))
 
 
 class SOSpec(GroupSpec):
@@ -652,16 +697,16 @@ class SOSpec(GroupSpec):
     tag = "SO"
     strategy = "scan"
 
-    def _form(self, field: AmbientField) -> Matrix:
+    def _form(self, field: AmbientField) -> Flat:
         m = self.m
         flat = [field.zero] * (m * m)
         for i in range(m):
             flat[i * m + m - 1 - i] = field.one
-        return _flat_matrix(field, m, tuple(flat))
+        return tuple(flat)
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        q = self._form(field)
-        return (mat.transpose() * q * mat) == q and mat.det() == field.one
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        return _preserves_form(field, mat, self._form(field)) \
+            and mat_det(field, mat) == field.one
 
 
 class SUSpec(GroupSpec):
@@ -678,9 +723,10 @@ class SUSpec(GroupSpec):
     def entry_degree(self, n: int) -> int:
         return 2 * self.e * n
 
-    def predicate(self, mat: Matrix, field: AmbientField, n: int) -> bool:
-        conj = mat.frobenius(self.frobenius_exponent(n)).transpose()
-        return (conj * mat).is_identity() and mat.det() == field.one
+    def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
+        conj = mat_transpose(mat_frobenius(field, mat, self.frobenius_exponent(n)))
+        return field.mat_mul(conj, mat) == mat_identity(field, self.m) \
+            and mat_det(field, mat) == field.one
 
 
 def builtin_specs() -> dict[str, Callable[..., GroupSpec]]:
@@ -713,32 +759,34 @@ def make_spec(name: str, p: int, e: int = 1, m: int = 2) -> GroupSpec:
 
 
 def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
-                       scan_limit: int) -> Iterator[Matrix]:
+                       scan_limit: int) -> Iterator[Flat]:
     """The members of spec with level-n entries, from all len(sub)^(m^2)
-    matrices over the entry subfield; raises EnumerationBound past
-    scan_limit."""
+    matrices over the entry subfield, each once; raises EnumerationBound
+    past scan_limit."""
     d = spec.entry_degree(n)
     sub = field.enumerate_subfield(d)
     if len(sub) ** (spec.m**2) > scan_limit:
         raise EnumerationBound(
             f"full scan of {len(sub)}^{spec.m**2} matrices exceeds bound {scan_limit}")
     for combo in itertools.product(sub, repeat=spec.m**2):
-        mat = _flat_matrix(field, spec.m, combo)
-        if spec.predicate(mat, field, n):
-            yield mat
+        if spec.predicate(combo, field, n):
+            yield combo
 
 
 def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
                     order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """Enumerate the group of level-n rational points of a spec.
 
-    The ambient field must contain the entry subfield.  The returned group is
-    canonical: element ids depend only on (spec, n, ambient degree).  Other
-    than a "closure" spec (`from_generators`), the spec's declared point
+    The ambient field must contain the entry subfield.  The returned group
+    holds flat entry tuples, multiplied by `ambient.mat_mul` and inverted by
+    `mat_inv`, and records `ambient` as `meta["field"]`.  It is canonical:
+    element ids depend only on (spec, n, ambient degree).  Other than a
+    "closure" spec (`from_generators`), the spec's declared point
     generators, each checked to be a point, become its `gens_hint`; only
     `census._bfs_program` proves that they generate.  `spec.strategy` picks
-    the enumeration; more than order_bound points raise EnumerationBound,
-    and so does a "scan" spec whose full scan would pass
+    the enumeration, whose points are distinct by construction (a duplicate
+    raises in `FiniteGroup`); more than order_bound points raise
+    EnumerationBound, and so does a "scan" spec whose full scan would pass
     DEFAULT_MATRIX_SCAN_LIMIT matrices.
     """
     if n < 1:
@@ -749,25 +797,25 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     if ambient.degree % d:
         raise ValueError(
             f"subfield of degree {d} unavailable in ambient of degree {ambient.degree}")
-    identity = Matrix.identity(ambient, spec.m)
+    identity = mat_identity(ambient, spec.m)
     if not spec.predicate(identity, ambient, n):
         raise ValueError(f"identity fails membership predicate of {spec!r}")
+    meta = {"spec": spec, "n": n, "q": spec.q, "field": ambient}
+    inv = partial(mat_inv, ambient)
     if spec.strategy == "parametrized":
-        elems = set(spec.scan_points(ambient, n))
+        elems = list(spec.scan_points(ambient, n))
     elif spec.strategy == "closure":
-        return from_generators(spec.generators(ambient, n), Matrix.__mul__,
-                               identity, inv=Matrix.inv, bound=order_bound,
-                               label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})",
-                               meta={"spec": spec, "n": n, "q": spec.q})
+        return from_generators(spec.generators(ambient, n), ambient.mat_mul,
+                               identity, inv=inv, bound=order_bound,
+                               label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})", meta=meta)
     elif spec.strategy == "scan":
-        elems = set(_scan_all_matrices(spec, ambient, n, DEFAULT_MATRIX_SCAN_LIMIT))
+        elems = list(_scan_all_matrices(spec, ambient, n, DEFAULT_MATRIX_SCAN_LIMIT))
     else:
         raise ValueError(f"unknown strategy {spec.strategy!r}")
     if len(elems) > order_bound:
         raise EnumerationBound(
             f"group order {len(elems)} exceeds bound {order_bound}")
     tag = f"{spec.tag}{spec.m if spec.m > 1 and spec.tag not in ('Ga', 'NormTorus', 'NormTorusCover') else ''}"
-    return FiniteGroup(elems, Matrix.__mul__, identity, inv=Matrix.inv,
-                       label=f"{tag}(F_{spec.q}^{n})",
-                       meta={"spec": spec, "n": n, "q": spec.q},
+    return FiniteGroup(elems, ambient.mat_mul, identity, inv=inv,
+                       label=f"{tag}(F_{spec.q}^{n})", meta=meta,
                        gens_hint=spec.point_generators(ambient, n))

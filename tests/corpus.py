@@ -21,7 +21,7 @@ def _dihedral_like(p):
     """Torus normalizer <diag(g, g^-1), antidiag(1, 1)> in GL_2(F_p)."""
     field = make_field(p, 1)
     gm = rational_points(GmSpec(p), 1, field)
-    gamma = gm.elements[gm.gens_hint[0]].flat[0]
+    gamma = gm.elements[gm.gens_hint[0]][0]
     diag = Matrix.from_entries(field, ((gamma, field.zero),
                                        (field.zero, field.inv(gamma))))
     flip = Matrix.from_entries(field, ((field.zero, field.one),

@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -16,7 +17,8 @@ from isocensus.census import (CensusBoundExceeded, SubgroupHandle, center,
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GmSpec,
                                 Matrix, NormTorusSpec, SLSpec, cayley_walk,
-                                direct_product, from_generators, rational_points)
+                                direct_product, from_generators, mat_det, mat_inv,
+                                rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -176,7 +178,7 @@ def _random_matrix_group(rng):
             rows = tuple(tuple(field.from_int(rng.randrange(field.p))
                                for _ in range(2)) for _ in range(2))
             m = Matrix(field, rows)
-            if any(m.det()):
+            if any(mat_det(field, m.flat)):
                 gens.append(m)
         try:
             return from_generators(gens, Matrix.__mul__,
@@ -257,15 +259,18 @@ def test_oracle_multiplies_at_most_log2_n_columns(monkeypatch):
     for group in groups:
         products = 0
 
-        def counting(i, j, _mult=group.mult):
+        def counting(x, y, _op=group.op):
             nonlocal products
             products += 1
-            return _mult(i, j)
+            return _op(x, y)
 
-        monkeypatch.setattr(group, "mult", counting)
+        monkeypatch.setattr(group, "op", counting)
+        cached = len(group._mult_cache)
         subgroup_lattice_oracle(group)
         n = len(group)
         assert products <= n * (n.bit_length() - 1), group
+        # its columns are its own: none of its products is cached
+        assert len(group._mult_cache) == cached, group
 
 
 def test_oracle_on_s3():
@@ -515,7 +520,8 @@ def test_is_subgroup_and_subgroup_as_group():
     ids = index_k_subgroups(SL2F3, 3)[0].ids
     assert is_subgroup(SL2F3, ids)
     assert not is_subgroup(SL2F3, ids[1:])
-    q8 = from_generators([SL2F3.elements[i] for i in ids], Matrix.__mul__,
-                         SL2F3.identity, inv=Matrix.inv)
+    field = SL2F3.meta["field"]
+    q8 = from_generators([SL2F3.elements[i] for i in ids], field.mat_mul,
+                         SL2F3.identity, inv=partial(mat_inv, field))
     assert len(q8) == 8
     assert invariant_factors_abelian(quotient_group(q8, center(q8))[0]) == [2, 2]

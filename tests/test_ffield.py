@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from math import isqrt
 
 import pytest
 
@@ -324,8 +325,8 @@ def test_tables_reject_tuples_outside_the_field():
 
 def test_table_build_rejects_a_non_primitive_element(monkeypatch):
     # an element of order 5 in F_16^* reaches 5 of the 15 units
-    monkeypatch.setattr(ffield, "subfield_generator",
-                        lambda field, d: field.pow(field.element_of((0, 1)), 3))
+    monkeypatch.setattr(ffield, "_least_primitive",
+                        lambda field: field.pow(field.element_of((0, 1)), 3))
     with pytest.raises(VerificationError):
         make_field(2, 4)
 
@@ -368,8 +369,9 @@ def test_check_on_extracted_root_fires(monkeypatch):
         kth_root(field, x, 4)
 
 
+# F_{2^8}, F_{2^9}, F_{3^4} and F_{5^4} walk a primitive element of degree 2
 @pytest.mark.parametrize("p,degree", [(5, 5), (7, 4), (3, 7), (13, 3), (89, 2),
-                                      (2, 10)])
+                                      (2, 10), (2, 8), (2, 9), (3, 4), (5, 4)])
 def test_tables_match_polynomial_path_on_seeded_elements(monkeypatch, p, degree):
     field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
     assert field._log is not None and ref._log is None
@@ -611,3 +613,60 @@ def test_mat_mul_matches_schoolbook_reference(p, degree):
             a, b = pairs[-1]
             u = b[0][0]
             assert field.mat_mul(flat(a), flat(b))[0] == (field.zero if m == 2 else u)
+
+
+def right_to_left_power(field, a, e):
+    """a^e by squaring from the lowest bit, with `mat_mul` only: a second
+    algorithm against the leading-bit powering of `mat_pow`."""
+    size = len(a)
+    result = tuple(field.one if i % (isqrt(size) + 1) == 0 else field.zero
+                   for i in range(size))
+    while e:
+        if e & 1:
+            result = field.mat_mul(result, a)
+        a = field.mat_mul(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,degree", [(7, 2), (17, 1), (97, 2)])
+def test_mat_pow_matches_repeated_mat_mul(p, degree):
+    # a tabled field, a prime field and F_{97^2} past the table limit
+    field = make_field(p, degree)
+    assert (field._log is not None) == (degree > 1 and p < 97)
+    rng = random.Random(p * 100 + degree)
+    big = 10**9 + 7
+    for m in (1, 2, 3):
+        mats = [flat(random_matrix(field, rng, m)) for _ in range(12)]
+        zero_row = (field.zero,) * m
+        # singular: a zero row, two equal rows; and the all-zero matrix
+        mats.append(zero_row + mats[0][m:])
+        mats.append(mats[1][:m] * m)
+        mats.append(zero_row * m)
+        for a in mats:
+            want = a
+            for e in range(1, 41):
+                assert field.mat_pow(a, e) == want, (m, a, e)
+                want = field.mat_mul(want, a)
+            assert field.mat_pow(a, big) == right_to_left_power(field, a, big)
+        for e in (0, -2):
+            with pytest.raises(ValueError, match="positive exponent"):
+                field.mat_pow(mats[0], e)
+
+
+def test_table_walk_generator_has_least_degree(monkeypatch):
+    # x + c on every tabled field but four, whose least monic primitive
+    # element has degree 2
+    limit = ffield.TABLE_COEFF_LIMIT
+    quadratic = {}
+    for p in (q for q in range(2, limit) if is_prime(q) and q * q * 2 <= limit):
+        degree = 2
+        while p**degree * degree <= limit:
+            field = polynomial_field(monkeypatch, p, degree)
+            g = ffield._least_primitive(field)
+            s = max(i for i, c in enumerate(g) if c)
+            assert g[s] == 1 and field.mult_order(g) == field.order - 1
+            if s > 1:
+                quadratic[p, degree] = s
+            degree += 1
+    assert quadratic == {(2, 8): 2, (2, 9): 2, (3, 4): 2, (5, 4): 2}

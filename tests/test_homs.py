@@ -11,7 +11,8 @@ import pytest
 from isocensus import census, homs
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
-                                NormTorusSpec, SLSpec, rational_points)
+                                NormTorusSpec, SLSpec, mat_identity, mat_inv,
+                                rational_points)
 
 
 def _cokernel(iso, n, amb, codomain=None):
@@ -33,7 +34,7 @@ def test_kernel_of_squaring_on_gm():
     amb = make_field(3, 2)
     group, level = homs.kernel_points(homs.PowerIsogeny(GmSpec(3), 2), amb)
     assert len(group) == 2 and level == 1
-    elems = {g.flat[0] for g in group.elements}
+    elems = {g[0] for g in group.elements}
     assert elems == {amb.one, amb.neg(amb.one)}
 
 
@@ -82,7 +83,7 @@ def test_kernel_centrality_in_domain():
         domain = rational_points(domain_spec, 1, amb)
         for a in kernel.elements:
             for g in domain.elements:  # groups are small: check every element
-                assert a * g == g * a
+                assert amb.mat_mul(a, g) == amb.mat_mul(g, a)
 
 
 @pytest.mark.parametrize("k,q,n,expected", [
@@ -116,11 +117,11 @@ def test_lang_map_examples():
     amb = make_field(2, 2)
     group = rational_points(GmSpec(2), 1, amb)
     for g in group.elements:  # rational points map to the identity
-        assert homs.lang_map(g, 2, 1).is_identity()
-    gen = Matrix(amb, (((0, 1),),))  # generator of F_4*: lang(y) = y
-    assert homs.lang_map(gen, 2, 1) == gen
+        assert homs.lang_map(amb, g, 2, 1) == mat_identity(amb, 1)
+    gen = ((0, 1),)  # generator of F_4*: lang(y) = y
+    assert homs.lang_map(amb, gen, 2, 1) == gen
     with pytest.raises(ValueError):
-        homs.lang_map(gen, 3, 1)
+        homs.lang_map(amb, gen, 3, 1)
 
 
 def test_lang_preserves_kernel():
@@ -128,7 +129,7 @@ def test_lang_preserves_kernel():
     iso = homs.PowerIsogeny(GmSpec(2), 5)
     kernel, _ = homs.kernel_points(iso, amb)
     for a in kernel.elements:
-        assert homs.lang_map(a, 2, 1) in kernel.index
+        assert homs.lang_map(amb, a, 2, 1) in kernel.index
 
 
 def test_cokernel_of_squaring_q5():
@@ -217,50 +218,56 @@ def test_section_degree_plans():
 
 @pytest.mark.parametrize("p,degree", [(7, 1), (3, 2)])
 def test_matrix_pow_matches_repeated_products(p, degree):
+    # PowerIsogeny.apply is `mat_pow`; a power of the inverse is the
+    # inverse's power
     amb = make_field(p, degree)
     x = amb.element_of((2, 1)[:degree])
     one, zero = amb.one, amb.zero
-    mats = [Matrix(amb, ((x,),)),
-            Matrix(amb, ((x, one), (zero, amb.add(x, one)))),
-            Matrix(amb, ((one, one), (zero, one)))]
+    mats = [(x,), (x, one, zero, amb.add(x, one)), (one, one, zero, one)]
     for mat in mats:
-        for base, sign in ((mat, 1), (mat.inv(), -1)):
-            want = Matrix.identity(amb, mat.m)
-            for k in range(10):
-                if -3 <= sign * k <= 9:
-                    assert homs._matrix_pow(mat, sign * k) == want
-                want = want * base
+        for base in (mat, mat_inv(amb, mat)):
+            want = base
+            for k in range(1, 10):
+                assert amb.mat_pow(base, k) == want
+                want = amb.mat_mul(want, base)
+        assert homs.PowerIsogeny(GmSpec(p, degree) if len(mat) == 1 else
+                                 NormTorusSpec(p, degree), 5).apply(amb, mat) == \
+            amb.mat_pow(mat, 5)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="positive exponent"):
+            amb.mat_pow(mats[1], k)
 
 
 @pytest.mark.parametrize("p,degree", [(7, 1), (5, 5), (7, 4), (7, 5)])
 def test_matrix_pow_of_1x1_is_one_field_pow(monkeypatch, p, degree):
     # prime field, two tabled fields and one on the polynomial path
     amb = make_field(p, degree)
-    mat = Matrix(amb, ((amb.element_of((3, 1, 4, 1, 5)[:degree]),),))
-    inv = mat.inv()
-    want = {0: Matrix.identity(amb, 1)}
+    mat = (amb.element_of((3, 1, 4, 1, 5)[:degree]),)
+    inv = mat_inv(amb, mat)
+    want = {0: mat_identity(amb, 1)}
     for k in range(1, 10):
-        want[k] = want[k - 1] * mat
+        want[k] = amb.mat_mul(want[k - 1], mat)
     for k in range(1, 4):
-        want[-k] = want[1 - k] * inv
-    monkeypatch.setattr(Matrix, "__mul__", None)  # no matrix product is taken
+        want[-k] = amb.mat_mul(want[1 - k], inv)
+    monkeypatch.setattr(type(amb), "mat_mul", None)  # no matrix product is taken
     for e in range(-3, 10):
-        assert homs._matrix_pow(mat, e) == want[e]
+        if e:
+            assert amb.mat_pow(mat if e > 0 else inv, abs(e)) == want[e]
 
 
 @pytest.mark.parametrize("k,products", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
 def test_matrix_pow_spends_no_extra_products(monkeypatch, k, products):
     amb = make_field(5, 1)
-    mat = Matrix(amb, ((amb.from_int(2), amb.one), (amb.zero, amb.from_int(3))))
+    mat = (amb.from_int(2), amb.one, amb.zero, amb.from_int(3))
     calls = []
-    mul = Matrix.__mul__
+    mul = type(amb).mat_mul
 
-    def counted(a, b):
+    def counted(self, a, b):
         calls.append(1)
-        return mul(a, b)
+        return mul(self, a, b)
 
-    monkeypatch.setattr(Matrix, "__mul__", counted)
-    homs._matrix_pow(mat, k)
+    monkeypatch.setattr(type(amb), "mat_mul", counted)
+    amb.mat_pow(mat, k)
     assert len(calls) == products
 
 
@@ -337,19 +344,20 @@ def _reach_by_preimage_group(iso, data, h_ids, n, amb):
     kernel = data.kernel_group
 
     def lang_class(y):
-        return data.kernel_proj[kernel.index[homs.lang_map(y, iso.q, n)]]
+        return data.kernel_proj[kernel.index[homs.lang_map(amb, y, iso.q, n)]]
 
+    mul = amb.mat_mul
     kbar = {lang_class(data.sections[h]) for h in h_ids}
     k_mats = {a for i, a in enumerate(kernel.elements) if data.kernel_proj[i] in kbar}
-    y_elems = {y0 * a for y0 in data.sections for a in kernel.elements
-               if homs.lang_map(y0 * a, iso.q, n) in k_mats}
-    y_group = FiniteGroup(y_elems, Matrix.__mul__,
-                          Matrix.identity(amb, iso.domain_spec.m), inv=Matrix.inv)
+    y_elems = {mul(y0, a) for y0 in data.sections for a in kernel.elements
+               if homs.lang_map(amb, mul(y0, a), iso.q, n) in k_mats}
+    y_group = FiniteGroup(y_elems, mul, mat_identity(amb, iso.domain_spec.m),
+                          inv=lambda y: mat_inv(amb, y))
     k_ids = [y_group.index[a] for a in k_mats]
     assert census.is_subgroup(y_group, k_ids)
     assert all(y_group.mult(k, y) == y_group.mult(y, k)
                for k in k_ids for y in range(len(y_group)))
-    reached = {data.codomain.index[iso.apply(y)] for y in y_group.elements}
+    reached = {data.codomain.index[iso.apply(amb, y)] for y in y_group.elements}
     return len(k_mats), reached == set(h_ids)
 
 
@@ -403,7 +411,8 @@ def test_reached_by_rejects_a_wrong_non_generator_section(monkeypatch):
         reps = {data.codomain.index[r] for r in data.quotient.elements}
         x = next(x for x in range(len(data.codomain))
                  if x not in reps and x not in data.section_gens)
-        data.sections[x] = data.sections[x] * data.sections[data.section_gens[0]]
+        data.sections[x] = data.codomain.meta["field"].mat_mul(
+            data.sections[x], data.sections[data.section_gens[0]])
 
     with pytest.raises(VerificationError, match="section is not a preimage"):
         _mutated_reached_by(monkeypatch, mutate)
@@ -424,7 +433,7 @@ class _WrongKernel(homs.PowerIsogeny):
 
     def kernel_matrices(self, ambient):
         one = super().kernel_matrices(ambient)[0]
-        return [one, Matrix(ambient, ((ambient.from_int(2),),))]
+        return [one, (ambient.from_int(2),)]
 
 
 def test_kernel_points_reject_a_point_outside_the_kernel():
@@ -448,7 +457,7 @@ def test_section_over_rejects_a_wrong_root(monkeypatch):
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     x = next(g for g in rational_points(NormTorusSpec(7), 1, amb).elements
-             if not g.is_identity())
+             if g != mat_identity(amb, 2))
     monkeypatch.setattr(homs, "kth_root", lambda field, a, k: a)
     with pytest.raises(VerificationError,
                        match="pow:2: extracted section is not a preimage"):
@@ -458,8 +467,8 @@ def test_section_over_rejects_a_wrong_root(monkeypatch):
 def test_image_values_reject_a_point_outside_the_codomain():
     iso = homs.PowerIsogeny(GmSpec(5), 2)
     amb = make_field(5, 1)
-    one = Matrix.identity(amb, 1)
-    trivial = FiniteGroup([one], Matrix.__mul__, one, inv=Matrix.inv)
+    one = mat_identity(amb, 1)
+    trivial = FiniteGroup([one], amb.mat_mul, one, inv=lambda y: mat_inv(amb, y))
     with pytest.raises(VerificationError, match="pow:2 maps a rational point "
                        "outside the codomain point group"):
         homs.image(iso, 1, amb, codomain=trivial,
@@ -477,8 +486,8 @@ def _section_table_inputs():
 def test_section_table_rejects_a_lang_value_outside_the_kernel():
     # lang(sqrt(2)) = 2^2 = -1, which the trivial group lacks
     iso, amb, codomain, _ = _section_table_inputs()
-    one = Matrix.identity(amb, 1)
-    trivial = FiniteGroup([one], Matrix.__mul__, one, inv=Matrix.inv)
+    one = mat_identity(amb, 1)
+    trivial = FiniteGroup([one], amb.mat_mul, one, inv=lambda y: mat_inv(amb, y))
     with pytest.raises(VerificationError,
                        match="lang value of a section must lie in the kernel"):
         homs._section_table(iso, 1, amb, codomain, trivial, 0)
@@ -488,10 +497,9 @@ def test_section_table_rejects_a_kernel_element_off_the_centralizer():
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     kernel, _ = homs.kernel_points(iso, amb)
-    generic = Matrix(amb, tuple(tuple(amb.from_int(c) for c in row)
-                                for row in ((1, 2), (3, 5))))
-    padded = FiniteGroup([*kernel.elements, generic], Matrix.__mul__,
-                         kernel.identity, inv=Matrix.inv)
+    generic = Matrix.from_entries(amb, ((1, 2), (3, 5))).flat
+    padded = FiniteGroup([*kernel.elements, generic], amb.mat_mul,
+                         kernel.identity, inv=lambda y: mat_inv(amb, y))
     codomain = rational_points(NormTorusSpec(7), 1, amb)
     with pytest.raises(VerificationError,
                        match="a kernel element does not commute with a section"):
@@ -501,7 +509,7 @@ def test_section_table_rejects_a_kernel_element_off_the_centralizer():
 def test_cokernel_rejects_unequal_invariants(monkeypatch):
     # with lang the identity map, lang(ker) is all of mu_4: ker/lang(ker)
     # is trivial, while F_3^* / (F_3^*)^4 has order 2
-    monkeypatch.setattr(homs, "lang_map", lambda y, q, n: y)
+    monkeypatch.setattr(homs, "lang_map", lambda field, y, q, n: y)
     with pytest.raises(VerificationError, match=r"cokernel invariants \[2\] "
                        r"differ from kernel-side invariants \[\]"):
         iso, amb = homs.PowerIsogeny(GmSpec(3), 4), make_field(3, 2)
@@ -512,12 +520,12 @@ def test_cokernel_rejects_a_wrong_coset_rep_section(monkeypatch):
     iso, amb, codomain, _ = _section_table_inputs()
     quotient, _ = census.quotient_group(
         codomain, homs.image(iso, 1, amb, codomain=codomain).ids, check=False)
-    rep = next(x for x in quotient.elements if not x.is_identity())
+    rep = next(x for x in quotient.elements if x != codomain.identity)
     real = homs._section_table
 
     def corrupted(*args):
         sections, lang_ids, gens = real(*args)
-        sections[codomain.index[rep]] = Matrix.identity(amb, 1)
+        sections[codomain.index[rep]] = mat_identity(amb, 1)
         return sections, lang_ids, gens
 
     monkeypatch.setattr(homs, "_section_table", corrupted)
@@ -666,11 +674,13 @@ def test_isogenies_are_multiplicative_on_random_pairs():
     ]
     rng = random.Random(4)
     for iso, domain in cases:
-        assert iso.apply(domain.identity).is_identity()
+        amb = domain.meta["field"]
+        mul = amb.mat_mul
+        assert iso.apply(amb, domain.identity) == mat_identity(amb, iso.codomain_spec.m)
         for _ in range(60):
             g = domain.elements[rng.randrange(len(domain))]
             h = domain.elements[rng.randrange(len(domain))]
-            assert iso.apply(g * h) == iso.apply(g) * iso.apply(h)
+            assert iso.apply(amb, mul(g, h)) == mul(iso.apply(amb, g), iso.apply(amb, h))
 
 
 def test_mu_sampled_verification_above_small_cells():

@@ -14,8 +14,9 @@ from isocensus.ffield import AmbientField, VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
                                 GmSpec, Matrix, NormTorusCoverSpec, NormTorusSpec,
                                 SLSpec, SOSpec, SpSpec, SUSpec, builtin_specs,
-                                direct_product, element_sort_key, from_generators,
-                                make_spec, rational_points)
+                                direct_product, from_generators,
+                                make_spec, mat_det, mat_frobenius, mat_identity,
+                                mat_inv, mat_rows, rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -89,7 +90,7 @@ def test_orders_match_closed_formulas(tag, q, n, m):
 def test_strategy_agreement_with_full_scan(spec, field, n):
     by_strategy = rational_points(spec, n, field)
     by_scan = matgroup._scan_all_matrices(spec, field, n, 2**21)
-    assert by_strategy.elements == tuple(sorted(by_scan, key=element_sort_key))
+    assert by_strategy.elements == tuple(sorted(by_scan))
 
 
 def test_sp4_full_scan_order():
@@ -122,7 +123,7 @@ def test_closure_audit_random_pairs(spec, field, n):
     for _ in range(1000):
         g = group.elements[rng.randrange(len(group))]
         h = group.elements[rng.randrange(len(group))]
-        assert g * h.inv() in table
+        assert field.mat_mul(g, mat_inv(field, h)) in table
 
 
 def test_lagrange_on_samples():
@@ -160,9 +161,13 @@ def test_from_entries_maps_ints_and_checks_tuples():
 
 
 def _nested_sort_key(x):
-    """`element_sort_key` as it was on tuples of rows."""
+    """The order of nested rows, for matrices and for flats (a tuple of
+    coefficient tuples)."""
     if isinstance(x, Matrix):
         return x.rows()
+    if isinstance(x, tuple) and x and isinstance(x[0], tuple) \
+            and x[0] and isinstance(x[0][0], int):
+        return mat_rows(x)
     if isinstance(x, tuple):
         return tuple(_nested_sort_key(c) for c in x)
     return x
@@ -176,8 +181,12 @@ def test_flat_sort_key_gives_the_ids_of_nested_rows():
         direct_product(cover, cover)]
     for group in groups:
         assert sorted(group.elements, key=_nested_sort_key) == list(group.elements)
-        assert sorted(reversed(group.elements), key=element_sort_key) == \
-            list(group.elements)
+        assert sorted(reversed(group.elements)) == list(group.elements)
+        if "field" in group.meta:
+            # flats sort as the matrices wrapping them
+            wrapped = [Matrix(group.meta["field"], mat_rows(x))
+                       for x in reversed(group.elements)]
+            assert [m.flat for m in sorted(wrapped)] == list(group.elements)
 
 
 def test_determinant_multiplicative_and_associativity():
@@ -188,37 +197,40 @@ def test_determinant_multiplicative_and_associativity():
         g = group.elements[rng.randrange(len(group))]
         h = group.elements[rng.randrange(len(group))]
         k = group.elements[rng.randrange(len(group))]
-        assert (g * h).det() == f.mul(g.det(), h.det())
-        assert (g * h) * k == g * (h * k)
+        mul = f.mat_mul
+        assert mat_det(f, mul(g, h)) == f.mul(mat_det(f, g), mat_det(f, h))
+        assert mul(mul(g, h), k) == mul(g, mul(h, k))
 
 
 def test_matrix_inverse_roundtrip():
     group = rational_points(SLSpec(2, 3, 2), 1, F9)
     rng = random.Random(3)
-    ident = Matrix.identity(F9, 2)
+    ident = mat_identity(F9, 2)
     for _ in range(25):
         g = group.elements[rng.randrange(len(group))]
-        assert g * g.inv() == ident
+        assert F9.mat_mul(g, mat_inv(F9, g)) == ident
+        assert Matrix(F9, mat_rows(g)) * Matrix(F9, mat_rows(g)).inv() == \
+            Matrix.identity(F9, 2)
 
 
 def test_frobenius_map_examples():
-    ident = Matrix.identity(F4, 2)
-    assert ident.frobenius(1) == ident
+    ident = mat_identity(F4, 2)
+    assert mat_frobenius(F4, ident, 1) == ident
     group = rational_points(SLSpec(2, 2), 2, F4)
     x = F4.element_of((0, 1))
-    g = Matrix.from_entries(F4, ((x, F4.one), (F4.one, F4.zero)))
+    g = Matrix.from_entries(F4, ((x, F4.one), (F4.one, F4.zero))).flat
     assert g in group.index
-    mapped = g.frobenius(1)
-    assert mapped.flat[0] == F4.mul(x, x)
+    mapped = mat_frobenius(F4, g, 1)
+    assert mapped[0] == F4.mul(x, x)
     # rational points are exactly the fixed points of their own Frobenius
     for h in group.elements:
-        assert h.frobenius(2) == h
+        assert mat_frobenius(F4, h, 2) == h
 
 
 def test_fixed_subgroup_of_extension():
     amb = make_field(2, 2)
     big = rational_points(SLSpec(2, 2), 2, amb)
-    small = {g for g in big.elements if g.frobenius(1) == g}
+    small = {g for g in big.elements if mat_frobenius(amb, g, 1) == g}
     assert len(small) == 6
     direct = rational_points(SLSpec(2, 2), 1, amb)
     assert small == set(direct.elements)
@@ -255,9 +267,9 @@ def test_from_generators_and_direct_product():
     # dihedral-like: torus normalizer in GL_2
     f = F7
     gm7 = rational_points(GmSpec(7), 1, F7)
-    gamma = gm7.elements[gm7.gens_hint[0]]
-    diag = Matrix.from_entries(f, ((gamma.flat[0], f.zero),
-                                   (f.zero, f.inv(gamma.flat[0]))))
+    (gamma,) = gm7.elements[gm7.gens_hint[0]]
+    diag = Matrix.from_entries(f, ((gamma, f.zero),
+                                   (f.zero, f.inv(gamma))))
     flip = Matrix.from_entries(f, ((f.zero, f.one), (f.one, f.zero)))
     dihedral = from_generators([diag, flip], Matrix.__mul__,
                                Matrix.identity(f, 2), inv=Matrix.inv)
@@ -310,7 +322,8 @@ def test_one_declared_generator_is_proved_on_first_use(monkeypatch, spec, field)
     assert set(group.bfs_programs) == {group.gens_hint}
     # a declared generator of order |G|/2 must not pass
     [gen] = spec.point_generators(field, 1)
-    _declaration_raises_on_first_use(monkeypatch, spec, field, [gen * gen])
+    _declaration_raises_on_first_use(monkeypatch, spec, field,
+                                     [field.mat_mul(gen, gen)])
 
 
 def test_several_declared_generators_are_proved_on_first_use(monkeypatch):
@@ -319,10 +332,10 @@ def test_several_declared_generators_are_proved_on_first_use(monkeypatch):
     assert len(group.gens_hint) == 2
     assert small_generating_set(group) == list(group.gens_hint)
     g, _ = spec.point_generators(F7, 1)
-    _declaration_raises_on_first_use(monkeypatch, spec, F7, [g, g * g])
+    _declaration_raises_on_first_use(monkeypatch, spec, F7, [g, F7.mat_mul(g, g)])
     # a declared generator must be a point
     one, zero = F7.one, F7.zero
-    shear = Matrix(F7, ((one, one), (zero, one)))
+    shear = (one, one, zero, one)
     monkeypatch.setattr(spec, "point_generators", lambda field, n: [g, shear])
     with pytest.raises(VerificationError, match="not an element"):
         rational_points(spec, 1, F7)
@@ -353,3 +366,40 @@ def test_norm_torus_generators_need_a_cube_root_of_unity(monkeypatch):
     with pytest.raises(VerificationError,
                        match="ambient field must contain cube roots of unity"):
         rational_points(NormTorusSpec(7), 1, F7)
+
+
+def _scan_by_predicate(field, d, cover):
+    """The norm-torus (or cover) scan as it was: every pair of the entry
+    subfield, a outer and b inner, kept where a^2 - ab + b^2 != 0, and for
+    the cover each square root c of it."""
+    sub = field.enumerate_subfield(d)
+    roots = {}
+    for c in sub:
+        roots.setdefault(field.mul(c, c), []).append(c)
+    zero, out = field.zero, []
+    for a in sub:
+        for b in sub:
+            det = field.add(field.sub(field.mul(a, a), field.mul(a, b)),
+                            field.mul(b, b))
+            if not any(det):
+                continue
+            if not cover:
+                out.append((a, field.neg(b), b, field.sub(a, b)))
+                continue
+            for c in roots.get(det, ()):
+                out.append((a, field.neg(b), zero, b, field.sub(a, b), zero,
+                            zero, zero, c))
+    return out
+
+
+@pytest.mark.parametrize("p,degree,n", [
+    (2, 1, 1), (2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 1, 1), (3, 2, 2),
+    (3, 3, 3), (7, 1, 1), (7, 2, 2), (5, 2, 2),
+    # levels below the ambient degree
+    (2, 4, 2), (2, 4, 1), (3, 2, 1), (5, 2, 1), (7, 2, 1)])
+def test_norm_torus_scans_skip_the_zero_set(p, degree, n):
+    field = make_field(p, degree)
+    for spec, cover in ((NormTorusSpec(p), False), (NormTorusCoverSpec(p), True)):
+        got = list(spec.scan_points(field, n))
+        assert got == _scan_by_predicate(field, n, cover), (spec, n)
+        assert len(set(got)) == len(got)
