@@ -32,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ffield import VerificationError, factorize
 from .matgroup import EnumerationBound, FiniteGroup, cayley_walk
@@ -77,21 +77,6 @@ class SubgroupHandle:
 
     def __repr__(self) -> str:
         return f"<subgroup of index {self.index} in {self.parent!r}>"
-
-
-def is_subgroup(group: FiniteGroup, ids: Iterable[int]) -> bool:
-    idset = set(ids)
-    if group.identity_id not in idset:
-        return False
-    return all(group.mult(a, group.inv(b)) in idset
-               for a in idset for b in idset)
-
-
-def is_normal(group: FiniteGroup, ids: Iterable[int]) -> bool:
-    """Normality via conjugation by a generating set of the parent."""
-    idset = set(ids)
-    return all(group.conjugate_id(g, h) in idset
-               for g in small_generating_set(group) for h in idset)
 
 
 # ---------------------------------------------------------------------------
@@ -374,39 +359,48 @@ def subgroup_lattice_oracle(group: FiniteGroup,
 # quotients, centers, abelian structure
 
 
-def quotient_group(group: FiniteGroup, normal_ids: Sequence[int], *,
-                   check: bool = True) -> tuple[FiniteGroup, list[int]]:
-    """Quotient by a normal subgroup, on minimal canonical coset reps.
+def quotient_group(group: FiniteGroup, normal_ids: Sequence[int]
+                   ) -> tuple[FiniteGroup, Callable[[object], int]]:
+    """Quotient by a normal subgroup N, a precondition that both program
+    callers meet (they quotient abelian groups), on the minimal coset reps.
 
-    Returns (quotient, projection) where projection[i] is the quotient id of
-    parent element i.
+    Returns (quotient, coset_of), coset_of(x) the quotient id of the parent
+    element x.  Walking the ids in order, x is the least element of a new
+    coset exactly when r^(-1) x lies outside N for every rep r so far, until
+    there are [G : N] reps; the quotient holds their elements, so its ids
+    keep the parent's order.  Membership is tested by `group.op` and
+    `group.index`, leaving the product cache as it was.  ValueError when
+    |N| does not divide |G|; VerificationError for an element in no coset.
     """
-    nids = sorted(set(normal_ids))
-    if check:
-        if not is_subgroup(group, nids):
-            raise ValueError("ids do not form a subgroup")
-        if not is_normal(group, nids):
-            raise ValueError("subgroup is not normal")
-    n = len(group)
-    rep_of = [-1] * n
-    for i in range(n):
-        if rep_of[i] < 0:
-            for h in nids:
-                rep_of[group.mult(i, h)] = i
-    reps = sorted({rep_of[i] for i in range(n)})
-    rep_elems = [group.elements[r] for r in reps]
+    nset = set(normal_ids)
+    n, elems, index, op = len(group), group.elements, group.index, group.op
+    if not nset or n % len(nset):
+        raise ValueError(f"{len(nset)} ids cannot be a subgroup of {group!r}")
+    reps, rep_invs = [], []
 
-    def qop(a, b):
-        return group.elements[rep_of[group.mult(group.index[a], group.index[b])]]
+    def find(x) -> Optional[int]:
+        return next((j for j, r in enumerate(rep_invs) if index[op(r, x)] in nset), None)
 
-    def qinv(a):
-        return group.elements[rep_of[group.inv(group.index[a])]]
+    for i, x in enumerate(elems):
+        if len(reps) == n // len(nset):
+            break
+        if find(x) is None:
+            reps.append(i)
+            rep_invs.append(elems[group.inv(i)])
 
-    quotient = FiniteGroup(rep_elems, qop,
-                           group.elements[rep_of[group.identity_id]], inv=qinv,
-                           label=f"{group.label}/N{len(nids)}")
-    projection = [quotient.index[group.elements[rep_of[i]]] for i in range(n)]
-    return quotient, projection
+    def coset_of(x) -> int:
+        j = find(x)
+        if j is None:
+            raise VerificationError(f"an element of {group!r} lies in no coset "
+                                    f"of the {len(nset)} ids")
+        return j
+
+    quotient = FiniteGroup([elems[r] for r in reps],
+                           lambda a, b: elems[reps[coset_of(op(a, b))]],
+                           elems[reps[coset_of(group.identity)]],
+                           inv=lambda a: elems[reps[coset_of(elems[group.inv(index[a])])]],
+                           label=f"{group.label}/N{len(nset)}")
+    return quotient, coset_of
 
 
 def center(group: FiniteGroup) -> tuple[int, ...]:

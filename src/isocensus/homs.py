@@ -533,14 +533,18 @@ def cokernel(iso: Isogeny, n: int, img: Image,
     """The cokernel G(F_{q^n}) / image, checked against ker / lang(ker).
     The geometric kernel is enumerated in kernel_ambient, which must hold
     it; only abelian invariants cross the isomorphism, so that field may be
-    smaller than the codomain points' one, unless with_sections follows."""
-    quotient, _ = census.quotient_group(img.codomain, img.ids, check=False)
+    smaller than the codomain points' one, unless with_sections follows.
+    Both groups quotiented are abelian, so every subgroup is normal; each
+    quotient is on its minimal coset reps, in the parent's id order, and
+    only the kernel side keeps a projection (`kernel_proj`, read by mu)."""
+    quotient, _ = census.quotient_group(img.codomain, img.ids)
     lhs = census.invariant_factors_abelian(quotient)
 
     kernel_group, min_level = kernel_points(iso, kernel_ambient)
     lam_ids = sorted({kernel_group.index[lang_map(kernel_ambient, a, iso.q, n)]
                       for a in kernel_group.elements})
-    kq, kproj = census.quotient_group(kernel_group, lam_ids, check=False)
+    kq, coset_of = census.quotient_group(kernel_group, lam_ids)
+    kproj = list(map(coset_of, kernel_group.elements))
     rhs = census.invariant_factors_abelian(kq)
     if lhs != rhs:
         raise VerificationError(

@@ -576,12 +576,13 @@ class NormTorusSpec(GroupSpec):
             one = field.one
             return [_norm_from_eigenvalues(field, g, one, xi),
                     _norm_from_eigenvalues(field, one, g, xi)]
-        # non-split: point group is cyclic via a <-> a + xi*b in F_{q^{2n}}
-        if field.degree % (2 * d):
-            return None
-        xi = _cube_root_of_unity(field)
-        gamma = subfield_generator(field, 2 * d)
-        return [_norm_from_eigenvalues(field, gamma, field.frobenius(gamma, d), xi)]
+        # non-split: the point group is F_{Q^2}^* via a <-> a + xi*b, Q = p^d,
+        # cyclic of order Q^2 - 1; its first point of that order generates
+        order = p**(2 * d) - 1
+        checks = [order // ell for ell in factorize(order)]
+        one = mat_identity(field, 2)
+        return [next(x for x in self.scan_points(field, n)
+                     if all(field.mat_pow(x, c) != one for c in checks))]
 
 
 class NormTorusCoverSpec(GroupSpec):

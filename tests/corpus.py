@@ -3,9 +3,11 @@
 All groups have order at most 200 and at most three generators: cyclic
 multiplicative groups, split and non-split norm tori, torus products,
 dihedral-like torus normalizers, additive groups, small SL_2's, and the
-double cover of a torus.
+double cover of a torus.  Beside them live the reference predicates
+`is_subgroup` and `is_normal`, which test id sets by brute force.
 """
 
+from isocensus.census import small_generating_set
 from isocensus.ffield import make_field
 from isocensus.matgroup import (GaSpec, GmSpec, Matrix, NormTorusCoverSpec,
                                 NormTorusSpec, SLSpec, direct_product,
@@ -29,6 +31,22 @@ def _dihedral_like(p):
     return from_generators([diag, flip], Matrix.__mul__,
                            Matrix.identity(field, 2), inv=Matrix.inv,
                            label=f"N(T) in GL2(F_{p})")
+
+
+def is_subgroup(group, ids):
+    """Whether ids hold the identity and a b^-1 for every a and b in them."""
+    idset = set(ids)
+    if group.identity_id not in idset:
+        return False
+    return all(group.mult(a, group.inv(b)) in idset
+               for a in idset for b in idset)
+
+
+def is_normal(group, ids):
+    """Normality via conjugation by a generating set of the parent."""
+    idset = set(ids)
+    return all(group.conjugate_id(g, h) in idset
+               for g in small_generating_set(group) for h in idset)
 
 
 def build_corpus():

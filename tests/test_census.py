@@ -1,5 +1,6 @@
 """Index-k censuses against the lattice oracle and known group theory."""
 
+import itertools
 import random
 import re
 import tracemalloc
@@ -7,16 +8,15 @@ from functools import partial
 
 import pytest
 
-from corpus import build_corpus
+from corpus import build_corpus, is_normal, is_subgroup
 from isocensus import census, matgroup
 from isocensus.census import (CensusBoundExceeded, SubgroupHandle, center,
                               conjugacy_classes_of_subgroups, index_k_subgroups,
-                              invariant_factors_abelian, is_normal,
-                              is_subgroup, quotient_group, small_generating_set,
-                              subgroup_lattice_oracle)
+                              invariant_factors_abelian, quotient_group,
+                              small_generating_set, subgroup_lattice_oracle)
 from isocensus.ffield import VerificationError, make_field
-from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GmSpec,
-                                Matrix, NormTorusSpec, SLSpec, cayley_walk,
+from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
+                                GmSpec, Matrix, NormTorusSpec, SLSpec, cayley_walk,
                                 direct_product, from_generators, mat_det, mat_inv,
                                 rational_points)
 
@@ -74,7 +74,7 @@ def _derived_subgroup(group):
 
 def _abelianization(group):
     """Invariant factors of G/[G, G]."""
-    quotient, _ = quotient_group(group, _derived_subgroup(group), check=False)
+    quotient, _ = quotient_group(group, _derived_subgroup(group))
     return invariant_factors_abelian(quotient)
 
 
@@ -472,11 +472,94 @@ def test_census_walk_leaves_the_product_cache_empty():
 def test_quotient_group_structure():
     sl = SL2F3
     z = center(sl)
-    quotient, proj = quotient_group(sl, z)
+    quotient, coset_of = quotient_group(sl, z)
     assert len(quotient) == 12
-    assert sorted(proj) == sorted(list(range(12)) * 2)
-    with pytest.raises(ValueError):
-        quotient_group(sl, index_k_subgroups(sl, 4)[0].ids)  # C6 is not normal
+    assert sorted(map(coset_of, sl.elements)) == sorted(list(range(12)) * 2)
+    # normality is the callers' precondition: a C6 of SL2(F_3) is not normal
+    c6 = index_k_subgroups(sl, 4)[0].ids
+    assert is_subgroup(sl, c6) and not is_normal(sl, c6)
+
+
+def _labelled_reps(group, normal_ids):
+    """rep_of[x], the least element of the coset x N, by the labelling pass
+    quotient_group made before it tested membership: rep_of[i*h] = i for
+    each h in N and each i not yet labelled."""
+    rep_of = [-1] * len(group)
+    for i in range(len(group)):
+        if rep_of[i] < 0:
+            for h in normal_ids:
+                rep_of[group.mult(i, h)] = i
+    return rep_of
+
+
+def _power_image(group, k):
+    return tuple(sorted({group.pow_id(i, k) for i in range(len(group))}))
+
+
+def _normal_subgroups(group):
+    """The center, the derived subgroup and, in an abelian group, the
+    images of x -> x^k for k = 2, 3, 4."""
+    z = center(group)
+    found = [z, _derived_subgroup(group)]
+    if len(z) == len(group):
+        found += [_power_image(group, k) for k in (2, 3, 4)]
+    return found
+
+
+def _assert_labelled_quotient(group, normal_ids):
+    rep_of = _labelled_reps(group, normal_ids)
+    reps = sorted(set(rep_of))
+    quotient, coset_of = quotient_group(group, normal_ids)
+    assert quotient.elements == tuple(group.elements[r] for r in reps)
+    assert quotient.identity == group.elements[rep_of[group.identity_id]]
+    assert [reps[coset_of(x)] for x in group.elements] == rep_of
+    for a, b in itertools.product(range(len(reps)), range(min(len(reps), 6))):
+        assert reps[quotient.mult(a, b)] == rep_of[group.mult(reps[a], reps[b])]
+    for a in range(len(reps)):
+        assert reps[quotient.inv(a)] == rep_of[group.inv(reps[a])]
+
+
+def test_quotient_reps_match_the_labelling_pass_on_corpus():
+    for label, group in build_corpus():
+        for normal_ids in _normal_subgroups(group):
+            assert is_normal(group, normal_ids), label
+            _assert_labelled_quotient(group, normal_ids)
+
+
+def test_quotient_reps_match_the_labelling_pass_above_the_cache_limit():
+    gl = rational_points(GLSpec(2, 3, 2), 1, make_field(3, 2))
+    gm = rational_points(GmSpec(3), 8, make_field(3, 8))
+    nt = rational_points(NormTorusSpec(67), 1, make_field(67, 1))
+    cases = [(gl, _derived_subgroup(gl))]
+    cases += [(g, _power_image(g, k)) for g, k in ((gm, 2), (gm, 4), (nt, 2), (nt, 3))]
+    for group, normal_ids in cases:
+        assert len(group) > matgroup.TABLE_THRESHOLD
+        assert 1 < len(group) // len(normal_ids) <= 9, group
+        _assert_labelled_quotient(group, normal_ids)
+
+
+def test_quotient_group_leaves_the_product_cache_as_it_found_it():
+    for label, group in build_corpus()[-8:]:
+        normal_ids = center(group)
+        group.mult(0, 0)
+        before = dict(group._mult_cache)
+        quotient, coset_of = quotient_group(group, normal_ids)
+        for a, b in itertools.product(range(len(quotient)), repeat=2):
+            quotient.mult(a, b)
+        list(map(coset_of, group.elements))
+        assert group._mult_cache == before, label
+
+
+def test_quotient_group_rejects_ids_that_are_no_subgroup():
+    q8 = index_k_subgroups(SL2F3, 3)[0].ids
+    for size in (0, 5, 7):
+        with pytest.raises(ValueError):
+            quotient_group(SL2F3, range(size))
+    for bad in (range(1, 9), q8[1:] + (22,)):
+        assert not is_subgroup(SL2F3, bad)
+        with pytest.raises(VerificationError, match="lies in no coset"):
+            quotient, coset_of = quotient_group(SL2F3, bad)
+            list(map(coset_of, SL2F3.elements))
 
 
 def test_invariant_factors_examples():

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from isocensus import homs
+from corpus import is_normal, is_subgroup
+from isocensus import census, homs
 from isocensus.cli import build_parser, main
 from isocensus.experiments import ExperimentConfig, Runner, write_reports
 from isocensus.matgroup import GmSpec
@@ -219,3 +220,21 @@ def test_e1_gives_a_power_map_its_codomain_points_as_domain(monkeypatch):
     for name, domain, codomain in seen:
         assert (domain is codomain) == name.startswith("pow:")
 
+
+def test_every_quotient_the_program_takes_is_by_a_normal_subgroup(monkeypatch, capsys):
+    # normality is quotient_group's precondition, which it does not check;
+    # a tiny E2 grid and the cokernel command must meet it on every call
+    taken = []
+    real = census.quotient_group
+
+    def checked(group, normal_ids):
+        taken.append(is_subgroup(group, normal_ids) and is_normal(group, normal_ids))
+        return real(group, normal_ids)
+
+    monkeypatch.setattr(census, "quotient_group", checked)
+    report = Runner(ExperimentConfig(e12_qs=(2, 3), e12_n_max=2, e12_ks=(2, 3))).run("E2")
+    assert report["summary"]["failed"] == 0
+    code, payload = run_cli(capsys, "cokernel", "--iso", "normcover",
+                            "--spec", "NormTorus", "--p", "7", "--n", "1")
+    assert code == 0 and payload["mu_verified"] is True
+    assert len(taken) > 2 and all(taken)

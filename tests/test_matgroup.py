@@ -314,9 +314,12 @@ def _declaration_raises_on_first_use(monkeypatch, spec, field, declared):
 
 
 @pytest.mark.parametrize("spec,field", [(GmSpec(7), F7), (NormTorusSpec(5), F25),
+                                        (NormTorusSpec(11), make_field(11, 1)),
                                         (GmSpec(5003), make_field(5003, 1))])
 def test_one_declared_generator_is_proved_on_first_use(monkeypatch, spec, field):
-    # the last group is above the product-cache threshold
+    # a non-split torus declares one generator without F_{q^2} in its field,
+    # so no random search runs; the last group is above the product-cache
+    # threshold
     group = _points_without_a_walk(monkeypatch, spec, field)
     assert small_generating_set(group) == list(group.gens_hint)
     assert set(group.bfs_programs) == {group.gens_hint}
