@@ -13,7 +13,8 @@ import json
 import sys
 
 from . import census, homs, orderform
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
+from .experiments import (EXPERIMENT_IDS, FORMATS, ExperimentConfig, Runner,
+                          write_reports)
 from .ffield import make_field
 from .matgroup import builtin_specs, make_spec, mat_rows, rational_points
 
@@ -23,6 +24,8 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_points(args) -> int:
+    if args.list < 0:
+        raise ValueError(f"--list N must be nonnegative, got {args.list}")
     spec = make_spec(args.spec, args.p, args.e, args.m)
     amb = make_field(args.p, spec.entry_degree(args.n))
     group = rational_points(spec, args.n, amb)
@@ -148,7 +151,7 @@ def _add_spec_args(sub, with_n=True):
 def _add_report_args(sub):
     sub.add_argument("--config", help="JSON config path")
     sub.add_argument("--out", help="report directory")
-    sub.add_argument("--format", choices=("json", "csv", "both"))
+    sub.add_argument("--format", choices=FORMATS)
     sub.add_argument("--seed", type=int)
     sub.set_defaults(func=cmd_experiment)
 

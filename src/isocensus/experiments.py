@@ -1,11 +1,13 @@
 """Batch experiments reproducing the theory at desk scale.
 
-Each experiment walks a grid of cells and emits one record per cell plus a
-summary; every record carries an explicit pass/fail/skipped status, cells
-that would exceed a size bound are labeled skipped rather than silently
-dropped, and any exception inside a cell marks it failed while the harness
-continues.  Reports are deterministic: fixed iteration order, integer-only
-payloads, seeded randomness.
+Each experiment walks a grid of cells and returns one record per cell;
+`Runner.run` adds the summary, and reads E3's progression from the cells.
+Every record carries an explicit pass/fail/skipped status, and cells that
+would exceed a size bound are labeled skipped rather than silently dropped.
+Every cell body runs through `_guarded`, the one failure policy: an exception
+inside a cell marks it failed, with the exception's type and message, while
+the harness continues.  Reports are deterministic: fixed iteration order,
+integer-only payloads, seeded randomness.
 
     E1  image-index identity  [G(F_{q^n}) : image] = #rational kernel
     E2  cokernel invariants match ker/lang(ker); the connecting map mu
@@ -32,8 +34,9 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 from . import census, homs, orderform
 from .ffield import AmbientField, is_prime, make_field, prime_power
@@ -41,6 +44,7 @@ from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec, SLSpec, make_spec
                        rational_points)
 
 EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
+FORMATS = ("json", "csv", "both")
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -53,7 +57,7 @@ class ExperimentConfig:
 
     seed: int = 0
     out_dir: str = "reports"
-    fmt: str = "json"  # json | csv | both
+    fmt: str = "json"  # one of FORMATS
 
     e12_qs: tuple[int, ...] = (2, 3, 5, 7)
     e12_n_max: int = 6
@@ -86,6 +90,8 @@ class ExperimentConfig:
     oracle_bound: int = census.DEFAULT_ORACLE_BOUND
 
     def __post_init__(self):
+        if self.fmt not in FORMATS:
+            raise ValueError(f"unknown report format {self.fmt!r}, not in {FORMATS}")
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, list):
@@ -98,8 +104,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        bad = set(data) - known
+        bad = set(data) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         return cls(**data)
@@ -111,6 +116,16 @@ def _cell(experiment: str, **kw) -> dict:
             "status": "pass", "reason": None}
     base.update(kw)
     return base
+
+
+def _guarded(cell: dict, body: Callable[..., None], *args) -> dict:
+    """Run `body(cell, *args)` and return the cell; the one failure policy:
+    an exception marks the cell failed with its type and message."""
+    try:
+        body(cell, *args)
+    except Exception as exc:  # cell failures must not stop the grid
+        cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
+    return cell
 
 
 class Runner:
@@ -147,7 +162,14 @@ class Runner:
                 domain=self.group(iso.domain_spec, n, degree))
         return self._images[iso.name, codomain]
 
-    # -- shared cell helpers ----------------------------------------------------
+    # -- shared cell steps ------------------------------------------------------
+
+    def _census(self, cell: dict, group: FiniteGroup, k: int) -> list:
+        """The index-k census at the config's seed and bound; sets the count."""
+        subs = census.index_k_subgroups(group, k, seed=self.config.seed,
+                                        candidate_bound=self.config.candidate_bound)
+        cell["count"] = len(subs)
+        return subs
 
     def _e12_cells(self, experiment: str) -> list[dict]:
         """Common grid for E1/E2: catalog isogenies x q x n."""
@@ -165,36 +187,28 @@ class Runner:
             cell = _cell(experiment, spec=family, isogeny=iso_name, q=q, n=n, k=k)
             if k is not None and gcd(k, q) != 1:
                 cell.update(status="skipped", reason="k shares a factor with q")
-                out.append(cell)
-                continue
-            if iso_name == "normcover" and q % 3 == 0:
+            elif iso_name == "normcover" and q % 3 == 0:
                 cell.update(status="skipped",
                             reason="cover is disconnected in characteristic 3")
-                out.append(cell)
-                continue
-            order = orderform.closed_order(family, q, n)
-            cell["order"] = order
-            if order > self.config.e12_order_bound:
-                cell.update(status="skipped", reason="group order exceeds bound")
-                out.append(cell)
-                continue
-            try:
-                self._run_e12_cell(experiment, cell, family, iso_name, q, n)
-            except Exception as exc:  # cell failures must not stop the grid
-                cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
+            else:
+                cell["order"] = orderform.closed_order(family, q, n)
+                if cell["order"] > cfg.e12_order_bound:
+                    cell.update(status="skipped", reason="group order exceeds bound")
+                else:
+                    _guarded(cell, self._run_e12_cell, family, iso_name, q, n)
             out.append(cell)
         return out
 
-    def _run_e12_cell(self, experiment: str, cell: dict, family: str,
-                      iso_name: str, q: int, n: int) -> None:
+    def _run_e12_cell(self, cell: dict, family: str, iso_name: str, q: int,
+                      n: int) -> None:
         cfg = self.config
         p, e = prime_power(q)
         iso = homs.parse_isogeny(iso_name, make_spec(family, p, e))
-        with_mu = experiment == "E2" and cell["order"] <= cfg.mu_order_bound
+        with_mu = cell["experiment"] == "E2" and cell["order"] <= cfg.mu_order_bound
         degree = homs.plan_degree(iso, n=n, sections=with_mu)
         img = self.image(iso, n, degree)
 
-        if experiment == "E1":
+        if cell["experiment"] == "E1":
             index, ker_n, equal = homs.check_image_index(img)
             cell["count"] = index
             cell["flags"] = {"kernel_rational": ker_n, "equal": equal}
@@ -221,138 +235,111 @@ class Runner:
     def e2(self) -> list[dict]:
         return self._e12_cells("E2")
 
-    def e3(self) -> tuple[list[dict], dict]:
+    def e3(self) -> list[dict]:
         cfg = self.config
         q, k = cfg.e3_q, cfg.e3_k
         p, e = prime_power(q)
-        cells = []
-        hits = []
-        for n in range(1, cfg.e3_n_max + 1):
-            cell = _cell("E3", spec="Gm", q=q, n=n, k=k,
-                         order=orderform.closed_order("Gm", q, n))
-            try:
-                group = self.group(GmSpec(p, e), n, e * n)
-                subs = census.index_k_subgroups(
-                    group, k, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
-                cell["count"] = len(subs)
-                expected = 1 if (q**n - 1) % k == 0 else 0
-                cell["flags"] = {"expected_cyclic_count": expected}
-                if len(subs) != expected:
-                    cell.update(status="fail", reason="count differs from cyclic rule")
-                if subs:
-                    hits.append(n)
-            except Exception as exc:
-                cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
-            cells.append(cell)
-        minimal = min(hits) if hits else None
-        progression = bool(hits) and all(
-            m in set(hits) for m in range(minimal, cfg.e3_n_max + 1, minimal))
-        extra = {"levels_with_subgroup": hits, "minimal_level": minimal,
-                 "progression_contained": progression}
-        return cells, extra
+
+        def body(cell, n):
+            subs = self._census(cell, self.group(GmSpec(p, e), n, e * n), k)
+            expected = 1 if (q**n - 1) % k == 0 else 0
+            cell["flags"] = {"expected_cyclic_count": expected}
+            if len(subs) != expected:
+                cell.update(status="fail", reason="count differs from cyclic rule")
+
+        return [_guarded(_cell("E3", spec="Gm", q=q, n=n, k=k,
+                               order=orderform.closed_order("Gm", q, n)), body, n)
+                for n in range(1, cfg.e3_n_max + 1)]
 
     def e4(self) -> list[dict]:
         cfg = self.config
         expected = {2: {2: 1, 3: 3, 4: 0}, 3: {2: 0, 3: 1, 4: 4}}
+
+        def body(cell, spec, lattice_of):
+            group = self.group(spec, 1, spec.e)
+            lattice = lattice_of(group) if len(group) <= cfg.oracle_bound else None
+            cell["order"] = len(group)
+            k = cell["k"]
+            subs = self._census(cell, group, k)
+            want = expected.get(cell["q"], {}).get(k, 0)
+            cell["flags"] = {"expected": want}
+            if lattice is not None:
+                oracle_count = sum(1 for s in lattice if len(group) // len(s) == k)
+                cell["flags"]["oracle_count"] = oracle_count
+                if oracle_count != len(subs):
+                    cell.update(status="fail", reason="census disagrees with oracle")
+            if len(subs) != want:
+                cell.update(status="fail", reason="unexpected census count")
+
         cells = []
         for p, e in cfg.e4_qs:
-            q = p**e
-            spec = SLSpec(2, p, e)
-            group = lattice = None
+            # the lattice serves every k of this q; a failure retries per cell
+            lattice_of = cache(lambda group: census.subgroup_lattice_oracle(
+                group, cfg.oracle_bound))
             for k in cfg.e4_ks:
-                cell = _cell("E4", spec="SL2", q=q, n=1, k=k)
-                try:
-                    if group is None:
-                        # the lattice serves every k; a failure retries per cell
-                        built = self.group(spec, 1, e)
-                        if len(built) <= cfg.oracle_bound:
-                            lattice = census.subgroup_lattice_oracle(
-                                built, cfg.oracle_bound)
-                        group = built
-                    cell["order"] = len(group)
-                    subs = census.index_k_subgroups(
-                        group, k, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
-                    cell["count"] = len(subs)
-                    want = expected.get(q, {}).get(k, 0)
-                    flags = {"expected": want}
-                    if lattice is not None:
-                        oracle_count = sum(1 for s in lattice
-                                           if len(group) // len(s) == k)
-                        flags["oracle_count"] = oracle_count
-                        if oracle_count != len(subs):
-                            cell.update(status="fail", reason="census disagrees with oracle")
-                    cell["flags"] = flags
-                    if len(subs) != want:
-                        cell.update(status="fail", reason="unexpected census count")
-                except Exception as exc:
-                    cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
-                cells.append(cell)
+                cells.append(_guarded(_cell("E4", spec="SL2", q=p**e, n=1, k=k),
+                                      body, SLSpec(2, p, e), lattice_of))
         return cells
 
     def e5(self) -> list[dict]:
         cfg = self.config
+
+        def body(cell, p):
+            cover = homs.NormCoverIsogeny(p)
+            degree = homs.plan_degree(cover, n=1, sections=True)
+            group = self.group(cover.codomain_spec, 1, degree)
+            cell["order"] = len(group)
+            subs = self._census(cell, group, 2)
+            flags = homs.reached_by(group, [sub.ids for sub in subs], [cover],
+                                    1, self.field(p, degree), seed=cfg.seed)
+            reach = [{"subgroup_order": sub.order, **f}
+                     for sub, f in zip(subs, flags)]
+            cover_hits = sum(1 for r in reach if r["normcover"])
+            cell["flags"].update({"reached": reach, "cover_reached": cover_hits})
+            split = cell["flags"]["split"]
+            want = 3 if split else (1 if p % 2 else 0)
+            if len(subs) != want:
+                cell.update(status="fail", reason=f"expected {want} subgroups")
+            elif split and cover_hits != 1:
+                cell.update(status="fail",
+                            reason="cover should reach exactly one subgroup")
+
         cells = []
         for p in primes_in(2, cfg.e5_p_max):
-            split = p % 3 == 1
             cell = _cell("E5", spec="NormTorus", q=p, n=1, k=2,
-                         flags={"split": split})
+                         flags={"split": p % 3 == 1})
             if p == 3:
                 cell.update(status="skipped",
                             reason="defining form degenerates in characteristic 3")
-                cells.append(cell)
-                continue
-            try:
-                cover = homs.NormCoverIsogeny(p)
-                degree = homs.plan_degree(cover, n=1, sections=True)
-                group = self.group(cover.codomain_spec, 1, degree)
-                cell["order"] = len(group)
-                subs = census.index_k_subgroups(
-                    group, 2, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
-                cell["count"] = len(subs)
-                flags = homs.reached_by(group, [sub.ids for sub in subs], [cover],
-                                        1, self.field(p, degree), seed=cfg.seed)
-                reach = [{"subgroup_order": sub.order, **f}
-                         for sub, f in zip(subs, flags)]
-                cover_hits = sum(1 for r in reach if r["normcover"])
-                cell["flags"].update({"reached": reach, "cover_reached": cover_hits})
-                want = 3 if split else (1 if p % 2 else 0)
-                if len(subs) != want:
-                    cell.update(status="fail", reason=f"expected {want} subgroups")
-                elif split and cover_hits != 1:
-                    cell.update(status="fail",
-                                reason="cover should reach exactly one subgroup")
-            except Exception as exc:
-                cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
+            else:
+                _guarded(cell, body, p)
             cells.append(cell)
         return cells
 
     def e6(self) -> list[dict]:
         cfg = self.config
-        cells = []
         data = orderform.BN_CATALOG["SL2"]
-        for q in cfg.e6_qs:
-            p, e = prime_power(q)
-            cell = _cell("E6", spec="SL2", q=q, n=1)
-            try:
-                group = self.group(SLSpec(2, p, e), 1, e)
-                bn = orderform.bn_order(data, q)
-                closed = orderform.closed_order("SL", q, 1)
-                z = len(census.center(group))
-                z_closed = orderform.center_order("SL", q, 1)
-                cell["order"] = len(group)
-                cell["flags"] = {"bn": bn, "closed": closed, "enumerated": len(group),
-                                 "center": z, "center_closed": z_closed}
-                if not (bn == closed == len(group)) or z != z_closed:
-                    cell.update(status="fail", reason="order formulas disagree")
-            except Exception as exc:
-                cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
-            cells.append(cell)
+
+        def body(cell, p, e):
+            q = cell["q"]
+            group = self.group(SLSpec(2, p, e), 1, e)
+            bn = orderform.bn_order(data, q)
+            closed = orderform.closed_order("SL", q, 1)
+            z = len(census.center(group))
+            z_closed = orderform.center_order("SL", q, 1)
+            cell["order"] = len(group)
+            cell["flags"] = {"bn": bn, "closed": closed, "enumerated": len(group),
+                             "center": z, "center_closed": z_closed}
+            if not (bn == closed == len(group)) or z != z_closed:
+                cell.update(status="fail", reason="order formulas disagree")
+
+        cells = [_guarded(_cell("E6", spec="SL2", q=q, n=1), body, *prime_power(q))
+                 for q in cfg.e6_qs]
         ratio_cell = _cell("E6", spec="SL2", q=2, k=None,
                            flags={"check": "ratio strictly increasing"})
-        ratios = []
-        for n in range(1, cfg.e6_ratio_n_max + 1):
-            ratios.append(orderform.closed_order("SL", 2, n)
-                          // orderform.center_order("SL", 2, n))
+        ratios = [orderform.closed_order("SL", 2, n)
+                  // orderform.center_order("SL", 2, n)
+                  for n in range(1, cfg.e6_ratio_n_max + 1)]
         ratio_cell["flags"]["ratios"] = ratios
         if any(b <= a for a, b in zip(ratios, ratios[1:])):
             ratio_cell.update(status="fail", reason="ratio not strictly increasing")
@@ -361,45 +348,28 @@ class Runner:
 
     def e7(self) -> list[dict]:
         cfg = self.config
-        cells = []
-        for p in primes_in(cfg.e7_p_min, cfg.e7_p_max):
-            group = None
-            for k in range(2, cfg.e7_k_max + 1):
-                cell = _cell("E7", spec="SL2", q=p, n=1, k=k,
-                             order=orderform.closed_order("SL", p, 1))
-                try:
-                    if group is None:
-                        group = self.group(SLSpec(2, p), 1, 1)
-                    subs = census.index_k_subgroups(
-                        group, k, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
-                    cell["count"] = len(subs)
-                    if subs:
-                        cell.update(status="fail", reason="unexpected subgroup found")
-                except Exception as exc:
-                    cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
-                cells.append(cell)
-        return cells
+
+        def body(cell, p, k):
+            if self._census(cell, self.group(SLSpec(2, p), 1, 1), k):
+                cell.update(status="fail", reason="unexpected subgroup found")
+
+        return [_guarded(_cell("E7", spec="SL2", q=p, n=1, k=k,
+                               order=orderform.closed_order("SL", p, 1)), body, p, k)
+                for p in primes_in(cfg.e7_p_min, cfg.e7_p_max)
+                for k in range(2, cfg.e7_k_max + 1)]
 
     def e8(self) -> list[dict]:
         cfg = self.config
-        cells = []
-        for p in cfg.e8_ps:
-            for n in range(1, cfg.e8_n_max + 1):
-                cell = _cell("E8", spec="Ga", q=p, n=n, k=p,
-                             order=p**n)
-                try:
-                    group = self.group(GaSpec(p), n, n)
-                    subs = census.index_k_subgroups(
-                        group, p, seed=cfg.seed, candidate_bound=cfg.candidate_bound)
-                    want = (p**n - 1) // (p - 1)
-                    cell["count"] = len(subs)
-                    cell["flags"] = {"expected": want}
-                    if len(subs) != want:
-                        cell.update(status="fail", reason="hyperplane count mismatch")
-                except Exception as exc:
-                    cell.update(status="fail", reason=f"{type(exc).__name__}: {exc}")
-                cells.append(cell)
-        return cells
+
+        def body(cell, p, n):
+            subs = self._census(cell, self.group(GaSpec(p), n, n), p)
+            want = (p**n - 1) // (p - 1)
+            cell["flags"] = {"expected": want}
+            if len(subs) != want:
+                cell.update(status="fail", reason="hyperplane count mismatch")
+
+        return [_guarded(_cell("E8", spec="Ga", q=p, n=n, k=p, order=p**n), body, p, n)
+                for p in cfg.e8_ps for n in range(1, cfg.e8_n_max + 1)]
 
     # -- orchestration ----------------------------------------------------------
 
@@ -407,13 +377,16 @@ class Runner:
         experiment = experiment.upper()
         if experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {experiment!r}")
-        extra: dict = {}
-        if experiment == "E3":
-            cells, extra = self.e3()
-        else:
-            cells = getattr(self, experiment.lower())()
+        cells = getattr(self, experiment.lower())()
         summary = _summarize(cells)
-        summary.update(extra)
+        if experiment == "E3":
+            # the levels whose census found a subgroup; a failed cell has none
+            hits = [c["n"] for c in cells if c["count"]]
+            minimal = min(hits) if hits else None
+            summary.update(levels_with_subgroup=hits, minimal_level=minimal,
+                           progression_contained=bool(hits) and all(
+                               m in hits for m in range(
+                                   minimal, self.config.e3_n_max + 1, minimal)))
         return {"experiment": experiment, "cells": cells, "summary": summary}
 
     def run_all(self) -> dict:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .ffield import prime_power
+
 
 @dataclass(frozen=True)
 class OrderFormula:
@@ -56,10 +58,18 @@ BN_CATALOG: dict[str, OrderFormula] = {
 }
 
 
+def _check_arguments(q: int, n: int, m: int) -> None:
+    """ValueError naming the value unless q = p^e, n >= 1 and m >= 1."""
+    prime_power(q)
+    if n < 1:
+        raise ValueError(f"level n={n} must be at least 1")
+    if m < 1:
+        raise ValueError(f"dimension m={m} must be at least 1")
+
+
 def bn_order(formula: OrderFormula, q: int) -> int:
     """Evaluate the BN-pair product formula at the prime power q."""
-    if q < 2:
-        raise ValueError("q must be a prime power, at least 2")
+    prime_power(q)
     torus = (q - 1) ** formula.torus_rank
     return q**formula.positive_roots * torus * sum(q**l for l in formula.weyl_lengths)
 
@@ -70,6 +80,7 @@ def closed_order(tag: str, q: int, n: int, m: int = 2) -> int:
     Serves as a second oracle beside enumeration.  SO covers the split
     odd-dimensional case in odd characteristic only.
     """
+    _check_arguments(q, n, m)
     Q = q**n
     if tag == "Gm":
         return Q - 1
@@ -120,6 +131,7 @@ def closed_order(tag: str, q: int, n: int, m: int = 2) -> int:
 
 def center_order(tag: str, q: int, n: int, m: int = 2) -> int:
     """Closed-form order of the center of the level-n point group."""
+    _check_arguments(q, n, m)
     Q = q**n
     if tag in ("Gm", "Ga", "NormTorus", "NormTorusCover"):
         return closed_order(tag, q, n, m)

@@ -25,12 +25,18 @@ from isocensus.ffield import is_prime
 # refactors it guards; every later change must reproduce it byte for byte
 GOLDEN = Path(__file__).parent / "golden"
 
-# sha256 of the default-grid E1, E2 and E5 reports (`report_json`), which
-# every refactor must reproduce byte for byte
+# sha256 of every default-grid report (`report_json`), which every refactor
+# must reproduce byte for byte; each is the same whether its experiment runs
+# alone or after the others, in any order
 DEFAULT_GRID_SHA256 = {
     "E1": "430b05f6b329daac49e6866b6805ffefc165c5c2801e0026b71f53b9a3a4ead7",
     "E2": "0359baf9009c6e98c3d0f6ccc418d9a0a142f12a2d489d77ef484a304f4540f5",
+    "E3": "44ae287f375ee246dcce090fa4b65892d56f69c765b3ee7f1b4ea0e302009f14",
+    "E4": "24f9f4de94ef444fe199e2426a9fceb3ec39b3d686658ce5216e0efc176f0e2c",
     "E5": "4ed14d2c70074fe22a3856f18561bc8cb7e22e3994e2a3fb9b1c2b5c4cbc46f1",
+    "E6": "fd7d8b4b45ccaa1fe2332f0d902362b093e2c408e01b53560d829766c2766ecf",
+    "E7": "75cac2834378ed7a469cecf66f07f804e9426be7ca31a10a4ac256b0f9d045ea",
+    "E8": "6bc3725181780ded1b10d1fd1c36ddef98bdde4b695a8d5dffca96491de673ab",
 }
 
 SKIP_REASONS = {"k shares a factor with q", "group order exceeds bound",
@@ -123,6 +129,7 @@ def test_criterion_2_cokernel_isomorphism(runner, reports):
 def test_criterion_3_arithmetic_progression(runner, reports):
     report = get_report(runner, reports, "E3")
     check_statuses(report)
+    check_digest(report)
     summary = report["summary"]
     assert summary["levels_with_subgroup"] == [2, 4, 6, 8, 10, 12]
     assert summary["minimal_level"] == 2
@@ -155,6 +162,7 @@ def test_criterion_4_norm_torus_census(runner, reports):
 def test_criterion_5_simply_connected_vanishing(runner, reports):
     report = get_report(runner, reports, "E4")
     check_statuses(report)
+    check_digest(report)
     def count(q, k):
         return cells_by(report, q=q, k=k)[0]["count"]
     assert count(2, 2) == 1
@@ -168,6 +176,7 @@ def test_criterion_5_simply_connected_vanishing(runner, reports):
 def test_criterion_6_characteristic_scan(runner, reports):
     report = get_report(runner, reports, "E7")
     check_statuses(report)
+    check_digest(report)
     primes = [p for p in range(5, 32) if is_prime(p)]
     for p in primes:
         for k in (2, 3, 4):
@@ -178,6 +187,7 @@ def test_criterion_6_characteristic_scan(runner, reports):
 def test_criterion_7_order_formulas(runner, reports):
     report = get_report(runner, reports, "E6")
     check_statuses(report)
+    check_digest(report)
     for q in (2, 3, 4, 5, 7, 9):
         cell = cells_by(report, q=q, n=1)[0]
         flags = cell["flags"]
@@ -194,6 +204,7 @@ def test_criterion_7_order_formulas(runner, reports):
 def test_criterion_8_additive_counterexample(runner, reports):
     report = get_report(runner, reports, "E8")
     check_statuses(report)
+    check_digest(report)
     for p in (2, 3):
         for n in range(1, 5):
             cell = cells_by(report, q=p, n=n)[0]

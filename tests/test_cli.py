@@ -35,6 +35,25 @@ def test_order_subcommand(capsys):
     assert payload["center_order"] == 2
 
 
+def test_points_rejects_a_negative_list_length(capsys):
+    code = main(["points", "--spec", "Gm", "--p", "3", "--list", "-2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "-2" in captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("--spec", "GL", "--q", "4", "--n", "-1"), "n=-1"),
+    (("--spec", "SL", "--q", "6"), "q=6"),
+    (("--spec", "SL", "--q", "4", "--n", "0"), "n=0"),
+    (("--spec", "SL", "--q", "7", "--m", "0"), "m=0"),
+])
+def test_order_rejects_impossible_arguments(capsys, argv, named):
+    assert main(["order", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
 def test_kernel_subcommand(capsys):
     code, payload = run_cli(capsys, "kernel", "--iso", "pow:3", "--spec", "Gm",
                             "--p", "2")
@@ -176,6 +195,17 @@ def test_config_round_trip():
         ExperimentConfig.from_json('{"nonsense": 1}')
     with pytest.raises(ValueError, match=r"\['s_search'\]"):
         ExperimentConfig.from_json('{"s_search": 32}')
+
+
+def test_all_rejects_an_unknown_format_before_any_cell(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(Runner, "run", lambda self, eid: ran.append(eid))
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"fmt": "xml"}')
+    out = tmp_path / "reports"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'xml'" in capsys.readouterr().err
+    assert not ran and not out.exists()
 
 
 SMALL = dict(e12_qs=(2,), e12_n_max=2, e12_ks=(2, 3), e3_n_max=4,

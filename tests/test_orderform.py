@@ -82,6 +82,20 @@ def test_unknown_tags_raise():
         orderform.closed_order("SO", 2, 1, 3)
 
 
+@pytest.mark.parametrize("args,named", [
+    ((6, 1), "q=6"), ((1, 1), "q=1"), ((0, 1), "q=0"), ((-4, 1), "q=-4"),
+    ((4, 0), "n=0"), ((4, -1), "n=-1"), ((4, 1, 0), "m=0"), ((4, 1, -2), "m=-2"),
+])
+def test_impossible_arguments_raise_naming_the_value(args, named):
+    for fn in (orderform.closed_order, orderform.center_order):
+        for tag in ("GL", "SL", "Gm"):
+            with pytest.raises(ValueError, match=named):
+                fn(tag, *args)
+    if len(args) == 2 and args[1] == 1:
+        with pytest.raises(ValueError, match=named):
+            orderform.bn_order(orderform.BN_CATALOG["SL2"], args[0])
+
+
 def test_so_and_su_closed_orders():
     assert orderform.closed_order("SO", 3, 1, 3) == 24
     assert orderform.closed_order("SU", 2, 1, 2) == 6
