@@ -169,8 +169,8 @@ def _bfs_program(group: FiniteGroup, gen_ids: Sequence[int]):
 
 
 def index_k_subgroups(group: FiniteGroup, k: int, *,
-                      gens: Optional[Sequence[int]] = None, seed: int = 0,
-                      candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> list[SubgroupHandle]:
+                      gens: Optional[Sequence[int]] = None,
+                      seed: int = 0) -> list[SubgroupHandle]:
     """All subgroups of index exactly k, as handles sorted by their ids.
 
     Sims' low-index search over the right Cayley graph of `gens`: each
@@ -182,8 +182,8 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
     permutation: an undefined pt[g]^s becomes pt[g*s] unless that point
     already has an s-preimage, and any conflict backtracks.  New points
     are numbered in order of first appearance, so each subgroup comes out
-    once.  `candidate_bound` caps the branch points visited; passing it
-    raises `CensusBoundExceeded` rather than truncating.
+    once.  DEFAULT_CANDIDATE_BOUND caps the branch points visited; passing
+    it raises `CensusBoundExceeded` rather than truncating.
     """
     if k < 1:
         raise ValueError("index must be positive")
@@ -235,9 +235,9 @@ def index_k_subgroups(group: FiniteGroup, k: int, *,
                 pt[t] = y
             else:
                 branch_points += 1
-                if branch_points > candidate_bound:
+                if branch_points > DEFAULT_CANDIDATE_BOUND:
                     raise CensusBoundExceeded(
-                        f"census cell passed {candidate_bound} branch points")
+                        f"census cell passed {DEFAULT_CANDIDATE_BOUND} branch points")
                 for z in range(min(used + 1, k)):
                     if b[z] < 0:
                         f[x], b[z], pt[t] = z, x, z

@@ -13,11 +13,11 @@ integer-only payloads, seeded randomness.
     E2  cokernel invariants match ker/lang(ker); the connecting map mu
         checked as a surjective homomorphism on small cells
     E3  arithmetic-progression detector for index-3 subgroups of Gm over F_2
-    E4  vanishing censuses for SL_2 over small prime powers
+    E4  vanishing censuses for SL_2 over small prime powers, at k = 2, 3, 4
     E5  norm torus: split/non-split index-2 counts and which subgroups the
         double cover reaches
     E6  BN-pair and closed order formulas against enumeration
-    E7  characteristic scan: SL_2(F_p) has no small-index subgroups
+    E7  characteristic scan: SL_2(F_p), p >= 5, has no subgroup of index <= 4
     E8  additive counterexample: hyperplane counts in G_a
 
 Ambient fields are planned per cell by `homs.plan_degree`, the planner the
@@ -25,6 +25,11 @@ CLI uses too: level-n points need degree e*n, geometric kernels degree
 e*s_ker, and the sections behind mu degree e*n*s_section; the kernel side
 of E2 lives in its own small field on cells too large for the mu check,
 and E2 reads the image E1 computed wherever the two plan the same field.
+
+The config holds what a run varies: the seed, the grids' extents and the
+report location and format.  Settings every run shares are constants, read
+where they are checked; the config rejects their keys by name, and a grid
+entry that is not a prime power (or prime) before any cell runs.
 """
 
 from __future__ import annotations
@@ -36,15 +41,18 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable
 
 from . import census, homs, orderform
-from .ffield import AmbientField, is_prime, make_field, prime_power
+from .ffield import AmbientField, factorize, is_prime, make_field, prime_power
 from .matgroup import (FiniteGroup, GaSpec, GmSpec, GroupSpec, SLSpec, make_spec,
                        rational_points)
 
 EXPERIMENT_IDS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8")
 FORMATS = ("json", "csv", "both")
+
+#: E2 proves mu on the cells of at most this many points
+MU_ORDER_BOUND = 512
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -63,31 +71,21 @@ class ExperimentConfig:
     e12_n_max: int = 6
     e12_ks: tuple[int, ...] = (2, 3, 4, 5)
     e12_order_bound: int = 100_000
-    mu_order_bound: int = 512
 
-    e3_q: int = 2
-    e3_k: int = 3
     e3_n_max: int = 12
 
     e4_qs: tuple[tuple[int, int], ...] = ((2, 1), (3, 1), (2, 2), (5, 1),
                                           (7, 1), (2, 3), (3, 2))
-    e4_ks: tuple[int, ...] = (2, 3, 4)
 
     e5_p_max: int = 100
 
     e6_qs: tuple[int, ...] = (2, 3, 4, 5, 7, 9)
     e6_ratio_n_max: int = 6
 
-    e7_p_min: int = 5
     e7_p_max: int = 31
-    e7_k_max: int = 4
 
     e8_ps: tuple[int, ...] = (2, 3)
     e8_n_max: int = 4
-
-    census_order_bound: int = 100_000
-    candidate_bound: int = census.DEFAULT_CANDIDATE_BOUND
-    oracle_bound: int = census.DEFAULT_ORACLE_BOUND
 
     def __post_init__(self):
         if self.fmt not in FORMATS:
@@ -97,6 +95,18 @@ class ExperimentConfig:
             if isinstance(v, list):
                 setattr(self, f.name,
                         tuple(tuple(x) if isinstance(x, list) else x for x in v))
+        # a grid entry that names no field fails here, before any cell runs
+        for name in ("e12_qs", "e6_qs"):
+            for q in getattr(self, name):
+                if q < 2 or len(factorize(q)) != 1:
+                    raise ValueError(f"{name} entry {q} is not a prime power")
+        for pair in self.e4_qs:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and is_prime(pair[0]) and pair[1] >= 1):
+                raise ValueError(f"e4_qs entry {pair} is not (prime, e >= 1)")
+        for p in self.e8_ps:
+            if not is_prime(p):
+                raise ValueError(f"e8_ps entry {p} is not prime")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -131,8 +141,8 @@ def _guarded(cell: dict, body: Callable[..., None], *args) -> dict:
 class Runner:
     """Executes experiments against shared field/group caches."""
 
-    def __init__(self, config: Optional[ExperimentConfig] = None):
-        self.config = config or ExperimentConfig()
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
         self._fields: dict[tuple[int, int], AmbientField] = {}
         self._groups: dict[tuple, FiniteGroup] = {}
         self._images: dict[tuple[str, FiniteGroup], homs.Image] = {}
@@ -149,8 +159,7 @@ class Runner:
         key = (type(spec).__name__, spec.m, spec.p, spec.e, n, degree)
         if key not in self._groups:
             amb = self.field(spec.p, degree)
-            self._groups[key] = rational_points(
-                spec, n, amb, order_bound=self.config.census_order_bound * 2)
+            self._groups[key] = rational_points(spec, n, amb)
         return self._groups[key]
 
     def image(self, iso: homs.Isogeny, n: int, degree: int) -> homs.Image:
@@ -165,9 +174,8 @@ class Runner:
     # -- shared cell steps ------------------------------------------------------
 
     def _census(self, cell: dict, group: FiniteGroup, k: int) -> list:
-        """The index-k census at the config's seed and bound; sets the count."""
-        subs = census.index_k_subgroups(group, k, seed=self.config.seed,
-                                        candidate_bound=self.config.candidate_bound)
+        """The index-k census at the config's seed; sets the count."""
+        subs = census.index_k_subgroups(group, k, seed=self.config.seed)
         cell["count"] = len(subs)
         return subs
 
@@ -204,7 +212,7 @@ class Runner:
         cfg = self.config
         p, e = prime_power(q)
         iso = homs.parse_isogeny(iso_name, make_spec(family, p, e))
-        with_mu = cell["experiment"] == "E2" and cell["order"] <= cfg.mu_order_bound
+        with_mu = cell["experiment"] == "E2" and cell["order"] <= MU_ORDER_BOUND
         degree = homs.plan_degree(iso, n=n, sections=with_mu)
         img = self.image(iso, n, degree)
 
@@ -236,12 +244,10 @@ class Runner:
         return self._e12_cells("E2")
 
     def e3(self) -> list[dict]:
-        cfg = self.config
-        q, k = cfg.e3_q, cfg.e3_k
-        p, e = prime_power(q)
+        q, k = 2, 3
 
         def body(cell, n):
-            subs = self._census(cell, self.group(GmSpec(p, e), n, e * n), k)
+            subs = self._census(cell, self.group(GmSpec(q), n, n), k)
             expected = 1 if (q**n - 1) % k == 0 else 0
             cell["flags"] = {"expected_cyclic_count": expected}
             if len(subs) != expected:
@@ -249,15 +255,17 @@ class Runner:
 
         return [_guarded(_cell("E3", spec="Gm", q=q, n=n, k=k,
                                order=orderform.closed_order("Gm", q, n)), body, n)
-                for n in range(1, cfg.e3_n_max + 1)]
+                for n in range(1, self.config.e3_n_max + 1)]
 
     def e4(self) -> list[dict]:
-        cfg = self.config
+        # index-k subgroup counts of SL_2(F_q), k <= 4: none for q >= 4
+        ks = (2, 3, 4)
         expected = {2: {2: 1, 3: 3, 4: 0}, 3: {2: 0, 3: 1, 4: 4}}
+        bound = census.DEFAULT_ORACLE_BOUND
 
         def body(cell, spec, lattice_of):
             group = self.group(spec, 1, spec.e)
-            lattice = lattice_of(group) if len(group) <= cfg.oracle_bound else None
+            lattice = lattice_of(group) if len(group) <= bound else None
             cell["order"] = len(group)
             k = cell["k"]
             subs = self._census(cell, group, k)
@@ -272,11 +280,11 @@ class Runner:
                 cell.update(status="fail", reason="unexpected census count")
 
         cells = []
-        for p, e in cfg.e4_qs:
+        for p, e in self.config.e4_qs:
             # the lattice serves every k of this q; a failure retries per cell
             lattice_of = cache(lambda group: census.subgroup_lattice_oracle(
-                group, cfg.oracle_bound))
-            for k in cfg.e4_ks:
+                group, bound))
+            for k in ks:
                 cells.append(_guarded(_cell("E4", spec="SL2", q=p**e, n=1, k=k),
                                       body, SLSpec(2, p, e), lattice_of))
         return cells
@@ -347,7 +355,7 @@ class Runner:
         return cells
 
     def e7(self) -> list[dict]:
-        cfg = self.config
+        # SL_2(F_p) has a proper subgroup of index at most 4 only for p < 5
 
         def body(cell, p, k):
             if self._census(cell, self.group(SLSpec(2, p), 1, 1), k):
@@ -355,8 +363,8 @@ class Runner:
 
         return [_guarded(_cell("E7", spec="SL2", q=p, n=1, k=k,
                                order=orderform.closed_order("SL", p, 1)), body, p, k)
-                for p in primes_in(cfg.e7_p_min, cfg.e7_p_max)
-                for k in range(2, cfg.e7_k_max + 1)]
+                for p in primes_in(5, self.config.e7_p_max)
+                for k in (2, 3, 4)]
 
     def e8(self) -> list[dict]:
         cfg = self.config
@@ -403,7 +411,7 @@ def _summarize(cells: list[dict]) -> dict:
     failed = sum(1 for c in cells if c["status"] == "fail")
     skipped = sum(1 for c in cells if c["status"] == "skipped")
     return {"total": len(cells), "passed": passed, "failed": failed,
-            "skipped": skipped, "pass": failed == 0}
+            "skipped": skipped, "pass": failed == 0 and passed > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +436,7 @@ def report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def write_reports(result: dict, out_dir: str, fmt: str = "json") -> list[str]:
+def write_reports(result: dict, out_dir: str, fmt: str) -> list[str]:
     """Write one file per experiment plus a summary; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []

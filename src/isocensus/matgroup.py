@@ -25,10 +25,9 @@ Connectedness of a spec is an assumption of the surrounding theory and is not
 checked algorithmically.
 
 Bounds are module constants, read when they are checked: DEFAULT_ORDER_BOUND
-on an enumerated point group (`rational_points` and `from_generators` take
-it as `order_bound`/`bound`), DEFAULT_MATRIX_SCAN_LIMIT on the candidate
-matrices of a "scan" spec, and TABLE_THRESHOLD on the groups whose products
-are cached.
+on an enumerated point group (in `rational_points` and `from_generators`),
+DEFAULT_MATRIX_SCAN_LIMIT on the candidate matrices of a "scan" spec, and
+TABLE_THRESHOLD on the groups whose products are cached.
 """
 
 from __future__ import annotations
@@ -338,16 +337,17 @@ def cayley_walk(identity, gens: Sequence, op: Callable, bound: int):
 
 
 def from_generators(gens: Sequence, op: Callable, identity, *,
-                    inv: Callable, bound: int = DEFAULT_ORDER_BOUND,
-                    label: str = "", meta: Optional[dict] = None) -> FiniteGroup:
+                    inv: Callable, label: str = "",
+                    meta: Optional[dict] = None) -> FiniteGroup:
     """The group generated by `gens`, enumerated by one `cayley_walk` over
-    its distinct non-identity generators in sorted order.  They
+    its distinct non-identity generators in sorted order, up to
+    DEFAULT_ORDER_BOUND elements.  They
     become the `gens_hint`, whose ids then increase, so the walk is the one
     `census._bfs_program` makes over them; it is kept in `bfs_programs`,
     with the order as ids.  A closure needs no proof that it is generated.
     """
     live = sorted({g for g in gens if g != identity})
-    order, targets, first = cayley_walk(identity, live, op, bound)
+    order, targets, first = cayley_walk(identity, live, op, DEFAULT_ORDER_BOUND)
     group = FiniteGroup(order, op, identity, inv=inv, label=label, meta=meta,
                         gens_hint=live)
     group.bfs_programs[group.gens_hint] = \
@@ -422,14 +422,22 @@ class GroupSpec:
         return f"{type(self).__name__}(m={self.m}, q={self.q})"
 
 
-class GmSpec(GroupSpec):
+class FixedSizeSpec(GroupSpec):
+    """A spec whose matrix size `size` is fixed by its class: it is built
+    from (p, e) alone, and its group labels omit the size."""
+
+    size: int
+
+    def __init__(self, p: int, e: int = 1):
+        super().__init__(self.size, p, e)
+
+
+class GmSpec(FixedSizeSpec):
     """Multiplicative group as invertible 1x1 matrices."""
 
     tag = "Gm"
     strategy = "parametrized"
-
-    def __init__(self, p: int, e: int = 1):
-        super().__init__(1, p, e)
+    size = 1
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         return any(mat[0])
@@ -446,14 +454,12 @@ class GmSpec(GroupSpec):
         return [(subfield_generator(field, d),)]
 
 
-class GaSpec(GroupSpec):
+class GaSpec(FixedSizeSpec):
     """Additive group realized as upper unitriangular 2x2 matrices."""
 
     tag = "Ga"
     strategy = "parametrized"
-
-    def __init__(self, p: int, e: int = 1):
-        super().__init__(2, p, e)
+    size = 2
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         a, b, c, d = mat
@@ -520,7 +526,7 @@ def _norm_zeros(field: AmbientField, d: int) -> list[Coeffs]:
     return sorted({field.neg(xi), field.neg(field.mul(xi, xi))})
 
 
-class NormTorusSpec(GroupSpec):
+class NormTorusSpec(FixedSizeSpec):
     """Plane torus of matrices {{a, -b}, {b, a-b}} with a^2 - ab + b^2 != 0.
 
     Splits over fields containing a primitive cube root of unity, where it is
@@ -531,9 +537,7 @@ class NormTorusSpec(GroupSpec):
 
     tag = "NormTorus"
     strategy = "parametrized"
-
-    def __init__(self, p: int, e: int = 1):
-        super().__init__(2, p, e)
+    size = 2
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         a, mb, b, amb = mat
@@ -585,15 +589,13 @@ class NormTorusSpec(GroupSpec):
                      if all(field.mat_pow(x, c) != one for c in checks))]
 
 
-class NormTorusCoverSpec(GroupSpec):
+class NormTorusCoverSpec(FixedSizeSpec):
     """Double cover of the norm torus: block diag(M(a, b), c) with
     c^2 = a^2 - ab + b^2."""
 
     tag = "NormTorusCover"
     strategy = "parametrized"
-
-    def __init__(self, p: int, e: int = 1):
-        super().__init__(3, p, e)
+    size = 3
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         a, mb, z02, b, amb, z12, z20, z21, c = mat
@@ -730,29 +732,19 @@ class SUSpec(GroupSpec):
             and mat_det(field, mat) == field.one
 
 
-def builtin_specs() -> dict[str, Callable[..., GroupSpec]]:
-    """Catalog of constructors keyed by the stable CLI names."""
-    return {
-        "GL": lambda m, p, e=1: GLSpec(m, p, e),
-        "SL": lambda m, p, e=1: SLSpec(m, p, e),
-        "Sp": lambda m, p, e=1: SpSpec(m, p, e),
-        "SO": lambda m, p, e=1: SOSpec(m, p, e),
-        "SU": lambda m, p, e=1: SUSpec(m, p, e),
-        "Gm": lambda p, e=1: GmSpec(p, e),
-        "Ga": lambda p, e=1: GaSpec(p, e),
-        "NormTorus": lambda p, e=1: NormTorusSpec(p, e),
-        "NormTorusCover": lambda p, e=1: NormTorusCoverSpec(p, e),
-    }
+def builtin_specs() -> dict[str, type[GroupSpec]]:
+    """The spec classes keyed by their tags, the stable CLI names."""
+    return {cls.tag: cls for cls in (GLSpec, SLSpec, SpSpec, SOSpec, SUSpec, GmSpec,
+                                     GaSpec, NormTorusSpec, NormTorusCoverSpec)}
 
 
 def make_spec(name: str, p: int, e: int = 1, m: int = 2) -> GroupSpec:
+    """The named spec over F_{p^e}; `m` is ignored by a fixed-size spec."""
     catalog = builtin_specs()
     if name not in catalog:
         raise ValueError(f"unknown spec {name!r}; known: {sorted(catalog)}")
-    ctor = catalog[name]
-    if name in ("Gm", "Ga", "NormTorus", "NormTorusCover"):
-        return ctor(p, e)
-    return ctor(m, p, e)
+    cls = catalog[name]
+    return cls(p, e) if issubclass(cls, FixedSizeSpec) else cls(m, p, e)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +766,7 @@ def _scan_all_matrices(spec: GroupSpec, field: AmbientField, n: int,
             yield combo
 
 
-def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
-                    order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
+def rational_points(spec: GroupSpec, n: int, ambient: AmbientField) -> FiniteGroup:
     """Enumerate the group of level-n rational points of a spec.
 
     The ambient field must contain the entry subfield.  The returned group
@@ -786,7 +777,7 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
     generators, each checked to be a point, become its `gens_hint`; only
     `census._bfs_program` proves that they generate.  `spec.strategy` picks
     the enumeration, whose points are distinct by construction (a duplicate
-    raises in `FiniteGroup`); more than order_bound points raise
+    raises in `FiniteGroup`); more than DEFAULT_ORDER_BOUND points raise
     EnumerationBound, and so does a "scan" spec whose full scan would pass
     DEFAULT_MATRIX_SCAN_LIMIT matrices.
     """
@@ -807,16 +798,17 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField, *,
         elems = list(spec.scan_points(ambient, n))
     elif spec.strategy == "closure":
         return from_generators(spec.generators(ambient, n), ambient.mat_mul,
-                               identity, inv=inv, bound=order_bound,
-                               label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})", meta=meta)
+                               identity, inv=inv, meta=meta,
+                               label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})")
     elif spec.strategy == "scan":
         elems = list(_scan_all_matrices(spec, ambient, n, DEFAULT_MATRIX_SCAN_LIMIT))
     else:
         raise ValueError(f"unknown strategy {spec.strategy!r}")
-    if len(elems) > order_bound:
+    if len(elems) > DEFAULT_ORDER_BOUND:
         raise EnumerationBound(
-            f"group order {len(elems)} exceeds bound {order_bound}")
-    tag = f"{spec.tag}{spec.m if spec.m > 1 and spec.tag not in ('Ga', 'NormTorus', 'NormTorusCover') else ''}"
+            f"group order {len(elems)} exceeds bound {DEFAULT_ORDER_BOUND}")
+    fixed = isinstance(spec, FixedSizeSpec)
+    tag = f"{spec.tag}{spec.m if spec.m > 1 and not fixed else ''}"
     return FiniteGroup(elems, ambient.mat_mul, identity, inv=inv,
                        label=f"{tag}(F_{spec.q}^{n})", meta=meta,
                        gens_hint=spec.point_generators(ambient, n))

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from corpus import build_corpus
-from isocensus import census, homs
+from isocensus import census, experiments, homs
 from isocensus.experiments import ExperimentConfig, Runner, report_json
 from isocensus.ffield import is_prime
 
@@ -119,7 +119,7 @@ def test_criterion_2_cokernel_isomorphism(runner, reports):
     mu_checked = [c for c in live if c["flags"]["mu_checked"]]
     assert len(mu_checked) >= 30
     for cell in live:
-        if cell["order"] <= runner.config.mu_order_bound:
+        if cell["order"] <= experiments.MU_ORDER_BOUND:
             assert cell["flags"]["mu_checked"] and cell["flags"]["mu_ok"] is True
     spot = cells_by(report, spec="NormTorus", isogeny="normcover", q=7, n=1)[0]
     assert spot["flags"]["invariants"] == [2]
@@ -235,7 +235,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
     config = ExperimentConfig(
         e12_qs=(2, 3), e12_n_max=3, e12_ks=(2, 3), e3_n_max=6,
         e4_qs=((2, 1), (3, 1), (2, 2)), e5_p_max=13, e6_qs=(2, 3, 4),
-        e6_ratio_n_max=4, e7_p_min=5, e7_p_max=11, e8_ps=(2, 3), e8_n_max=3,
+        e6_ratio_n_max=4, e7_p_max=11, e8_ps=(2, 3), e8_n_max=3,
         fmt="both")
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(config.to_json())

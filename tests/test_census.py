@@ -15,10 +15,9 @@ from isocensus.census import (CensusBoundExceeded, SubgroupHandle, center,
                               invariant_factors_abelian, quotient_group,
                               small_generating_set, subgroup_lattice_oracle)
 from isocensus.ffield import VerificationError, make_field
-from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
-                                GmSpec, Matrix, NormTorusSpec, SLSpec, cayley_walk,
-                                direct_product, from_generators, mat_det, mat_inv,
-                                rational_points)
+from isocensus.matgroup import (FiniteGroup, GaSpec, GLSpec, GmSpec, Matrix,
+                                NormTorusSpec, SLSpec, cayley_walk, direct_product,
+                                from_generators, mat_det, mat_inv, rational_points)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -106,10 +105,11 @@ def test_census_rejects_nonpositive_k():
         index_k_subgroups(SL2F2, 0)
 
 
-def test_census_bound_is_loud():
+def test_census_bound_is_loud(monkeypatch):
     group = rational_points(NormTorusSpec(7), 1, F7)
-    with pytest.raises(CensusBoundExceeded):
-        index_k_subgroups(group, 6, candidate_bound=10)
+    monkeypatch.setattr(census, "DEFAULT_CANDIDATE_BOUND", 10)
+    with pytest.raises(CensusBoundExceeded, match="passed 10 branch points"):
+        index_k_subgroups(group, 6)
 
 
 def test_trivial_group_census():
@@ -180,12 +180,10 @@ def _random_matrix_group(rng):
             m = Matrix(field, rows)
             if any(mat_det(field, m.flat)):
                 gens.append(m)
-        try:
-            return from_generators(gens, Matrix.__mul__,
-                                   Matrix.identity(field, 2), inv=Matrix.inv,
-                                   bound=200)
-        except EnumerationBound:
-            continue
+        group = from_generators(gens, Matrix.__mul__, Matrix.identity(field, 2),
+                                inv=Matrix.inv)
+        if len(group) <= 200:
+            return group
 
 
 def test_census_matches_oracle_on_random_groups():

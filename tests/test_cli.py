@@ -193,8 +193,11 @@ def test_config_round_trip():
     assert again.to_json() == text
     with pytest.raises(ValueError):
         ExperimentConfig.from_json('{"nonsense": 1}')
-    with pytest.raises(ValueError, match=r"\['s_search'\]"):
-        ExperimentConfig.from_json('{"s_search": 32}')
+    # keys of settings that are constants now; each fails by name
+    for key in ("s_search", "mu_order_bound", "e3_q", "e3_k", "e4_ks", "e7_p_min",
+                "e7_k_max", "census_order_bound", "candidate_bound", "oracle_bound"):
+        with pytest.raises(ValueError, match=rf"\['{key}'\]"):
+            ExperimentConfig.from_json(json.dumps({key: 1}))
 
 
 def test_all_rejects_an_unknown_format_before_any_cell(tmp_path, capsys, monkeypatch):
@@ -208,9 +211,36 @@ def test_all_rejects_an_unknown_format_before_any_cell(tmp_path, capsys, monkeyp
     assert not ran and not out.exists()
 
 
+@pytest.mark.parametrize("key", ["e12_qs", "e6_qs"])
+def test_all_rejects_a_q_that_is_no_prime_power_before_any_cell(tmp_path, capsys,
+                                                                monkeypatch, key):
+    ran = []
+    monkeypatch.setattr(Runner, "run", lambda self, eid: ran.append(eid))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: [6]}))
+    out = tmp_path / "reports"
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} entry 6 is not a prime power" in capsys.readouterr().err
+    assert not ran and not out.exists()
+
+
 SMALL = dict(e12_qs=(2,), e12_n_max=2, e12_ks=(2, 3), e3_n_max=4,
              e4_qs=((2, 1),), e5_p_max=7, e6_qs=(2, 3), e6_ratio_n_max=3,
-             e7_p_min=5, e7_p_max=5, e8_ps=(2,), e8_n_max=2)
+             e7_p_max=5, e8_ps=(2,), e8_n_max=2)
+
+
+@pytest.mark.parametrize("key", ["e12_n_max", "e12_order_bound"])
+def test_all_fails_a_grid_where_no_cell_passed(tmp_path, capsys, key):
+    # a bound of 0 leaves E1 and E2 no cell, or only skipped ones
+    cfg = tmp_path / "config.json"
+    cfg.write_text(ExperimentConfig(**{**SMALL, key: 0}).to_json())
+    code, payload = run_cli(capsys, "all", "--config", str(cfg),
+                            "--out", str(tmp_path / "reports"))
+    assert code == 1 and payload["summary"]["all_pass"] is False
+    for eid, summary in payload["summary"]["experiments"].items():
+        assert summary["failed"] == 0
+        assert summary["pass"] is (eid not in ("E1", "E2")), eid
+    assert payload["summary"]["experiments"]["E1"]["passed"] == 0
 
 
 def test_experiment_subcommand_writes_reports(tmp_path, capsys):

@@ -1,4 +1,10 @@
-"""The experiment harness's one failure policy and its per-cell caches."""
+"""The experiment harness's one failure policy, its per-cell caches and its
+config's checks."""
+
+import ast
+import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +14,7 @@ from isocensus.experiments import EXPERIMENT_IDS, ExperimentConfig, Runner
 # every guarded experiment has at least three cells that reach its callee
 TINY = dict(e12_qs=(2,), e12_n_max=2, e12_ks=(3,), e3_n_max=4,
             e4_qs=((2, 1), (3, 1)), e5_p_max=7, e6_qs=(2, 3, 4),
-            e6_ratio_n_max=3, e7_p_min=5, e7_p_max=7, e7_k_max=3, e8_ps=(2,),
-            e8_n_max=3)
+            e6_ratio_n_max=3, e7_p_max=7, e8_ps=(2,), e8_n_max=3)
 
 # one callee per experiment that runs inside the cell body
 CALLEES = {"E1": (homs, "check_image_index"), "E2": (homs, "cokernel"),
@@ -77,7 +82,7 @@ def test_e4_builds_one_lattice_per_q(monkeypatch):
     assert [len(group) for group, _ in lattices] == [6, 24]
 
 
-@pytest.mark.parametrize("eid,per_group", [("E4", 3), ("E7", 2)])
+@pytest.mark.parametrize("eid,per_group", [("E4", 3), ("E7", 3)])
 def test_a_failed_group_build_is_retried_by_the_next_cell(monkeypatch, eid, per_group):
     # Runner.group caches successes only, so the first cell of the first
     # group fails and the next cell builds the group again
@@ -88,6 +93,39 @@ def test_a_failed_group_build_is_retried_by_the_next_cell(monkeypatch, eid, per_
     assert cells[0]["reason"] == "RuntimeError: boom"
     assert len(cells) == 2 * per_group and len(builds) == 3
     assert len(lattices) == (2 if eid == "E4" else 0)
+
+
+@pytest.mark.parametrize("data,named", [
+    ({"e12_qs": [2, 6]}, "e12_qs entry 6 is not a prime power"),
+    ({"e6_qs": [1]}, "e6_qs entry 1 is not a prime power"),
+    ({"e4_qs": [[6, 1]]}, r"e4_qs entry \(6, 1\) is not \(prime, e >= 1\)"),
+    ({"e4_qs": [[5, 0]]}, r"e4_qs entry \(5, 0\)"),
+    ({"e4_qs": [5]}, "e4_qs entry 5 "),
+    ({"e8_ps": [2, 4]}, "e8_ps entry 4 is not prime"),
+])
+def test_a_grid_entry_that_names_no_field_is_rejected(data, named):
+    with pytest.raises(ValueError, match=named):
+        ExperimentConfig.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("data", [{"e12_n_max": 0}, {"e12_order_bound": 0}])
+def test_a_grid_where_no_cell_passed_does_not_pass(data):
+    summary = Runner(ExperimentConfig.from_json(json.dumps(data))).run("E1")["summary"]
+    assert summary["passed"] == summary["failed"] == 0
+    assert summary["pass"] is False
+
+
+def test_option_counts_do_not_grow():
+    # ROADMAP aim 2 tracks both counts; a change that adds a parameter with
+    # a default or a config field raises its bound here and says why
+    defaults = 0
+    for path in Path(experiments.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert defaults <= 26
+    assert len(fields(ExperimentConfig)) <= 15
 
 
 def test_an_unknown_report_format_is_rejected_before_any_cell():

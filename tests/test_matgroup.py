@@ -242,8 +242,11 @@ def test_su_needs_quadratic_subextension():
 
 
 def test_enumeration_bounds_raise(monkeypatch):
-    with pytest.raises(EnumerationBound):
-        rational_points(SLSpec(2, 31), 1, make_field(31, 1), order_bound=100)
+    monkeypatch.setattr(matgroup, "DEFAULT_ORDER_BOUND", 100)
+    with pytest.raises(EnumerationBound, match="exceeds bound 100"):
+        rational_points(SLSpec(2, 31), 1, make_field(31, 1))
+    with pytest.raises(EnumerationBound, match="exceeds bound 100"):
+        rational_points(GmSpec(103), 1, make_field(103, 1))
     # 2^16 candidates: within the default limit, past a limit of 1000
     monkeypatch.setattr(matgroup, "DEFAULT_MATRIX_SCAN_LIMIT", 1000)
     with pytest.raises(EnumerationBound, match="exceeds bound 1000"):

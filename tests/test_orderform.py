@@ -36,7 +36,7 @@ def test_bn_matches_closed_forms_for_catalog():
 
 def test_closed_orders_match_enumeration():
     f3 = make_field(3, 1)
-    sl3 = rational_points(SLSpec(3, 3), 1, f3, order_bound=10**5)
+    sl3 = rational_points(SLSpec(3, 3), 1, f3)
     assert len(sl3) == orderform.closed_order("SL", 3, 1, 3) == 5616
     sp4 = rational_points(SpSpec(4, 2), 1, make_field(2, 1))
     assert len(sp4) == orderform.closed_order("Sp", 2, 1, 4) == 720
