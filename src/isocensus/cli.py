@@ -3,7 +3,8 @@ the batch experiment harness.
 
 Every subcommand prints one deterministic JSON document to stdout; the
 experiment subcommands additionally write report files.  The process exits 0
-exactly when every assertion that ran passed.
+exactly when every assertion that ran passed.  An error prints one `error:`
+line and exits 2; with `--debug` it is raised with its traceback.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isocensus",
         description="exact isogeny/subgroup experiments for matrix groups "
                     "over finite fields")
+    parser.add_argument("--debug", action="store_true",
+                        help="raise errors with their traceback, not as one line")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("points", help="enumerate a rational-point group")
@@ -214,6 +217,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,13 +27,14 @@ Arithmetic takes one of two paths, fixed when the field is built:
   coefficient tuples.  Zero has no log and is handled explicitly; a tuple
   that is not a field element raises.  The tables also serve matrix
   products (`mat_mul`, on the row-major tuple of a matrix's m^2 entries)
-  and powers (`mat_pow`), which share one log-domain core
-  (`_log_mat_mul`): each entry's log is looked up once, every dot product
-  is summed in the log domain, a power keeps every intermediate product as
-  logs, and one exp lookup per entry ends it.
+  and powers (`mat_pow`, on a whole list of matrices at once), which share
+  one log-domain core (`_log_mat_mul`): each entry's log is looked up once,
+  every dot product is summed in the log domain, a power keeps every
+  intermediate product as logs, and one exp lookup per entry ends it; a
+  list of 1 x 1 matrices is one pass over their logs.
 * Polynomial path, for prime fields and fields above the limit: extended
-  Euclid for inverses and powers from the leading bit (`mat_pow` powers a
-  matrix by `mat_mul` the same way).  A prime field with
+  Euclid for inverses and powers from the leading bit (`mat_pow` powers
+  each matrix of its list by `mat_mul` the same way).  A prime field with
   p <= TABLE_COEFF_LIMIT returns its own p element tuples, as the table
   path returns its tables'; above the limit each result is new.  A product
   in F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
@@ -461,34 +462,47 @@ class AmbientField:
         return tuple(reduce(sum(map(operator.mul, xs[i:i + m], col)), slots)
                      for i in range(0, size, m) for col in cols)
 
-    def mat_pow(self, a: Flat, e: int) -> Flat:
-        """a^e for an m x m matrix given as `mat_mul` takes it, and e >= 1
-        (ValueError otherwise), by binary powering from the leading bit:
-        floor(log2 e) squarings and popcount(e) - 1 further products.
+    def mat_pow(self, mats: Sequence[Flat], e: int) -> list[Flat]:
+        """[a^e for a in mats], for m x m matrices of one size given as
+        `mat_mul` takes them, and e >= 1 (ValueError otherwise): the one
+        matrix power.  Each matrix is powered from the leading bit,
+        floor(log2 e) squarings and popcount(e) - 1 further products, and
+        each step of that is one `map` over the whole list.
 
-        A 1 x 1 matrix is one `pow`.  On the table path each entry's log is
-        looked up once, every product is `_log_mat_mul` on logs, and one exp
-        lookup per entry ends it; other fields multiply by `mat_mul`.
+        On the table path, 1 x 1 matrices are one pass over their logs,
+        exp[log(a) e mod (q - 1)]; for m >= 2 each entry's log is looked up
+        once, every product is `_log_mat_mul` on logs, and one exp lookup
+        per entry ends it.  Elsewhere a 1 x 1 matrix is one `pow`, and a
+        larger one multiplies by `mat_mul`.
         """
         if e < 1:
             raise ValueError(f"matrix power needs a positive exponent, got {e}")
-        if len(a) == 1:
-            return (self.pow(a[0], e),)
-        log = self._log
+        if not mats:
+            return []
+        log, zero, size = self._log, self.zero, len(mats[0])
+        if size == 1:
+            if log is None:
+                return [(self.pow(a, e),) for a, in mats]
+            exp, n = self._exp, self._units
+            return [(zero,) if (la := log[a]) is None else (exp[la * e % n],)
+                    for a, in mats]
         if log is None:
-            mul, base = self.mat_mul, a
+            mul, bases = self.mat_mul, mats
         else:
-            zech, n = self._zech, self._units
-            mul, base = partial(_log_mat_mul, zech, n), [log[x] for x in a]
-        result = base
+            mul = partial(_log_mat_mul, self._zech, self._units)
+            # one tuple of m^2 logs per matrix, cut from one pass over all entries
+            logs = map(log.__getitem__, itertools.chain.from_iterable(mats))
+            bases = list(zip(*[logs] * size))
+        powers = bases
         for bit in bin(e)[3:]:
-            result = mul(result, result)
+            powers = list(map(mul, powers, powers))
             if bit == "1":
-                result = mul(result, base)
+                powers = list(map(mul, powers, bases))
         if log is None:
-            return result
-        exp, zero = self._exp, self.zero
-        return tuple([zero if r is None else exp[r] for r in result])
+            return list(powers)
+        exp = self._exp
+        entries = iter([zero if r is None else exp[r] for result in powers for r in result])
+        return list(zip(*[entries] * size))
 
     def _poly_mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         """Product on the polynomial path (D > 1): the packed operands
@@ -762,13 +776,44 @@ def _log_mat_mul(zech: list[Optional[int]], n: int, xs: Sequence[Optional[int]],
     [0, n) or None for zero: the one log-domain product core of `mat_mul`
     and `mat_pow`.  A product of two entries is a sum of logs, each further
     term of a dot product one Zech lookup (g^s + g^t = g^s (1 + g^(t - s))),
-    and a zero entry is skipped; m = 2, the bulk of E1's powers (2x2
-    norm-torus points), is unrolled as four `_log_dot2`."""
+    and a zero entry is skipped.  m = 2, the bulk of E1's powers (2x2
+    norm-torus points), is written out straight-line, one block per entry."""
     if len(xs) == 4:
         x0, x1, x2, x3 = xs
         y0, y1, y2, y3 = ys
-        return (_log_dot2(x0, y0, x1, y2, zech, n), _log_dot2(x0, y1, x1, y3, zech, n),
-                _log_dot2(x2, y0, x3, y2, zech, n), _log_dot2(x2, y1, x3, y3, zech, n))
+        if x0 is None or y0 is None:
+            r0 = None if x1 is None or y2 is None else (x1 + y2) % n
+        elif x1 is None or y2 is None:
+            r0 = (x0 + y0) % n
+        else:
+            s = x0 + y0
+            z = zech[(x1 + y2 - s) % n]
+            r0 = None if z is None else (s + z) % n
+        if x0 is None or y1 is None:
+            r1 = None if x1 is None or y3 is None else (x1 + y3) % n
+        elif x1 is None or y3 is None:
+            r1 = (x0 + y1) % n
+        else:
+            s = x0 + y1
+            z = zech[(x1 + y3 - s) % n]
+            r1 = None if z is None else (s + z) % n
+        if x2 is None or y0 is None:
+            r2 = None if x3 is None or y2 is None else (x3 + y2) % n
+        elif x3 is None or y2 is None:
+            r2 = (x2 + y0) % n
+        else:
+            s = x2 + y0
+            z = zech[(x3 + y2 - s) % n]
+            r2 = None if z is None else (s + z) % n
+        if x2 is None or y1 is None:
+            r3 = None if x3 is None or y3 is None else (x3 + y3) % n
+        elif x3 is None or y3 is None:
+            r3 = (x2 + y1) % n
+        else:
+            s = x2 + y1
+            z = zech[(x3 + y3 - s) % n]
+            r3 = None if z is None else (s + z) % n
+        return (r0, r1, r2, r3)
     m = isqrt(len(xs))
     cols = [ys[j::m] for j in range(m)]
     out = []
@@ -786,18 +831,6 @@ def _log_mat_mul(zech: list[Optional[int]], n: int, xs: Sequence[Optional[int]],
                     acc = None if z is None else acc + z
             out.append(None if acc is None else acc % n)
     return out
-
-
-def _log_dot2(x0: Optional[int], y0: Optional[int], x1: Optional[int],
-              y1: Optional[int], zech: list[Optional[int]], n: int) -> Optional[int]:
-    """log(g^x0 g^y0 + g^x1 g^y1) in [0, n), where None stands for log 0."""
-    if x0 is None or y0 is None:
-        return None if x1 is None or y1 is None else (x1 + y1) % n
-    s = x0 + y0
-    if x1 is None or y1 is None:
-        return s % n
-    z = zech[(x1 + y1 - s) % n]
-    return None if z is None else (s + z) % n
 
 
 def _nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:

@@ -74,7 +74,8 @@ class Isogeny:
     """Base class: a matrix map between two specs with finite kernel.
 
     Points are flat entry tuples over an ambient field, as the point groups
-    of `rational_points` hold them; `apply(field, x)` maps one.
+    of `rational_points` hold them; `apply(field, points)` maps a sequence
+    of them to the list of their images, so a caller pays one call per list.
     """
 
     name: str = ""
@@ -95,7 +96,7 @@ class Isogeny:
         c = self.codomain_spec
         return type(spec) is type(c) and spec.m == c.m and spec.q == c.q
 
-    def apply(self, field: AmbientField, x: Flat) -> Flat:
+    def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
         raise NotImplementedError
 
     def kernel_field_degree(self) -> int:
@@ -129,8 +130,8 @@ class IdentityIsogeny(Isogeny):
         super().__init__(spec, spec)
         self.name = "id"
 
-    def apply(self, field: AmbientField, x: Flat) -> Flat:
-        return x
+    def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
+        return list(points)
 
     def kernel_field_degree(self) -> int:
         return 1
@@ -162,8 +163,8 @@ class PowerIsogeny(Isogeny):
         self.k = k
         self.name = f"pow:{k}"
 
-    def apply(self, field: AmbientField, x: Flat) -> Flat:
-        return field.mat_pow(x, self.k)
+    def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
+        return field.mat_pow(points, self.k)
 
     def _is_plane_torus(self) -> bool:
         return isinstance(self.domain_spec, NormTorusSpec)
@@ -241,7 +242,7 @@ class PowerIsogeny(Isogeny):
             if ru is None or rv is None:
                 return None
             y = _norm_from_eigenvalues(ambient, ru, rv, xi)
-        if self.apply(ambient, y) != x:
+        if self.apply(ambient, [y]) != [x]:
             raise VerificationError(f"{self.name}: extracted section is not a preimage")
         return y
 
@@ -253,8 +254,8 @@ class NormCoverIsogeny(Isogeny):
         super().__init__(NormTorusCoverSpec(p, e), NormTorusSpec(p, e))
         self.name = "normcover"
 
-    def apply(self, field: AmbientField, x: Flat) -> Flat:
-        return (x[0], x[1], x[3], x[4])
+    def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
+        return [(x[0], x[1], x[3], x[4]) for x in points]
 
     def kernel_order(self) -> int:
         return 1 if self.q % 2 == 0 else 2
@@ -296,8 +297,8 @@ class CompositeIsogeny(Isogeny):
         self.inner = inner
         self.name = f"compose:({outer.name},{inner.name})"
 
-    def apply(self, field: AmbientField, x: Flat) -> Flat:
-        return self.outer.apply(field, self.inner.apply(field, x))
+    def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
+        return self.outer.apply(field, self.inner.apply(field, points))
 
     def kernel_order(self) -> int:
         return self.outer.kernel_order() * self.inner.kernel_order()
@@ -339,7 +340,11 @@ def parse_isogeny(text: str, spec: GroupSpec) -> Isogeny:
     if text == "id":
         return IdentityIsogeny(spec)
     if text.startswith("pow:"):
-        return PowerIsogeny(spec, int(text[len("pow:"):]))
+        try:
+            k = int(text[len("pow:"):])
+        except ValueError:
+            raise ValueError(f"{text!r}: pow:K needs an integer K") from None
+        return PowerIsogeny(spec, k)
     if text.startswith("compose:(") and text.endswith(")"):
         inner = text[len("compose:("):-1]
         depth = 0
@@ -394,7 +399,7 @@ def kernel_points(iso: Isogeny, ambient: AmbientField) -> tuple[FiniteGroup, int
                         inv=partial(mat_inv, ambient), label=f"ker({iso.name})",
                         meta={"isogeny": iso.name, "field": ambient})
     one = mat_identity(ambient, iso.codomain_spec.m)
-    if not all(iso.apply(ambient, a) == one for a in group.elements):
+    if any(x != one for x in iso.apply(ambient, group.elements)):
         raise VerificationError(f"{iso.name}: a kernel point does not map to the identity")
     if len(group) != iso.kernel_order():
         raise KernelNotCaptured(
@@ -424,16 +429,16 @@ class Image:
 def image(iso: Isogeny, n: int, ambient: AmbientField, *,
           domain: Optional[FiniteGroup] = None,
           codomain: Optional[FiniteGroup] = None) -> Image:
-    """phi applied to every level-n domain point, once.  A point group not
-    given is enumerated in the ambient field, except that a domain with the
-    codomain's spec reuses the codomain points."""
+    """phi applied to every level-n domain point, once, in one `apply` call
+    on the whole domain.  A point group not given is enumerated in the
+    ambient field, except that a domain with the codomain's spec reuses the
+    codomain points."""
     if codomain is None:
         codomain = rational_points(iso.codomain_spec, n, ambient)
     if domain is None:
         domain = codomain if iso.domain_spec is iso.codomain_spec \
             else rational_points(iso.domain_spec, n, ambient)
-    apply, index = iso.apply, codomain.index
-    values = [index.get(apply(ambient, g)) for g in domain.elements]
+    values = list(map(codomain.index.get, iso.apply(ambient, domain.elements)))
     if None in values:
         raise VerificationError(f"{iso.name} maps a rational point outside "
                                 "the codomain point group")
@@ -567,8 +572,8 @@ def with_sections(data: CokernelData, iso: Isogeny, n: int, *,
         raise ValueError(f"the section table needs the kernel in {ambient!r}")
     sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
                                               data.kernel_group, seed)
-    if any(iso.apply(ambient, sections[codomain.index[x]]) != x
-           for x in data.quotient.elements):
+    reps = data.quotient.elements
+    if iso.apply(ambient, [sections[codomain.index[x]] for x in reps]) != list(reps):
         raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
     return replace(data, sections=sections, section_lang_ids=lang_ids, section_gens=gens)
 
@@ -668,8 +673,7 @@ def reached_by(codomain: FiniteGroup, subgroups: Sequence[Sequence[int]],
         if any(kernel.mult(a, b) != kernel.mult(b, a)
                for a in range(len(kernel)) for b in range(a)):
             raise VerificationError(f"ker({iso.name}) is not abelian")
-        if any(iso.apply(ambient, y) != x
-               for y, x in zip(data.sections, data.codomain.elements)):
+        if iso.apply(ambient, data.sections) != list(data.codomain.elements):
             raise VerificationError(f"{iso.name}: a section is not a preimage")
         image_set = set(img.ids)
         for f, h_ids in zip(flags, subgroups):

@@ -387,6 +387,8 @@ class GroupSpec:
     strategy: str = "scan"  # "parametrized" | "closure" | "scan"
 
     def __init__(self, m: int, p: int, e: int = 1):
+        if m < 1:
+            raise ValueError(f"matrix dimension must be positive, got m={m}")
         self.m = m
         self.p = p
         self.e = e
@@ -584,9 +586,9 @@ class NormTorusSpec(FixedSizeSpec):
         # cyclic of order Q^2 - 1; its first point of that order generates
         order = p**(2 * d) - 1
         checks = [order // ell for ell in factorize(order)]
-        one = mat_identity(field, 2)
+        one = [mat_identity(field, 2)]
         return [next(x for x in self.scan_points(field, n)
-                     if all(field.mat_pow(x, c) != one for c in checks))]
+                     if all(field.mat_pow([x], c) != one for c in checks))]
 
 
 class NormTorusCoverSpec(FixedSizeSpec):
@@ -695,10 +697,18 @@ class SpSpec(GroupSpec):
 
 
 class SOSpec(GroupSpec):
-    """Split special orthogonal group for the anti-diagonal form."""
+    """Split special orthogonal group for the anti-diagonal form, in odd
+    characteristic: in characteristic 2 that form is alternating, so the
+    group it preserves is Sp, and the split SO needs a quadratic form."""
 
     tag = "SO"
     strategy = "scan"
+
+    def __init__(self, *m_p_e: int):
+        super().__init__(*m_p_e)
+        if self.p == 2:
+            raise ValueError("the split SO in characteristic 2 needs a quadratic "
+                             "form, which SO does not take")
 
     def _form(self, field: AmbientField) -> Flat:
         m = self.m

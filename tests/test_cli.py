@@ -185,6 +185,29 @@ def test_cli_reports_errors_with_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("points", "--spec", "GL", "--p", "3", "--m", "0"), "m=0"),
+    (("points", "--spec", "GL", "--p", "3", "--m", "-1"), "m=-1"),
+    (("image", "--spec", "Gm", "--p", "3", "--iso", "pow:x"), "'pow:x'"),
+    (("points", "--spec", "SO", "--p", "2", "--m", "2"),
+     "split SO in characteristic 2 needs a quadratic form"),
+])
+def test_bad_spec_input_fails_with_a_named_error(capsys, argv, named):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+def test_debug_raises_the_error_with_its_traceback(capsys):
+    argv = ["points", "--spec", "GL", "--p", "3", "--m", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError, match="m=0") as info:
+        main(["--debug", *argv])
+    assert info.traceback[-1].name == "__init__"
+    assert capsys.readouterr().err == ""
+
+
 def test_config_round_trip():
     config = ExperimentConfig(seed=7, e12_qs=(2, 3), e4_qs=((2, 1), (3, 1)))
     text = config.to_json()

@@ -643,15 +643,68 @@ def test_mat_pow_matches_repeated_mat_mul(p, degree):
         mats.append(zero_row + mats[0][m:])
         mats.append(mats[1][:m] * m)
         mats.append(zero_row * m)
-        for a in mats:
-            want = a
-            for e in range(1, 41):
-                assert field.mat_pow(a, e) == want, (m, a, e)
-                want = field.mat_mul(want, a)
-            assert field.mat_pow(a, big) == right_to_left_power(field, a, big)
+        want = list(mats)
+        for e in range(1, 41):
+            assert field.mat_pow(mats, e) == want, (m, e)
+            want = [field.mat_mul(w, a) for w, a in zip(want, mats)]
+        assert field.mat_pow(mats, big) == [right_to_left_power(field, a, big)
+                                            for a in mats]
         for e in (0, -2):
             with pytest.raises(ValueError, match="positive exponent"):
-                field.mat_pow(mats[0], e)
+                field.mat_pow(mats[:1], e)
+
+
+def schoolbook_power(field, a, e):
+    """a^e for one flat matrix by e - 1 `schoolbook` products, with `mul`
+    and `add` only: a per-matrix reference that shares no code with
+    `mat_mul` or `mat_pow`."""
+    m = isqrt(len(a))
+    rows = [a[i:i + m] for i in range(0, len(a), m)]
+    result = rows
+    for _ in range(e - 1):
+        result = schoolbook(field, result, rows)
+    return flat(result)
+
+
+@pytest.mark.parametrize("p,degree", [(5, 4), (2, 6), (7, 5), (13, 1)])
+def test_batched_mat_pow_matches_a_per_matrix_reference(p, degree):
+    # two tabled fields, one past the table limit and a prime field
+    field = make_field(p, degree)
+    assert (field._log is not None) == (degree in (4, 6))
+    rng = random.Random(p * 10 + degree)
+    for m in (1, 2, 3):
+        mats = [flat(random_matrix(field, rng, m)) for _ in range(8)]
+        mats.append((field.zero,) * (m * m))
+        assert sum(x == field.zero for a in mats for x in a) > m * m
+        for e in range(1, 10):
+            assert field.mat_pow(mats, e) == [schoolbook_power(field, a, e)
+                                              for a in mats], (m, e)
+        assert field.mat_pow(mats[:1], 1) == mats[:1]
+    assert field.mat_pow([], 3) == []
+
+
+@pytest.mark.parametrize("p,degree", [(2, 3), (3, 2), (5, 2)])
+def test_2x2_log_core_matches_polynomial_path_on_every_zero_pattern(monkeypatch,
+                                                                    p, degree):
+    # bit i of a pattern zeroes entry i; every pair of patterns is one
+    # 2x2 product through the straight-line branch of `_log_mat_mul`
+    field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
+    assert field._log is not None and ref._log is None
+    rng = random.Random(p * 10 + degree)
+    units = [x for x in ref.iter_elements() if any(x)]
+    mats = [tuple(field.zero if bits >> i & 1 else rng.choice(units)
+                  for i in range(4)) for bits in range(16) for _ in range(3)]
+    cancelled = 0
+    for a in mats:
+        for b in mats:
+            got = field.mat_mul(a, b)
+            assert got == ref.mat_mul(a, b), (a, b)
+            # entries whose two terms are nonzero and sum to zero
+            cancelled += sum(not any(got[i + j]) and all(a[i:i + 2]) and all(b[j::2])
+                             for i in (0, 2) for j in (0, 1))
+    assert cancelled
+    for e in range(1, 10):
+        assert field.mat_pow(mats, e) == ref.mat_pow(mats, e), e
 
 
 def test_table_walk_generator_has_least_degree(monkeypatch):

@@ -1,6 +1,8 @@
 """Isogeny kernels, images, Lang maps, cokernels, and induced isogenies."""
 
 import dataclasses
+import functools
+import math
 import os
 import random
 import subprocess
@@ -12,8 +14,8 @@ from corpus import is_normal, is_subgroup
 from isocensus import census, homs
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
-                                NormTorusSpec, SLSpec, mat_identity, mat_inv,
-                                rational_points)
+                                NormTorusSpec, SLSpec, make_spec, mat_identity,
+                                mat_inv, rational_points)
 
 
 def _cokernel(iso, n, amb, codomain=None):
@@ -226,17 +228,17 @@ def test_matrix_pow_matches_repeated_products(p, degree):
     one, zero = amb.one, amb.zero
     mats = [(x,), (x, one, zero, amb.add(x, one)), (one, one, zero, one)]
     for mat in mats:
-        for base in (mat, mat_inv(amb, mat)):
-            want = base
-            for k in range(1, 10):
-                assert amb.mat_pow(base, k) == want
-                want = amb.mat_mul(want, base)
+        bases = [mat, mat_inv(amb, mat)]
+        want = bases
+        for k in range(1, 10):
+            assert amb.mat_pow(bases, k) == want
+            want = [amb.mat_mul(w, base) for w, base in zip(want, bases)]
         assert homs.PowerIsogeny(GmSpec(p, degree) if len(mat) == 1 else
-                                 NormTorusSpec(p, degree), 5).apply(amb, mat) == \
-            amb.mat_pow(mat, 5)
+                                 NormTorusSpec(p, degree), 5).apply(amb, [mat]) == \
+            amb.mat_pow([mat], 5)
     for k in (0, -1):
         with pytest.raises(ValueError, match="positive exponent"):
-            amb.mat_pow(mats[1], k)
+            amb.mat_pow(mats[1:2], k)
 
 
 @pytest.mark.parametrize("p,degree", [(7, 1), (5, 5), (7, 4), (7, 5)])
@@ -253,7 +255,7 @@ def test_matrix_pow_of_1x1_is_one_field_pow(monkeypatch, p, degree):
     monkeypatch.setattr(type(amb), "mat_mul", None)  # no matrix product is taken
     for e in range(-3, 10):
         if e:
-            assert amb.mat_pow(mat if e > 0 else inv, abs(e)) == want[e]
+            assert amb.mat_pow([mat if e > 0 else inv], abs(e)) == [want[e]]
 
 
 @pytest.mark.parametrize("k,products", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
@@ -268,7 +270,7 @@ def test_matrix_pow_spends_no_extra_products(monkeypatch, k, products):
         return mul(self, a, b)
 
     monkeypatch.setattr(type(amb), "mat_mul", counted)
-    amb.mat_pow(mat, k)
+    amb.mat_pow([mat], k)
     assert len(calls) == products
 
 
@@ -358,7 +360,7 @@ def _reach_by_preimage_group(iso, data, h_ids, n, amb):
     assert is_subgroup(y_group, k_ids)
     assert all(y_group.mult(k, y) == y_group.mult(y, k)
                for k in k_ids for y in range(len(y_group)))
-    reached = {data.codomain.index[iso.apply(amb, y)] for y in y_group.elements}
+    reached = {data.codomain.index[x] for x in iso.apply(amb, y_group.elements)}
     return len(k_mats), reached == set(h_ids)
 
 
@@ -662,6 +664,64 @@ def test_composite_factors_must_chain():
                               homs.NormCoverIsogeny(5))
 
 
+def _schoolbook(amb, a, b):
+    """The product of two flat matrices with field `mul` and `add` only."""
+    m = math.isqrt(len(a))
+    return tuple(functools.reduce(amb.add, [amb.mul(a[i + l], b[l * m + j])
+                                            for l in range(m)])
+                 for i in range(0, m * m, m) for j in range(m))
+
+
+def _apply_reference(iso, amb, x):
+    """phi(x) for one point, from the definition of each catalog isogeny."""
+    if isinstance(iso, homs.CompositeIsogeny):
+        return _apply_reference(iso.outer, amb, _apply_reference(iso.inner, amb, x))
+    if isinstance(iso, homs.PowerIsogeny):
+        y = x
+        for _ in range(iso.k - 1):
+            y = _schoolbook(amb, y, x)
+        return y
+    if isinstance(iso, homs.NormCoverIsogeny):
+        return tuple(x[3 * i + j] for i in range(2) for j in range(2))
+    assert isinstance(iso, homs.IdentityIsogeny)
+    return x
+
+
+# (spec, p, isogeny, level): tabled, prime and polynomial-path fields
+APPLY_CASES = [("Gm", 7, "pow:2", 2), ("Gm", 2, "pow:3", 11),
+               ("NormTorus", 5, "pow:2", 1), ("NormTorus", 7, "pow:3", 2),
+               ("NormTorus", 2, "pow:5", 3), ("NormTorus", 11, "normcover", 1),
+               ("SL", 3, "id", 1), ("NormTorus", 7, "compose:(pow:2,normcover)", 1),
+               ("Gm", 7, "compose:(pow:3,pow:2)", 2)]
+
+
+@pytest.mark.parametrize("spec,p,name,n", APPLY_CASES)
+def test_list_apply_matches_a_per_point_reference(spec, p, name, n):
+    iso = homs.parse_isogeny(name, make_spec(spec, p))
+    amb = make_field(p, homs.plan_degree(iso, n=n))
+    domain = rational_points(iso.domain_spec, n, amb).elements
+    assert iso.apply(amb, domain) == [_apply_reference(iso, amb, x) for x in domain]
+    assert iso.apply(amb, []) == []
+
+
+@pytest.mark.parametrize("spec,p,name,n", APPLY_CASES)
+def test_image_maps_its_domain_in_one_apply_call(monkeypatch, spec, p, name, n):
+    calls = []
+    for cls in (homs.PowerIsogeny, homs.NormCoverIsogeny, homs.IdentityIsogeny,
+                homs.CompositeIsogeny):
+        def counted(self, field, points, apply=cls.apply):
+            calls.append((self.name, len(points)))
+            return apply(self, field, points)
+        monkeypatch.setattr(cls, "apply", counted)
+    iso = homs.parse_isogeny(name, make_spec(spec, p))
+    amb = make_field(p, homs.plan_degree(iso, n=n))
+    img = homs.image(iso, n, amb)
+    size = len(rational_points(iso.domain_spec, n, amb))
+    factors = [iso.inner, iso.outer] if isinstance(iso, homs.CompositeIsogeny) else []
+    assert calls == [(iso.name, size)] + [(f.name, size) for f in factors]
+    assert len(img.codomain) // len(img.ids) == img.rational_kernel
+
+
 def test_isogenies_are_multiplicative_on_random_pairs():
     amb7 = make_field(7, 1)
     amb9 = make_field(3, 2)
@@ -677,11 +737,11 @@ def test_isogenies_are_multiplicative_on_random_pairs():
     for iso, domain in cases:
         amb = domain.meta["field"]
         mul = amb.mat_mul
-        assert iso.apply(amb, domain.identity) == mat_identity(amb, iso.codomain_spec.m)
-        for _ in range(60):
-            g = domain.elements[rng.randrange(len(domain))]
-            h = domain.elements[rng.randrange(len(domain))]
-            assert iso.apply(amb, mul(g, h)) == mul(iso.apply(amb, g), iso.apply(amb, h))
+        assert iso.apply(amb, [domain.identity]) == [mat_identity(amb, iso.codomain_spec.m)]
+        gs = [domain.elements[rng.randrange(len(domain))] for _ in range(60)]
+        hs = [domain.elements[rng.randrange(len(domain))] for _ in range(60)]
+        assert iso.apply(amb, list(map(mul, gs, hs))) == \
+            list(map(mul, iso.apply(amb, gs), iso.apply(amb, hs)))
 
 
 def test_mu_sampled_verification_above_small_cells():

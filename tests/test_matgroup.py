@@ -36,6 +36,13 @@ def test_catalog_names():
         make_spec("E8", 2)
 
 
+@pytest.mark.parametrize("e", [1, 2])
+def test_split_so_in_characteristic_2_is_refused(e):
+    # the anti-diagonal form is alternating there: its group would be Sp
+    with pytest.raises(ValueError, match="needs a quadratic form"):
+        SOSpec(2, 2, e)
+
+
 @pytest.mark.parametrize("spec,field,n,expected", [
     (GmSpec(2), F8, 3, 7),            # |F_8*| = 7
     (GmSpec(2), F2, 1, 1),            # degenerate: trivial group is allowed
