@@ -178,13 +178,15 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _poly_mod(_poly_mul(a, b, p), f, p)
 
 def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, f, p)
-    while e:
-        if e & 1:
+    """a^e mod f for coefficients of a in [0, p), powered from the leading
+    bit of e >= 0: floor(log2 e) squarings and popcount(e) - 1 products."""
+    if e == 0:
+        return [1]
+    base = result = _poly_mod(a, f, p)
+    for bit in bin(e)[3:]:
+        result = _poly_mulmod(result, result, f, p)
+        if bit == "1":
             result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
     return result
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:

@@ -494,16 +494,21 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     Sections of a generating set are extended multiplicatively along the
     tree edges g -> g*s of the generators' Cayley-graph program
     (`census._bfs_program`, which proves that they generate), one product
-    per element; the codomain must be abelian for the extension to stay a
-    preimage.  Lang values follow the same products: lang(y*s) =
-    s^(-1) lang(y) s lang(s), and lang(y) lies in the kernel, so
-    lang(y*s) = lang(y) lang(s) for every y exactly when each kernel
-    element commutes with each generator section s, which is checked.
+    of the domain spec's `product` per element; the codomain must be
+    abelian for the extension to stay a preimage.  That product may assume
+    the shape of a point (the norm cover's block product), so each
+    generator section is first checked with the domain spec's predicate;
+    products of points are points.  Lang values follow the same products:
+    lang(y*s) = s^(-1) lang(y) s lang(s), and lang(y) lies in the kernel,
+    so lang(y*s) = lang(y) lang(s) for every y exactly when each kernel
+    element commutes with each generator section s, which is checked by
+    `mat_mul`: a kernel element need not be a point of the domain spec.
     """
     gens = census.small_generating_set(codomain, seed=seed)
     if any(codomain.mult(a, b) != codomain.mult(b, a)
            for a in gens for b in gens):
         raise ValueError("transversal construction needs an abelian codomain")
+    spec, level = iso.domain_spec, n * iso.section_degree(n)
     mul = ambient.mat_mul
     ygens, ygen_lang = [], []
     for g in gens:
@@ -512,6 +517,9 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
             raise PreimageNotFound(
                 f"{iso.name}: generator of level-{n} points has no preimage in "
                 f"ambient of degree {ambient.degree}")
+        if not spec.predicate(y, ambient, level):
+            raise VerificationError(f"{iso.name}: a generator section is not a "
+                                    f"point of {spec!r}")
         kid = kernel_group.index.get(lang_map(ambient, y, iso.q, n))
         if kid is None:
             raise VerificationError("lang value of a section must lie in the kernel")
@@ -523,12 +531,13 @@ def _section_table(iso: Isogeny, n: int, ambient: AmbientField,
     r = len(gens)
     sections: list[Optional[Flat]] = [None] * len(codomain)
     lang_ids: list[Optional[int]] = [None] * len(codomain)
-    sections[codomain.identity_id] = mat_identity(ambient, iso.domain_spec.m)
+    sections[codomain.identity_id] = mat_identity(ambient, spec.m)
     lang_ids[codomain.identity_id] = kernel_group.identity_id
+    product = spec.product(ambient)
     for i in itertools.compress(range(len(first)), first):
         gpos, spos = divmod(i, r)
         g, t = bfs_ids[gpos], bfs_ids[targets[i]]
-        sections[t] = mul(sections[g], ygens[spos])
+        sections[t] = product(sections[g], ygens[spos])
         lang_ids[t] = kernel_group.mult(lang_ids[g], ygen_lang[spos])
     return sections, lang_ids, gens
 

@@ -11,7 +11,7 @@ abstract groups (quotients, direct products) whose elements are not
 matrices; all downstream algorithms only use the group operation through
 canonical element ids.  A point group's elements are flat entry tuples
 (`Flat`: the row-major tuple of a matrix's m^2 entries), its operation the
-field's `mat_mul`, and `mat_identity`, `mat_inv`, `mat_det`,
+spec's `product`, and `mat_identity`, `mat_inv`, `mat_det`,
 `mat_frobenius`, `mat_transpose` and `mat_rows` are functions of them,
 with m read off their length.  :class:`Matrix` wraps a flat tuple with its
 field for callers outside the package; `FiniteGroup` and the census take
@@ -221,13 +221,14 @@ class FiniteGroup:
     Elements are sorted as they compare, so the id assignment (and every
     report derived from it) is deterministic; see `Matrix` for why a point
     group's flats and the matrices wrapping them get the same ids.
-    A point group of a spec holds flat entry tuples, with `op` its field's
-    `mat_mul`, and records that field as `meta["field"]`.  Products of
-    small groups are cached without bound; larger groups recompute products
-    on demand.  `gens_hint` declares generators, as elements of the group:
-    either `from_generators` built the group from them, or their first walk
-    (`census._bfs_program`) proves that they generate.  `inv` inverts an
-    element, as `op` multiplies two.
+    A point group of a spec holds flat entry tuples, with `op` the spec's
+    `product` over its field (that field's `mat_mul`, or the norm cover's
+    block product), and records that field as `meta["field"]`.  Products
+    of small groups are cached without bound; larger groups recompute
+    products on demand.  `gens_hint` declares generators, as elements of
+    the group: either `from_generators` built the group from them, or
+    their first walk (`census._bfs_program`) proves that they generate.
+    `inv` inverts an element, as `op` multiplies two.
     """
 
     def __init__(self, elements: Iterable, op: Callable, identity, *,
@@ -420,6 +421,11 @@ class GroupSpec:
         """Canonical small generating set of the point group, if one is known."""
         return None
 
+    def product(self, field: AmbientField) -> Callable[[Flat, Flat], Flat]:
+        """The product of two points over field, the op of their point
+        group: `field.mat_mul`, unless the spec's shape allows less work."""
+        return field.mat_mul
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, q={self.q})"
 
@@ -598,6 +604,19 @@ class NormTorusCoverSpec(FixedSizeSpec):
     tag = "NormTorusCover"
     strategy = "parametrized"
     size = 3
+
+    def product(self, field: AmbientField) -> Callable[[Flat, Flat], Flat]:
+        """The block product diag(A, c) diag(B, e) = diag(A B, c e): one 2x2
+        `mat_mul` on entries 0, 1, 3, 4 and one `mul` on entry 8, zero at
+        2, 5, 6 and 7.  It equals `mat_mul` on block-diagonal operands, as
+        points are, and is wrong on any other."""
+        mat_mul, mul, zero = field.mat_mul, field.mul, field.zero
+
+        def block(x: Flat, y: Flat) -> Flat:
+            r0, r1, r2, r3 = mat_mul((x[0], x[1], x[3], x[4]), (y[0], y[1], y[3], y[4]))
+            return (r0, r1, zero, r2, r3, zero, zero, zero, mul(x[8], y[8]))
+
+        return block
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         a, mb, z02, b, amb, z12, z20, z21, c = mat
@@ -780,8 +799,8 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField) -> FiniteGro
     """Enumerate the group of level-n rational points of a spec.
 
     The ambient field must contain the entry subfield.  The returned group
-    holds flat entry tuples, multiplied by `ambient.mat_mul` and inverted by
-    `mat_inv`, and records `ambient` as `meta["field"]`.  It is canonical:
+    holds flat entry tuples, multiplied by the spec's `product` and inverted
+    by `mat_inv`, and records `ambient` as `meta["field"]`.  It is canonical:
     element ids depend only on (spec, n, ambient degree).  Other than a
     "closure" spec (`from_generators`), the spec's declared point
     generators, each checked to be a point, become its `gens_hint`; only
@@ -803,12 +822,12 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField) -> FiniteGro
     if not spec.predicate(identity, ambient, n):
         raise ValueError(f"identity fails membership predicate of {spec!r}")
     meta = {"spec": spec, "n": n, "q": spec.q, "field": ambient}
-    inv = partial(mat_inv, ambient)
+    op, inv = spec.product(ambient), partial(mat_inv, ambient)
     if spec.strategy == "parametrized":
         elems = list(spec.scan_points(ambient, n))
     elif spec.strategy == "closure":
-        return from_generators(spec.generators(ambient, n), ambient.mat_mul,
-                               identity, inv=inv, meta=meta,
+        return from_generators(spec.generators(ambient, n), op, identity,
+                               inv=inv, meta=meta,
                                label=f"{spec.tag}{spec.m}(F_{spec.q}^{n})")
     elif spec.strategy == "scan":
         elems = list(_scan_all_matrices(spec, ambient, n, DEFAULT_MATRIX_SCAN_LIMIT))
@@ -819,6 +838,6 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField) -> FiniteGro
             f"group order {len(elems)} exceeds bound {DEFAULT_ORDER_BOUND}")
     fixed = isinstance(spec, FixedSizeSpec)
     tag = f"{spec.tag}{spec.m if spec.m > 1 and not fixed else ''}"
-    return FiniteGroup(elems, ambient.mat_mul, identity, inv=inv,
+    return FiniteGroup(elems, op, identity, inv=inv,
                        label=f"{tag}(F_{spec.q}^{n})", meta=meta,
                        gens_hint=spec.point_generators(ambient, n))

@@ -128,6 +128,16 @@ def test_option_counts_do_not_grow():
     assert len(fields(ExperimentConfig)) <= 15
 
 
+def test_no_assert_statement_in_src():
+    # ROADMAP aim 3: every check is a real one, none disappears under python -O
+    paths = sorted(Path(experiments.__file__).parent.glob("*.py"))
+    assert len(paths) >= 8
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], path
+
+
 def test_an_unknown_report_format_is_rejected_before_any_cell():
     with pytest.raises(ValueError, match="'xml'"):
         ExperimentConfig(fmt="xml")

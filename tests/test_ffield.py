@@ -723,3 +723,25 @@ def test_table_walk_generator_has_least_degree(monkeypatch):
                 quadratic[p, degree] = s
             degree += 1
     assert quadratic == {(2, 8): 2, (2, 9): 2, (3, 4): 2, (5, 4): 2}
+
+
+@pytest.mark.parametrize("p,degree", [(2, 5), (3, 4), (7, 3), (97, 2)])
+def test_poly_powmod_is_the_repeated_product(p, degree):
+    f = list(make_field(p, degree).modulus)
+    rng = random.Random(p * 100 + degree)
+    # zero, one, x, the modulus itself and seeded polynomials past its degree
+    bases = [[], [1], [0, 1], list(f)] + [
+        [rng.randrange(p) for _ in range(degree + 2)] for _ in range(6)]
+    for a in bases:
+        ref = [1]
+        for e in range(21):
+            assert ffield._poly_powmod(a, e, f, p) == ref, (a, e)
+            ref = ffield._poly_mulmod(ref, a, f, p)
+
+
+@pytest.mark.parametrize("p,degree,modulus", [
+    (7, 12, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1)),
+    (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),
+    (97, 2, (1, 3, 1))])
+def test_moduli_of_the_largest_fields_are_pinned(p, degree, modulus):
+    assert make_field(p, degree).modulus == modulus

@@ -14,7 +14,7 @@ from corpus import is_normal, is_subgroup
 from isocensus import census, homs
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
-                                NormTorusSpec, SLSpec, make_spec, mat_identity,
+                                NormTorusCoverSpec, NormTorusSpec, SLSpec, make_spec, mat_identity,
                                 mat_inv, rational_points)
 
 
@@ -507,6 +507,36 @@ def test_section_table_rejects_a_kernel_element_off_the_centralizer():
     with pytest.raises(VerificationError,
                        match="a kernel element does not commute with a section"):
         homs._section_table(iso, 1, amb, codomain, padded, 0)
+
+
+def test_section_table_rejects_a_generator_section_off_the_cover_shape(monkeypatch):
+    # the right 2x2 block with a one at entry (0, 2): the block product would
+    # drop that entry, so the walk must not start
+    iso = homs.NormCoverIsogeny(7)
+    amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
+    kernel, _ = homs.kernel_points(iso, amb)
+    codomain = rational_points(NormTorusSpec(7), 1, amb)
+    real_section = homs.NormCoverIsogeny.section_over
+    real_product = NormTorusCoverSpec.product
+    products = []
+
+    def sheared(self, x, ambient):
+        y = real_section(self, x, ambient)
+        return y[:2] + (ambient.one,) + y[3:]
+
+    def counted(self, field):
+        block = real_product(self, field)
+        return lambda x, y: products.append((x, y)) or block(x, y)
+
+    monkeypatch.setattr(homs.NormCoverIsogeny, "section_over", sheared)
+    monkeypatch.setattr(NormTorusCoverSpec, "product", counted)
+    with pytest.raises(VerificationError, match=r"normcover: a generator section is "
+                       r"not a point of NormTorusCoverSpec\(m=3, q=7\)"):
+        homs._section_table(iso, 1, amb, codomain, kernel, 0)
+    assert products == []
+    monkeypatch.setattr(homs.NormCoverIsogeny, "section_over", real_section)
+    homs._section_table(iso, 1, amb, codomain, kernel, 0)
+    assert len(products) == len(codomain) - 1
 
 
 def test_cokernel_rejects_unequal_invariants(monkeypatch):

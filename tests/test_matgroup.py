@@ -1,5 +1,6 @@
 """Rational-point enumeration: orders, strategies, canonical structure."""
 
+import itertools
 import random
 import re
 from functools import reduce
@@ -416,3 +417,63 @@ def test_norm_torus_scans_skip_the_zero_set(p, degree, n):
         got = list(spec.scan_points(field, n))
         assert got == _scan_by_predicate(field, n, cover), (spec, n)
         assert len(set(got)) == len(got)
+
+
+def _block_product_mismatches(product, field, pairs):
+    return [(x, y) for x, y in pairs if product(x, y) != field.mat_mul(x, y)]
+
+
+def _block_diagonal_pairs(field, count, seed):
+    """Seeded pairs of diag(A, c), a quarter of the entries zero."""
+    rng, zero = random.Random(seed), field.zero
+
+    def entry():
+        if rng.random() < 0.25:
+            return zero
+        return field.element_of([rng.randrange(field.p) for _ in range(field.degree)])
+
+    def block():
+        a0, a1, a3, a4, c = (entry() for _ in range(5))
+        return (a0, a1, zero, a3, a4, zero, zero, zero, c)
+
+    return [(block(), block()) for _ in range(count)]
+
+
+def test_cover_points_multiply_by_the_block_product():
+    cover = rational_points(NormTorusCoverSpec(7), 1, F7)
+    assert len(cover) == 36
+    assert _block_product_mismatches(
+        cover.op, F7, itertools.product(cover.elements, repeat=2)) == []
+
+
+@pytest.mark.parametrize("p,degree,path", [
+    (7, 2, "table"), (31, 1, "prime"), (97, 2, "packed")])
+def test_block_product_is_mat_mul_on_block_diagonal_pairs(p, degree, path):
+    field = make_field(p, degree)
+    assert path == ("prime" if degree == 1 else
+                    "packed" if field._log is None else "table")
+    pairs = _block_diagonal_pairs(field, 300, p * 10 + degree)
+    assert _block_product_mismatches(NormTorusCoverSpec(p).product(field),
+                                     field, pairs) == []
+
+
+def test_a_wrong_block_entry_turns_the_block_product_check_red(monkeypatch):
+    real = NormTorusCoverSpec.product
+
+    def swapped(self, field):
+        block = real(self, field)
+
+        def product(x, y):
+            r = list(block(x, y))
+            r[1], r[3] = r[3], r[1]  # r1 and r2 of the 2x2 block
+            return tuple(r)
+
+        return product
+
+    monkeypatch.setattr(NormTorusCoverSpec, "product", swapped)
+    cover = rational_points(NormTorusCoverSpec(7), 1, F7)
+    assert _block_product_mismatches(
+        cover.op, F7, itertools.product(cover.elements, repeat=2)) != []
+    field = make_field(97, 2)
+    assert _block_product_mismatches(NormTorusCoverSpec(97).product(field), field,
+                                     _block_diagonal_pairs(field, 300, 972)) != []
