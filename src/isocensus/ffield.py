@@ -17,12 +17,12 @@ Arithmetic takes one of two paths, fixed when the field is built:
   log and Zech tables over a primitive element g (Huber, "Some comments on
   Zech's logarithms", IEEE Trans. IT 36, 1990).  Any primitive element
   gives valid tables; g is the monic one of least degree
-  (`_least_primitive`), x + c on every tabled field but F_{2^8}, F_{2^9},
-  F_{3^4} and F_{5^4}, so the walk over its powers takes one pass over D
-  coefficients per power.  The tables hold q tuples of D coefficients, so
-  q * D tracks their memory.  A product is a sum of two logs, a sum a Zech
-  lookup log(1 + g^n), and an inverse, power, Frobenius image or
-  multiplicative order one log lookup.  Results are the tables' own
+  (`_least_primitive`).  The walk over its powers runs on the indices of
+  the elements in `iter_elements` order, at four list lookups per power
+  whatever the degree of g (`_build_tables`).  The tables hold q tuples of
+  D coefficients, so q * D tracks their memory.  A product is a sum of two
+  logs, a sum a Zech lookup log(1 + g^n), and an inverse, power, Frobenius
+  image or multiplicative order one log lookup.  Results are the tables' own
   canonical tuples, so equality, hashing and ordering are those of the
   coefficient tuples.  Zero has no log and is handled explicitly; a tuple
   that is not a field element raises.  The tables also serve matrix
@@ -82,7 +82,7 @@ DEFAULT_SCAN_LIMIT = 2**24
 
 #: fields with 1 < D and p^D * D at most this get exp/log/Zech tables, and
 #: prime fields with p at most this a list of their p element tuples
-TABLE_COEFF_LIMIT = 2**14
+TABLE_COEFF_LIMIT = 2**17
 
 
 class VerificationError(AssertionError):
@@ -222,19 +222,32 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _has_root(f: list[int], p: int) -> bool:
+    """True iff f(a) = 0 for some a in F_p^*, by Horner at a = 1, ..., p - 1."""
+    for a in range(1, p):
+        v = 0
+        for c in reversed(f):
+            v = (v * a + c) % p
+        if not v:
+            return True
+    return False
+
+
 def _smallest_irreducible(p: int, degree: int) -> Coeffs:
     """Lexicographically smallest monic irreducible of the given degree.
 
     Candidates are ordered by their non-leading coefficient tuple
     (c_0, ..., c_{D-1}), compared low-degree-first.  The c_0 = 0 block is
-    skipped for degree >= 2 since x then divides the candidate.
+    skipped for degree >= 2 since x then divides the candidate, and a
+    candidate with a root in F_p^* (Horner at x = 1, ..., p - 1) has the
+    factor x - a, so only the rest take a Ben-Or test.
     """
     if degree == 1:
         return (0, 1)
     for c0 in range(1, p):
         for rest in itertools.product(range(p), repeat=degree - 1):
             f = [c0, *rest, 1]
-            if _is_irreducible(f, p):
+            if not _has_root(f, p) and _is_irreducible(f, p):
                 return tuple(f)
     raise VerificationError(f"no irreducible of degree {degree} over F_{p}")
 
@@ -286,38 +299,65 @@ class AmbientField:
         zero to None; zech[i] = log(1 + g^i), None where 1 + g^i = 0.  Sums of
         logs are not reduced: every index lands in [-(q - 1), q - 1), where
         Python's negative indexing supplies the wrap.  Any primitive element
-        gives valid tables (Huber), and a monic one of least degree s is the
-        cheapest to walk by: the next power h g is s Horner steps
-        r -> x r + g_j h, j = s - 1, ..., 0, from r = h, each one pass over
-        the D coefficients that shifts r up, folds its top coefficient back
-        through x^D = -(c_0 + ... + c_{D-1} x^(D-1)) and adds a scalar
-        multiple of h.  On every tabled field but F_{2^8}, F_{2^9}, F_{3^4}
-        and F_{5^4}, whose g has degree 2, g is some x + c: one pass per
-        power.  The build fails unless the walk reaches q - 1 distinct
-        elements.
+        gives valid tables (Huber).
+
+        The walk over the powers of g runs on indices: element c is
+        N(c) = sum c_i p^(D-1-i), its place in `iter_elements`, so exp is
+        one lookup per power in the list of all D-tuples.  Multiplying by g
+        is F_p-linear, so the image of c is the image of its h = D // 2 high
+        digits plus that of its low digits, each one lookup in a table of
+        packed images, coefficient i in a slot of w bits at bit
+        w (D - 1 - i).  A slot of the integer sum holds at most 2p - 2 <
+        2^w, so no slot carries, and `norm` (the index of each run of D - h
+        slot values taken mod p) turns the high and the low slots back into
+        one index.  Adding 1 adds p^(D-1) to an index mod q, so zech[i] is
+        the log of index N(g^i) + p^(D-1) mod q.  The build fails unless the
+        walk reaches q - 1 distinct elements.
         """
         n, p, d = self.order - 1, self.p, self.degree
-        g = list(_least_primitive(self))
-        _trim(g)
-        low = g[-2::-1]  # g_{s-1}, ..., g_0 below the leading 1
-        tail = [-c % p for c in self.modulus[:d]]
-        exp: list[Coeffs] = []
-        cur = self.one
-        for _ in range(n):
-            exp.append(cur)
-            # Horner: r = x r + g_j cur for j = s - 1, ..., 0, from r = cur
-            r = cur
-            for gj in low:
-                top = r[-1]
-                r = tuple([(b + top * t + gj * a) % p
-                           for a, b, t in zip(cur, (0,) + r[:-1], tail)])
-            cur = r
-        log: dict[Coeffs, Optional[int]] = {t: i for i, t in enumerate(exp)}
+        f, g = list(self.modulus), list(_least_primitive(self))
+        h, w = d // 2, (2 * p - 2).bit_length()
+        low = p ** (d - h)  # the low digits of an index are N % low
+
+        def packed_images(digits: range) -> list[int]:
+            """Packed g c for every c supported on `digits`, in index order."""
+            vecs = [(0,) * d]
+            for i in digits:
+                row = _poly_mulmod(g, [0] * i + [1], f, p)
+                row += [0] * (d - len(row))
+                vecs = [tuple([(a + c * b) % p for a, b in zip(v, row)])
+                        for v in vecs for c in range(p)]
+            return [sum(c << w * (d - 1 - i) for i, c in enumerate(v)) for v in vecs]
+
+        high_images, low_images = packed_images(range(h)), packed_images(range(h, d))
+        norm = [0]
+        for _ in range(d - h):
+            norm = [v * p + c % p for v in norm for c in range(1 << w)]
+        # h high slots are a run of D - h slots whose leading ones are 0
+        high_norm = [v * low for v in norm[:1 << w * h]]
+        shift, mask = w * (d - h), (1 << w * (d - h)) - 1
+        one = (n + 1) // p  # p^(D-1), the index of 1
+        walk = [one]
+        append, cur = walk.append, one
+        for _ in range(n - 1):
+            s = high_images[cur // low] + low_images[cur % low]
+            cur = high_norm[s >> shift] + norm[s & mask]
+            append(cur)
+        elems = list(itertools.product(range(p), repeat=d))
+        exp: list[Coeffs] = list(map(elems.__getitem__, walk))
+        del elems
+        log: dict[Coeffs, Optional[int]] = dict(zip(exp, range(n)))
         if len(log) != n:
             raise VerificationError(
                 f"powers of the primitive element reach {len(log)} of {n} units")
+        # plus_one[N] is the log of index N + p^(D-1) mod q, the same int as
+        # log's; a negative place wraps mod q
+        plus_one: list[Optional[int]] = [None] * (n + 1)
+        for index, i in zip(walk, log.values()):
+            plus_one[index - one] = i
+        self._zech = list(map(plus_one.__getitem__, walk))
+        del walk, plus_one
         log[self.zero] = None
-        self._zech = [log[((t[0] + 1) % p,) + t[1:]] for t in exp]
         self._exp = exp
         self._log = log
         self._units = n
@@ -939,8 +979,10 @@ def _least_primitive(field: AmbientField) -> Coeffs:
     """The first monic primitive element of least degree over F_p, taking
     the monics of one degree s in the order of their low coefficients
     (c_0, ..., c_{s-1}), as `_smallest_irreducible` takes moduli; the table
-    walk multiplies by it.  Degree 1 (some x + c) serves every tabled field
-    but F_{2^8}, F_{2^9}, F_{3^4} and F_{5^4}."""
+    walk multiplies by it, at a cost that does not depend on s.  Degree 1
+    (some x + c) serves every tabled field but F_{2^8}, F_{2^9}, F_{2^12},
+    F_{3^4} and F_{5^4}, where degree 2 does, so few candidates take the
+    order test."""
     d = field.degree
     monics = ((*low, 1) + (0,) * (d - s - 1)
               for s in range(1, d) for low in itertools.product(range(field.p), repeat=s))

@@ -233,7 +233,10 @@ def polynomial_field(monkeypatch, p, degree):
     """The same field with its tables switched off: the reference path.
 
     Its products are Kronecker-packed, which the tests below check against
-    the list helper `ffield._poly_mulmod`."""
+    the list helper `ffield._poly_mulmod`.  The polynomial-path tests take
+    their fields under TABLE_COEFF_LIMIT from here, and their fields past it
+    (F_{7^6}, F_{7^12}, F_{2^20}, F_{257^2}, ...) as `make_field` builds
+    them."""
     with monkeypatch.context() as m:
         m.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
         return make_field(p, degree)
@@ -271,13 +274,13 @@ def test_tables_match_polynomial_path_on_every_pair(monkeypatch, p, degree):
 
 
 def test_tables_match_polynomial_path_at_the_size_limit(monkeypatch):
-    # F_{89^2} has the largest q * D of any field with tables
-    field, ref = make_field(89, 2), polynomial_field(monkeypatch, 89, 2)
+    # F_{251^2} has the largest q * D of any field with tables
+    field, ref = make_field(251, 2), polynomial_field(monkeypatch, 251, 2)
     assert field._log is not None
-    assert field.order * 2 <= ffield.TABLE_COEFF_LIMIT < 97**2 * 2
+    assert field.order * 2 <= ffield.TABLE_COEFF_LIMIT < 257**2 * 2
     rng = random.Random(3)
     elements = [field.zero, field.one] + [
-        tuple(rng.randrange(89) for _ in range(2)) for _ in range(300)]
+        tuple(rng.randrange(251) for _ in range(2)) for _ in range(300)]
     for _ in range(3000):
         a, b = rng.choice(elements), rng.choice(elements)
         assert field.mul(a, b) == ref.mul(a, b)
@@ -291,16 +294,18 @@ def test_tables_match_polynomial_path_at_the_size_limit(monkeypatch):
 
 def test_tables_stop_at_the_size_limit():
     limit = ffield.TABLE_COEFF_LIMIT
-    assert limit == 2**14
-    # q * D from 15,842 (F_{89^2}, the largest) down to F_4
-    for p, degree in [(89, 2), (5, 5), (7, 4), (17, 3), (2, 10), (2, 2)]:
+    assert limit == 2**17
+    # q * D from 126,002 (F_{251^2}, the largest) down to F_4, with the six
+    # fields that 2^14 left untabled
+    for p, degree in [(251, 2), (13, 4), (2, 13), (5, 6), (7, 5), (3, 8),
+                      (2, 12), (2, 11), (97, 2), (89, 2), (2, 2)]:
         assert p**degree * degree <= limit
         assert make_field(p, degree)._log is not None
     # fields just above the limit, and prime fields of any size
-    for p, degree in [(2, 11), (2, 12), (97, 2), (19, 3), (5, 6)]:
+    for p, degree in [(257, 2), (37, 3), (2, 14), (3, 9), (7, 6), (2, 20)]:
         assert p**degree * degree > limit
         assert make_field(p, degree)._log is None
-    for p in (1021, 2):
+    for p in (131101, 1021, 2):
         assert make_field(p, 1)._log is None
 
 
@@ -324,11 +329,17 @@ def test_tables_reject_tuples_outside_the_field():
 
 
 def test_table_build_rejects_a_non_primitive_element(monkeypatch):
-    # an element of order 5 in F_16^* reaches 5 of the 15 units
-    monkeypatch.setattr(ffield, "_least_primitive",
-                        lambda field: field.pow(field.element_of((0, 1)), 3))
-    with pytest.raises(VerificationError):
-        make_field(2, 4)
+    # g^e has order (q - 1) / e, and the walk reaches only that many units:
+    # 5 of the 15 in F_16^*
+    least = ffield._least_primitive
+    for p, degree, e in [(2, 4, 3), (2, 12, 3), (97, 2, 2), (7, 5, 2)]:
+        with monkeypatch.context() as m:
+            m.setattr(ffield, "_least_primitive",
+                      lambda field: field.pow(least(field), e))
+            n = p**degree - 1
+            with pytest.raises(VerificationError,
+                               match=f"primitive element reach {n // e} of {n} units"):
+                make_field(p, degree)
 
 
 def test_check_on_irreducible_modulus_fires(monkeypatch):
@@ -404,9 +415,10 @@ def list_product(field, a, b):
 
 
 @pytest.mark.parametrize("p,degree", [(2, 11), (2, 12), (2, 20), (7, 5), (7, 12),
-                                      (5, 6), (97, 2), (4093, 3), (65521, 2)])
-def test_packed_mul_matches_list_reference(p, degree):
-    field = make_field(p, degree)
+                                      (5, 6), (97, 2), (4093, 3), (65521, 2),
+                                      (7, 6), (257, 2)])
+def test_packed_mul_matches_list_reference(monkeypatch, p, degree):
+    field = polynomial_field(monkeypatch, p, degree)
     assert field._log is None
     rng = random.Random(p * 100 + degree)
     # all-(p - 1) fills every product slot to the bound
@@ -423,9 +435,9 @@ def test_packed_mul_matches_list_reference(p, degree):
             assert field.pow(a, e) == tuple(ref) + (0,) * (degree - len(ref))
 
 
-@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12)])
-def test_polynomial_path_rejects_tuples_outside_the_field(p, degree):
-    field = make_field(p, degree)
+@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12), (7, 6)])
+def test_polynomial_path_rejects_tuples_outside_the_field(monkeypatch, p, degree):
+    field = polynomial_field(monkeypatch, p, degree)
     assert field._log is None
     one = field.one
     for bad in [(p,) + one[1:], one + (0,), one[:-1], (-1,) + one[1:],
@@ -443,10 +455,10 @@ def test_polynomial_path_rejects_tuples_outside_the_field(p, degree):
 
 
 
-@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12), (97, 1)])
+@pytest.mark.parametrize("p,degree", [(97, 2), (2, 11), (7, 12), (97, 1), (7, 6)])
 def test_polynomial_entry_check_rejects_tuples_outside_the_field(monkeypatch,
                                                                  p, degree):
-    field = make_field(p, degree)
+    field = polynomial_field(monkeypatch, p, degree)
     assert field._log is None
     one = field.one
 
@@ -467,7 +479,7 @@ def test_polynomial_entry_check_rejects_tuples_outside_the_field(monkeypatch,
 
 
 def test_polynomial_entry_check_on_the_reported_inputs(monkeypatch):
-    field = make_field(97, 2)
+    field = polynomial_field(monkeypatch, 97, 2)
     assert field.add((1, 2), (3, 95)) == (4, 0)
     assert field.frobenius((96, 0), 1) == (96, 0)
     monkeypatch.setattr(ffield, "_trim", lambda a: pytest.fail("Euclid loop"))
@@ -479,9 +491,9 @@ def test_polynomial_entry_check_on_the_reported_inputs(monkeypatch):
         with pytest.raises(ValueError, match=message):
             call()
 
-@pytest.mark.parametrize("p,degree", [(7, 5), (2, 11), (3, 8)])
-def test_polynomial_pow_squares_from_the_leading_bit(p, degree):
-    field = make_field(p, degree)
+@pytest.mark.parametrize("p,degree", [(7, 5), (2, 11), (3, 8), (7, 6), (2, 20)])
+def test_polynomial_pow_squares_from_the_leading_bit(monkeypatch, p, degree):
+    field = polynomial_field(monkeypatch, p, degree)
     assert field._log is None
     a = field.element_of((1, 2, 1))
     mul = field.mul
@@ -578,7 +590,7 @@ def test_prime_field_results_are_its_own_element_tuples(p):
 
 
 def test_prime_field_above_the_limit_builds_each_tuple():
-    p = 16411
+    p = 131101
     field = make_field(p, 1)
     assert p > ffield.TABLE_COEFF_LIMIT
     assert (field.zero, field.one, field.from_int(-1)) == ((0,), (1,), (p - 1,))
@@ -629,11 +641,13 @@ def right_to_left_power(field, a, e):
     return result
 
 
-@pytest.mark.parametrize("p,degree", [(7, 2), (17, 1), (97, 2)])
-def test_mat_pow_matches_repeated_mat_mul(p, degree):
-    # a tabled field, a prime field and F_{97^2} past the table limit
-    field = make_field(p, degree)
-    assert (field._log is not None) == (degree > 1 and p < 97)
+@pytest.mark.parametrize("p,degree", [(7, 2), (17, 1), (97, 2), (7, 6)])
+def test_mat_pow_matches_repeated_mat_mul(monkeypatch, p, degree):
+    # a tabled field, a prime field, F_{97^2} with its tables off and F_{7^6}
+    # past the table limit
+    field = polynomial_field(monkeypatch, p, degree) if p == 97 \
+        else make_field(p, degree)
+    assert (field._log is not None) == (degree == 2 and p < 97)
     rng = random.Random(p * 100 + degree)
     big = 10**9 + 7
     for m in (1, 2, 3):
@@ -666,11 +680,13 @@ def schoolbook_power(field, a, e):
     return flat(result)
 
 
-@pytest.mark.parametrize("p,degree", [(5, 4), (2, 6), (7, 5), (13, 1)])
-def test_batched_mat_pow_matches_a_per_matrix_reference(p, degree):
-    # two tabled fields, one past the table limit and a prime field
-    field = make_field(p, degree)
-    assert (field._log is not None) == (degree in (4, 6))
+@pytest.mark.parametrize("p,degree", [(5, 4), (2, 6), (7, 5), (13, 1), (7, 6)])
+def test_batched_mat_pow_matches_a_per_matrix_reference(monkeypatch, p, degree):
+    # two tabled fields, F_{7^5} with its tables off, F_{7^6} past the
+    # table limit and a prime field
+    field = polynomial_field(monkeypatch, p, degree) if (p, degree) == (7, 5) \
+        else make_field(p, degree)
+    assert (field._log is not None) == (degree in (4, 6) and p < 7)
     rng = random.Random(p * 10 + degree)
     for m in (1, 2, 3):
         mats = [flat(random_matrix(field, rng, m)) for _ in range(8)]
@@ -708,11 +724,11 @@ def test_2x2_log_core_matches_polynomial_path_on_every_zero_pattern(monkeypatch,
 
 
 def test_table_walk_generator_has_least_degree(monkeypatch):
-    # x + c on every tabled field but four, whose least monic primitive
+    # x + c on every tabled field but five, whose least monic primitive
     # element has degree 2
     limit = ffield.TABLE_COEFF_LIMIT
     quadratic = {}
-    for p in (q for q in range(2, limit) if is_prime(q) and q * q * 2 <= limit):
+    for p in filter(is_prime, range(2, isqrt(limit // 2) + 1)):
         degree = 2
         while p**degree * degree <= limit:
             field = polynomial_field(monkeypatch, p, degree)
@@ -722,7 +738,7 @@ def test_table_walk_generator_has_least_degree(monkeypatch):
             if s > 1:
                 quadratic[p, degree] = s
             degree += 1
-    assert quadratic == {(2, 8): 2, (2, 9): 2, (3, 4): 2, (5, 4): 2}
+    assert quadratic == {(2, 8): 2, (2, 9): 2, (2, 12): 2, (3, 4): 2, (5, 4): 2}
 
 
 @pytest.mark.parametrize("p,degree", [(2, 5), (3, 4), (7, 3), (97, 2)])
@@ -745,3 +761,99 @@ def test_poly_powmod_is_the_repeated_product(p, degree):
     (97, 2, (1, 3, 1))])
 def test_moduli_of_the_largest_fields_are_pinned(p, degree, modulus):
     assert make_field(p, degree).modulus == modulus
+
+
+# ---------------------------------------------------------------------------
+# the index walk of `_build_tables` against the Horner walk it replaced
+
+
+def horner_tables(field):
+    """exp, log and zech by walking the powers of `_least_primitive` one
+    Horner step r -> x r + g_j h per coefficient g_j of g below its leading
+    1, from r = h: each step shifts r up, folds its top coefficient back
+    through the modulus and adds g_j h.  Coefficient tuples throughout."""
+    n, p, d = field.order - 1, field.p, field.degree
+    g = ffield._least_primitive(field)
+    s = max(i for i, c in enumerate(g) if c)
+    low = g[s - 1::-1]
+    tail = [-c % p for c in field.modulus[:d]]
+    exp, cur = [], (1,) + (0,) * (d - 1)
+    for _ in range(n):
+        exp.append(cur)
+        r = cur
+        for gj in low:
+            top = r[-1]
+            r = tuple((b + top * t + gj * a) % p
+                      for a, b, t in zip(cur, (0,) + r[:-1], tail))
+        cur = r
+    log = {t: i for i, t in enumerate(exp)}
+    log[(0,) * d] = None
+    zech = [log[((t[0] + 1) % p,) + t[1:]] for t in exp]
+    return exp, log, zech
+
+
+# every tabled field of the default grids and the benchmark workloads
+GRID_TABLED_FIELDS = ([(2, d) for d in range(2, 13)] + [(3, d) for d in (2, 3, 4, 5, 6, 8)]
+                      + [(5, d) for d in range(2, 7)] + [(7, d) for d in range(2, 6)]
+                      + [(p, 2) for p in range(11, 98) if is_prime(p)])
+
+
+@pytest.mark.parametrize("p,degree", GRID_TABLED_FIELDS + [(251, 2)])
+def test_index_walk_matches_the_horner_walk(monkeypatch, p, degree):
+    # F_{251^2} has the largest q * D under the limit
+    field = make_field(p, degree)
+    assert field._log is not None
+    exp, log, zech = horner_tables(polynomial_field(monkeypatch, p, degree))
+    assert field._exp == exp
+    assert list(field._log.items()) == list(log.items())
+    assert field._zech == zech
+
+
+@pytest.mark.parametrize("p,degree", [(2, 12), (3, 8), (7, 5), (97, 2), (5, 3)])
+def test_zech_is_the_log_of_one_plus_each_power(monkeypatch, p, degree):
+    field, ref = make_field(p, degree), polynomial_field(monkeypatch, p, degree)
+    n, g = field.order - 1, field._exp[1]
+    rng = random.Random(p * 100 + degree)
+    # i = 0 and i = n / 2 give 1 + 1 and 1 + (-1), one of which is zero
+    for i in [0, 1, n // 2, n - 1] + rng.sample(range(n), min(n, 300)):
+        power = ref.pow(g, i)
+        assert field._exp[i] == power and field._log[power] == i
+        assert field._zech[i] == field._log[ref.add(ref.one, power)], i
+    assert field._zech[0 if p == 2 else n // 2] is None
+
+
+# ---------------------------------------------------------------------------
+# the root pre-test of the modulus search
+
+
+def ben_or_search(p, degree):
+    """The modulus search without the root pre-test: a Ben-Or test on each
+    candidate in order."""
+    for c0 in range(1, p):
+        for rest in itertools.product(range(p), repeat=degree - 1):
+            if ffield._is_irreducible([c0, *rest, 1], p):
+                return (c0, *rest, 1)
+    raise AssertionError
+
+
+@pytest.mark.parametrize("p,degree", [(p, d) for p in (2, 3, 5, 7, 11) for d in range(2, 7)]
+                         + [(7, 12), (2, 20), (2, 12), (97, 2)])
+def test_root_pre_test_keeps_every_modulus(p, degree):
+    # (7, 6) and (5, 6) are in the p <= 11, D <= 6 block
+    assert ffield._smallest_irreducible(p, degree) == ben_or_search(p, degree)
+
+
+def test_root_pre_test_finds_exactly_the_roots():
+    for p in (2, 3, 5, 7):
+        for low in itertools.product(range(p), repeat=3):
+            f = [*low, 1]
+            roots = [a for a in range(1, p)
+                     if sum(c * a**i for i, c in enumerate(f)) % p == 0]
+            assert ffield._has_root(f, p) == bool(roots), f
+    # over F_7, 29 of the 53 candidates up to the degree-12 modulus have one
+    modulus = make_field(7, 12).modulus
+    candidates = ((c0, *rest, 1) for c0 in range(1, 7)
+                  for rest in itertools.product(range(7), repeat=11))
+    tried = list(itertools.takewhile(lambda f: f != modulus, candidates)) + [modulus]
+    assert len(tried) == 53
+    assert sum(ffield._has_root(list(f), 7) for f in tried) == 29

@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 
 from corpus import build_corpus
-from isocensus import homs, matgroup, orderform
+from isocensus import ffield, homs, matgroup, orderform
 from isocensus.census import (index_k_subgroups, invariant_factors_abelian,
                               small_generating_set)
 from isocensus.ffield import AmbientField, VerificationError, make_field
@@ -447,9 +447,13 @@ def test_cover_points_multiply_by_the_block_product():
 
 
 @pytest.mark.parametrize("p,degree,path", [
-    (7, 2, "table"), (31, 1, "prime"), (97, 2, "packed")])
-def test_block_product_is_mat_mul_on_block_diagonal_pairs(p, degree, path):
-    field = make_field(p, degree)
+    (7, 2, "table"), (31, 1, "prime"), (97, 2, "packed"), (257, 2, "packed")])
+def test_block_product_is_mat_mul_on_block_diagonal_pairs(monkeypatch, p, degree,
+                                                          path):
+    with monkeypatch.context() as m:
+        if p == 97:  # tabled, so its packed path needs the tables off
+            m.setattr(ffield, "TABLE_COEFF_LIMIT", 0)
+        field = make_field(p, degree)
     assert path == ("prime" if degree == 1 else
                     "packed" if field._log is None else "table")
     pairs = _block_diagonal_pairs(field, 300, p * 10 + degree)
