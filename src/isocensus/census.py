@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Optional, Sequence
 
 from .ffield import VerificationError, factorize
@@ -360,16 +360,17 @@ def subgroup_lattice_oracle(group: FiniteGroup,
 
 
 def quotient_group(group: FiniteGroup, normal_ids: Sequence[int]
-                   ) -> tuple[FiniteGroup, Callable[[object], int]]:
-    """Quotient by a normal subgroup N, a precondition that both program
-    callers meet (they quotient abelian groups), on the minimal coset reps.
+                   ) -> tuple[list[int], Callable[[object], int]]:
+    """The quotient by a normal subgroup N, a precondition that both program
+    callers meet (they quotient abelian groups), as its coset labels: no
+    group is built.
 
-    Returns (quotient, coset_of), coset_of(x) the quotient id of the parent
-    element x.  Walking the ids in order, x is the least element of a new
-    coset exactly when r^(-1) x lies outside N for every rep r so far, until
-    there are [G : N] reps; the quotient holds their elements, so its ids
-    keep the parent's order.  Membership is tested by `group.op` and
-    `group.index`, leaving the product cache as it was.  ValueError when
+    Returns (reps, coset_of): reps the ids of the minimal coset reps in
+    increasing order, and coset_of(x) the position in reps of the coset of
+    the parent element x.  Walking the ids in order, x is the least element
+    of a new coset exactly when r^(-1) x lies outside N for every rep r so
+    far, until there are [G : N] reps.  Membership is tested by `group.op`
+    and `group.index`, leaving the product cache as it was.  ValueError when
     |N| does not divide |G|; VerificationError for an element in no coset.
     """
     nset = set(normal_ids)
@@ -395,12 +396,7 @@ def quotient_group(group: FiniteGroup, normal_ids: Sequence[int]
                                     f"of the {len(nset)} ids")
         return j
 
-    quotient = FiniteGroup([elems[r] for r in reps],
-                           lambda a, b: elems[reps[coset_of(op(a, b))]],
-                           elems[reps[coset_of(group.identity)]],
-                           inv=lambda a: elems[reps[coset_of(elems[group.inv(index[a])])]],
-                           label=f"{group.label}/N{len(nset)}")
-    return quotient, coset_of
+    return reps, coset_of
 
 
 def center(group: FiniteGroup) -> tuple[int, ...]:
@@ -413,52 +409,36 @@ def center(group: FiniteGroup) -> tuple[int, ...]:
                  if all(op(x, g) == op(g, x) for g in gens))
 
 
-def invariant_factors_abelian(group: FiniteGroup) -> list[int]:
+def invariant_factors_abelian(group: FiniteGroup, reps: Sequence[int],
+                              normal_ids: Sequence[int]) -> list[int]:
     """Invariant factors [d_1, ..., d_r], d_1 | d_2 | ... | d_r, of an
-    abelian group, from the solution counts of x^(p^i) = 1.
+    abelian quotient G/N, given N and its coset reps (`quotient_group`); a
+    whole group passes all its ids and its identity.
 
-    In a direct sum of cyclic p-groups with exponents e_1, e_2, ... the count
-    of solutions of x^(p^i) = 1 is p to the power sum(min(i, e_j)), so the
-    increments of its p-logarithm are the conjugate partition of the e_j.
+    The order of each coset xN is found as `FiniteGroup.element_order`
+    finds an element's (`FiniteGroup.order_modulo`): from d = [G : N],
+    divide out each prime l while x^(d/l) lies in N.  In a direct sum of
+    cyclic p-groups with exponents e_1, e_2, ... the count of solutions of
+    x^(p^i) = 1 is p to the power sum(min(i, e_j)), so the increments of its
+    p-logarithm are the conjugate partition of the e_j; they sum to v, the
+    Sylow p-subgroup having p^v elements for p^v the p-part of d.
     """
-    n = len(group)
-    if n == 1:
+    index = len(reps)
+    if index == 1:
         return []
-    orders = [group.element_order(i) for i in range(n)]
+    nset = set(normal_ids)
+    orders = [group.order_modulo(x, index, nset) for x in reps]
     primary: dict[int, list[int]] = {}
-    for p in factorize(n):
-        sylow = _p_sylow_size(orders, p)
-        logs = [0]
-        i = 1
-        while p ** logs[-1] < sylow:
-            c = sum(1 for o in orders if p**i % o == 0)
-            logs.append(_ilog(c, p))
-            i += 1
-        profile = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        parts = [sum(1 for e in profile if e > j)
-                 for j in range(profile[0] if profile else 0)]
-        primary[p] = sorted(parts, reverse=True)
-    width = max(len(v) for v in primary.values())
-    factors = []
-    for t in range(width):
-        d = 1
-        for p, parts in primary.items():
-            if t < len(parts):
-                d *= p ** parts[t]
-        factors.append(d)
-    return sorted(factors)
-
-
-def _p_part(o: int, p: int) -> int:
-    r = 1
-    while o % p == 0:
-        o //= p
-        r *= p
-    return r
-
-
-def _p_sylow_size(orders: list[int], p: int) -> int:
-    return sum(1 for o in orders if _p_part(o, p) == o)
+    for p, v in factorize(index).items():
+        # no e_j exceeds v, so i = 1 .. v reaches every increment
+        logs = [0] + [_ilog(sum(1 for o in orders if p**i % o == 0), p)
+                      for i in range(1, v + 1)]
+        profile = [b - a for a, b in zip(logs, logs[1:])]
+        # the exponents e_j in non-increasing order
+        primary[p] = [sum(1 for e in profile if e > j) for j in range(profile[0])]
+    width = max(map(len, primary.values()))
+    return sorted(prod(p ** parts[t] for p, parts in primary.items() if t < len(parts))
+                  for t in range(width))
 
 
 def _ilog(x: int, p: int) -> int:

@@ -57,7 +57,8 @@ def cmd_kernel(args) -> int:
     group, min_level = homs.kernel_points(iso, amb)
     _emit({"isogeny": iso.name, "q": iso.q, "kernel_order": len(group),
            "minimal_level": min_level,
-           "invariants": census.invariant_factors_abelian(group)})
+           "invariants": census.invariant_factors_abelian(
+               group, range(len(group)), [group.identity_id])})
     return 0
 
 

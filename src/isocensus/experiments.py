@@ -228,7 +228,7 @@ class Runner:
         data = homs.cokernel(iso, n, img, kernel_field)
         mu_ok = homs.verify_mu(homs.with_sections(data, iso, n, seed=cfg.seed)) \
             if with_mu else None
-        cell["count"] = len(data.quotient)
+        cell["count"] = len(data.reps)
         cell["flags"] = {"invariants": data.invariants,
                          "kernel_min_level": data.kernel_min_level,
                          "mu_checked": with_mu, "mu_ok": mu_ok}

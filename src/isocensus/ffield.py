@@ -929,25 +929,17 @@ def make_field(p: int, degree: int) -> AmbientField:
 
 
 def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
-    """Deterministic search for an element of exact multiplicative order t.
+    """The first element of exact multiplicative order t, or None when t
+    does not divide p^D - 1.
 
-    Walks the field in canonical order, mapping each nonzero z to
-    z^((p^D - 1)/t); the image has order t exactly when the t-part of z's
-    order is full, which happens for a positive fraction of z.
+    Walks the field in canonical order, mapping each z to z^((p^D - 1)/t),
+    which lies in the subgroup of order t; the image has order t exactly
+    when the t-part of z's order is full, which happens for a positive
+    fraction of z.  `_first_of_order` skips zero, and `one` unless t = 1.
     """
     big = field.order - 1
-    if big % t:
-        return None
-    checks = [t // ell for ell in factorize(t)]
-    for z in field.iter_elements():
-        if not any(z):
-            continue
-        cand = field.pow(z, big // t)
-        if cand == field.one and t > 1:
-            continue
-        if all(field.pow(cand, c) != field.one for c in checks):
-            return cand
-    return None
+    return None if big % t else _first_of_order(
+        field, (field.pow(z, big // t) for z in field.iter_elements()), t)
 
 
 def _first_of_order(field: AmbientField, candidates: Iterable[Coeffs], n: int) -> Coeffs:

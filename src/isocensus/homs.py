@@ -370,7 +370,10 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
     (e*n for the catalog).  With sections as well: the points, the kernel
     and rational sections, e * lcm(n * section_degree(n),
     kernel_field_degree()).  Several isogenies get the lcm of their plans.
+    ValueError when n < 1.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"level n must be positive, got n={n}")
     degree = 1
     for iso in isogenies:
         e = iso.base_e
@@ -468,11 +471,10 @@ class CokernelData:
     invariants: list[int]
     codomain: FiniteGroup
     image_ids: tuple[int, ...]
-    quotient: FiniteGroup
+    reps: list[int]
     kernel_group: FiniteGroup
     kernel_min_level: int
     lang_image_ids: tuple[int, ...]
-    kernel_quotient: FiniteGroup
     kernel_proj: list[int]
     sections: Optional[list[Flat]] = None
     section_lang_ids: Optional[list[int]] = None
@@ -549,24 +551,27 @@ def cokernel(iso: Isogeny, n: int, img: Image,
     it; only abelian invariants cross the isomorphism, so that field may be
     smaller than the codomain points' one, unless with_sections follows.
     Both groups quotiented are abelian, so every subgroup is normal; each
-    quotient is on its minimal coset reps, in the parent's id order, and
-    only the kernel side keeps a projection (`kernel_proj`, read by mu)."""
-    quotient, _ = census.quotient_group(img.codomain, img.ids)
-    lhs = census.invariant_factors_abelian(quotient)
+    quotient is its coset labels (`census.quotient_group`), not a group:
+    the codomain side keeps its minimal coset reps (`reps`, codomain ids in
+    increasing order), and the kernel side the label of every kernel
+    element (`kernel_proj`, read by mu)."""
+    codomain, image_ids = img.codomain, img.ids
+    reps, _ = census.quotient_group(codomain, image_ids)
+    lhs = census.invariant_factors_abelian(codomain, reps, image_ids)
 
     kernel_group, min_level = kernel_points(iso, kernel_ambient)
     lam_ids = sorted({kernel_group.index[lang_map(kernel_ambient, a, iso.q, n)]
                       for a in kernel_group.elements})
-    kq, coset_of = census.quotient_group(kernel_group, lam_ids)
+    kreps, coset_of = census.quotient_group(kernel_group, lam_ids)
     kproj = list(map(coset_of, kernel_group.elements))
-    rhs = census.invariant_factors_abelian(kq)
+    rhs = census.invariant_factors_abelian(kernel_group, kreps, lam_ids)
     if lhs != rhs:
         raise VerificationError(
             f"cokernel invariants {lhs} differ from kernel-side invariants {rhs}")
-    return CokernelData(invariants=lhs, codomain=img.codomain, image_ids=img.ids,
-                        quotient=quotient, kernel_group=kernel_group,
+    return CokernelData(invariants=lhs, codomain=codomain, image_ids=image_ids,
+                        reps=reps, kernel_group=kernel_group,
                         kernel_min_level=min_level, lang_image_ids=tuple(lam_ids),
-                        kernel_quotient=kq, kernel_proj=kproj)
+                        kernel_proj=kproj)
 
 
 def with_sections(data: CokernelData, iso: Isogeny, n: int, *,
@@ -581,48 +586,46 @@ def with_sections(data: CokernelData, iso: Isogeny, n: int, *,
         raise ValueError(f"the section table needs the kernel in {ambient!r}")
     sections, lang_ids, gens = _section_table(iso, n, ambient, codomain,
                                               data.kernel_group, seed)
-    reps = data.quotient.elements
-    if iso.apply(ambient, [sections[codomain.index[x]] for x in reps]) != list(reps):
+    if iso.apply(ambient, [sections[x] for x in data.reps]) != \
+            [codomain.elements[x] for x in data.reps]:
         raise VerificationError(f"{iso.name}: coset rep section is not a preimage")
     return replace(data, sections=sections, section_lang_ids=lang_ids, section_gens=gens)
 
 
-def _multiplicative_on_gens(src: FiniteGroup, dst: FiniteGroup,
-                            values: Sequence[int], gens: Sequence[int]) -> bool:
-    """Whether the id map x -> values[x] is a homomorphism src -> dst.
-
-    It is exactly when it fixes the identity, gens generate src, and
-    values[x*s] = values[x] values[s] for every x and every s in gens: then
-    values[x*w] = values[x] values[w] for every word w in the generators, by
-    induction on its length (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005).  The Cayley-graph program of gens
-    (`census._bfs_program`) proves that they generate, and its edges are the
-    pairs (x, s), each once.  Costs |src| * |gens| products in dst.
-    """
-    if values[src.identity_id] != dst.identity_id:
-        return False
-    bfs_ids, targets, _ = census._bfs_program(src, gens)
-    r, gen_values = len(gens), [values[s] for s in gens]
-    walked = [values[x] for x in bfs_ids]
-    return all(walked[t] == dst.mult(walked[i // r], gen_values[i % r])
-               for i, t in enumerate(targets))
-
-
 def verify_mu(data: CokernelData) -> bool:
-    """mu is a surjective homomorphism with kernel the image subgroup.
+    """mu is a surjective homomorphism onto ker/lang(ker) with kernel the
+    image subgroup.
 
-    Reads mu on every element.  Multiplicativity is proved on the edges of
-    the Cayley-graph program the section table was built along, which cover
-    every pair of elements; with the kernel equal to the image, this also
-    makes mu constant on image cosets.
+    Reads mu on every codomain point and checks three things: mu is onto
+    the classes of `kernel_proj`; the points it sends to the class of the
+    identity are exactly the image; and on every edge x -> x*s of the
+    Cayley-graph program of the section generators (`census._bfs_program`,
+    which proves that they generate), kernel_proj[lang(x*s)] ==
+    kernel_proj[lang(x) lang(s)], one product in the kernel group per edge.
+
+    kernel_proj labels the cosets of lang(ker) in the abelian kernel, so it
+    is a homomorphism onto ker/lang(ker), and the edge check says
+    mu(x*s) = mu(x) mu(s) there.  That makes mu a homomorphism: mu(e) is the
+    identity class, e lying in the image, and mu(x*w) = mu(x) mu(w) for
+    every word w in the generators, by induction on its length (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005); the
+    program's edges are the pairs (x, s), each once.  With the kernel equal
+    to the image, mu is also constant on image cosets.  Costs
+    |G| * |gens| kernel products.
     """
-    kq = data.kernel_quotient
-    values = [data.mu(x) for x in range(len(data.codomain))]
-    if set(values) != set(range(len(kq))):
+    proj, lang, kernel = data.kernel_proj, data.section_lang_ids, data.kernel_group
+    values = [proj[v] for v in lang]
+    if set(values) != set(proj):
         return False
-    if {i for i, v in enumerate(values) if v == kq.identity_id} != set(data.image_ids):
+    one = proj[kernel.identity_id]
+    if {x for x, v in enumerate(values) if v == one} != set(data.image_ids):
         return False
-    return _multiplicative_on_gens(data.codomain, kq, values, data.section_gens)
+    gens = data.section_gens
+    bfs_ids, targets, _ = census._bfs_program(data.codomain, gens)
+    r, gen_lang = len(gens), [lang[s] for s in gens]
+    walked = [lang[x] for x in bfs_ids]
+    return all(proj[walked[t]] == proj[kernel.mult(walked[i // r], gen_lang[i % r])]
+               for i, t in enumerate(targets))
 
 
 def induced_isogeny_reaches(data: CokernelData, h_ids: Sequence[int]

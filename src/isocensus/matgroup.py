@@ -7,9 +7,10 @@ subfield F_{q^n}, equivalently the fixed points of the entrywise Frobenius
 map raising entries to the q^n-th power.
 
 Enumerated groups are wrapped in :class:`FiniteGroup`, which also hosts
-abstract groups (quotients, direct products) whose elements are not
-matrices; all downstream algorithms only use the group operation through
-canonical element ids.  A point group's elements are flat entry tuples
+direct products, the one abstract group, whose elements are pairs; a
+quotient is not a group but its coset labels (`census.quotient_group`).
+All downstream algorithms only use the group operation through canonical
+element ids.  A point group's elements are flat entry tuples
 (`Flat`: the row-major tuple of a matrix's m^2 entries), its operation the
 spec's `product`, and `mat_identity`, `mat_inv`, `mat_det`,
 `mat_frobenius`, `mat_transpose` and `mat_rows` are functions of them,
@@ -36,7 +37,7 @@ import itertools
 from array import array
 from functools import partial
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .ffield import (AmbientField, Coeffs, Flat, VerificationError,
                      _element_of_order, factorize, subfield_generator)
@@ -294,12 +295,20 @@ class FiniteGroup:
     def element_order(self, i: int) -> int:
         r = self._order_cache.get(i)
         if r is None:
-            r = len(self.elements)
-            for ell in factorize(r):
-                while r % ell == 0 and self.pow_id(i, r // ell) == self.identity_id:
-                    r //= ell
-            self._order_cache[i] = r
+            r = self._order_cache[i] = \
+                self.order_modulo(i, len(self.elements), {self.identity_id})
         return r
+
+    def order_modulo(self, i: int, d: int, members: Container[int]) -> int:
+        """The least r with i^r in `members`, a normal subgroup's ids, for
+        a d with i^d there (|G|, or [G : N] by Lagrange in G/N): the order
+        of the coset of i.  The r with i^r in it are the multiples of that
+        order, so dividing d by each prime l while i^(d/l) stays in it
+        leaves the order itself."""
+        for ell in factorize(d):
+            while d % ell == 0 and self.pow_id(i, d // ell) in members:
+                d //= ell
+        return d
 
     def conjugate_id(self, g: int, h: int) -> int:
         """g^(-1) h g."""
@@ -390,6 +399,8 @@ class GroupSpec:
     def __init__(self, m: int, p: int, e: int = 1):
         if m < 1:
             raise ValueError(f"matrix dimension must be positive, got m={m}")
+        if e < 1:
+            raise ValueError(f"base field degree must be positive, got e={e}")
         self.m = m
         self.p = p
         self.e = e

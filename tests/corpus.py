@@ -4,10 +4,11 @@ All groups have order at most 200 and at most three generators: cyclic
 multiplicative groups, split and non-split norm tori, torus products,
 dihedral-like torus normalizers, additive groups, small SL_2's, and the
 double cover of a torus.  Beside them live the reference predicates
-`is_subgroup` and `is_normal`, which test id sets by brute force.
+`is_subgroup` and `is_normal`, which test id sets by brute force, and
+`invariants`, the invariant factors of a whole abelian group.
 """
 
-from isocensus.census import small_generating_set
+from isocensus.census import invariant_factors_abelian, small_generating_set
 from isocensus.ffield import make_field
 from isocensus.matgroup import (GaSpec, GmSpec, Matrix, NormTorusCoverSpec,
                                 NormTorusSpec, SLSpec, direct_product,
@@ -47,6 +48,12 @@ def is_normal(group, ids):
     idset = set(ids)
     return all(group.conjugate_id(g, h) in idset
                for g in small_generating_set(group) for h in idset)
+
+
+def invariants(group):
+    """Invariant factors of an abelian group, passed whole to
+    `invariant_factors_abelian`: every id over the identity."""
+    return invariant_factors_abelian(group, range(len(group)), [group.identity_id])
 
 
 def build_corpus():

@@ -1,6 +1,7 @@
 """Index-k censuses against the lattice oracle and known group theory."""
 
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -8,13 +9,13 @@ from functools import partial
 
 import pytest
 
-from corpus import build_corpus, is_normal, is_subgroup
-from isocensus import census, matgroup
+from corpus import build_corpus, invariants, is_normal, is_subgroup
+from isocensus import census, homs, matgroup
 from isocensus.census import (CensusBoundExceeded, SubgroupHandle, center,
                               conjugacy_classes_of_subgroups, index_k_subgroups,
                               invariant_factors_abelian, quotient_group,
                               small_generating_set, subgroup_lattice_oracle)
-from isocensus.ffield import VerificationError, make_field
+from isocensus.ffield import VerificationError, factorize, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GLSpec, GmSpec, Matrix,
                                 NormTorusSpec, SLSpec, cayley_walk, direct_product,
                                 from_generators, mat_det, mat_inv, rational_points)
@@ -73,8 +74,9 @@ def _derived_subgroup(group):
 
 def _abelianization(group):
     """Invariant factors of G/[G, G]."""
-    quotient, _ = quotient_group(group, _derived_subgroup(group))
-    return invariant_factors_abelian(quotient)
+    derived = _derived_subgroup(group)
+    reps, _ = quotient_group(group, derived)
+    return invariant_factors_abelian(group, reps, derived)
 
 
 def test_index_one_is_whole_group():
@@ -506,15 +508,9 @@ def _normal_subgroups(group):
 
 def _assert_labelled_quotient(group, normal_ids):
     rep_of = _labelled_reps(group, normal_ids)
-    reps = sorted(set(rep_of))
-    quotient, coset_of = quotient_group(group, normal_ids)
-    assert quotient.elements == tuple(group.elements[r] for r in reps)
-    assert quotient.identity == group.elements[rep_of[group.identity_id]]
+    reps, coset_of = quotient_group(group, normal_ids)
+    assert reps == sorted(set(rep_of))
     assert [reps[coset_of(x)] for x in group.elements] == rep_of
-    for a, b in itertools.product(range(len(reps)), range(min(len(reps), 6))):
-        assert reps[quotient.mult(a, b)] == rep_of[group.mult(reps[a], reps[b])]
-    for a in range(len(reps)):
-        assert reps[quotient.inv(a)] == rep_of[group.inv(reps[a])]
 
 
 def test_quotient_reps_match_the_labelling_pass_on_corpus():
@@ -536,14 +532,88 @@ def test_quotient_reps_match_the_labelling_pass_above_the_cache_limit():
         _assert_labelled_quotient(group, normal_ids)
 
 
+def _partitions(v, largest):
+    """The partitions of v into parts of at most `largest`, non-increasing."""
+    if v == 0:
+        yield []
+    for part in range(min(v, largest), 0, -1):
+        for rest in _partitions(v - part, part):
+            yield [part] + rest
+
+
+def _abelian_types(d):
+    """The invariant factors of every abelian group of order d."""
+    per_prime = [[[p**e for e in part] for part in _partitions(v, v)]
+                 for p, v in factorize(d).items()]
+    for combo in itertools.product(*per_prime):
+        width = max(map(len, combo), default=0)
+        columns = [c + [1] * (width - len(c)) for c in combo]
+        yield sorted(math.prod(col) for col in zip(*columns))
+
+
+def _reference_invariants(group, normal_ids):
+    """Invariant factors of G/N from a quotient table on the labelling pass:
+    the one abelian type [d_1, ..., d_r] of order [G : N] whose count
+    prod gcd(m, d_i) of solutions of x^m = 1 is the table's for every m
+    dividing [G : N]."""
+    rep_of = _labelled_reps(group, normal_ids)
+    reps = sorted(set(rep_of))
+    label = {r: j for j, r in enumerate(reps)}
+    table = [[label[rep_of[group.mult(a, b)]] for b in reps] for a in reps]
+    one, d = label[rep_of[group.identity_id]], len(reps)
+    orders = []
+    for a in range(d):
+        x, o = a, 1
+        while x != one:
+            x, o = table[x][a], o + 1
+        orders.append(o)
+    counts = {m: sum(1 for o in orders if m % o == 0)
+              for m in range(1, d + 1) if d % m == 0}
+    [found] = [t for t in _abelian_types(d)
+               if all(math.prod(math.gcd(m, f) for f in t) == c
+                      for m, c in counts.items())]
+    return found
+
+
+def _e2_images():
+    """(label, codomain, image ids) of power maps planned as E2 plans them:
+    over F_7 (no section table), over tabled fields, and over F_{7^6}, the
+    section field of Gm(F_{7^3})."""
+    cases = [(NormTorusSpec(7), 3, 1, False), (GmSpec(7), 2, 1, False),
+             (NormTorusSpec(2), 3, 2, True), (NormTorusSpec(2), 3, 4, True),
+             (NormTorusSpec(3), 2, 2, True), (NormTorusSpec(5), 2, 1, True),
+             (GmSpec(2), 5, 4, True), (GmSpec(7), 2, 3, True), (GmSpec(7), 3, 3, True)]
+    for spec, k, n, sections in cases:
+        iso = homs.PowerIsogeny(spec, k)
+        field = make_field(spec.p, homs.plan_degree(iso, n=n, sections=sections))
+        img = homs.image(iso, n, field)
+        yield f"{iso.name} on {img.codomain!r} over {field!r}", img.codomain, img.ids
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coset_order_invariants_match_a_reference_quotient_table(seed):
+    rng = random.Random(seed)
+    cases = list(_e2_images())
+    fields = {group.meta["field"] for _, group, _ in cases}
+    assert {(f.p, f.degree) for f in fields} >= {(7, 1), (2, 6), (7, 6)}
+    assert make_field(2, 6)._log is not None  # tabled
+    for label, group in build_corpus():
+        if len(center(group)) == len(group):
+            cases += [(label, group, _closure(group, rng.sample(range(len(group)), r)))
+                      for r in (1, 2)]
+    for label, group, normal_ids in cases:
+        reps, _ = quotient_group(group, normal_ids)
+        assert len(reps) == len(group) // len(normal_ids), label
+        assert invariant_factors_abelian(group, reps, normal_ids) == \
+            _reference_invariants(group, normal_ids), label
+
+
 def test_quotient_group_leaves_the_product_cache_as_it_found_it():
     for label, group in build_corpus()[-8:]:
         normal_ids = center(group)
         group.mult(0, 0)
         before = dict(group._mult_cache)
-        quotient, coset_of = quotient_group(group, normal_ids)
-        for a, b in itertools.product(range(len(quotient)), repeat=2):
-            quotient.mult(a, b)
+        reps, coset_of = quotient_group(group, normal_ids)
         list(map(coset_of, group.elements))
         assert group._mult_cache == before, label
 
@@ -562,12 +632,16 @@ def test_quotient_group_rejects_ids_that_are_no_subgroup():
 
 def test_invariant_factors_examples():
     gm = rational_points(GmSpec(7), 1, F7)  # C6
-    assert invariant_factors_abelian(gm) == [6]
+    assert invariants(gm) == [6]
     ga = rational_points(GaSpec(2), 3, F8)
-    assert invariant_factors_abelian(ga) == [2, 2, 2]
+    assert invariants(ga) == [2, 2, 2]
     c2xc4 = direct_product(rational_points(GmSpec(3), 1, F3),
                            rational_points(GmSpec(5), 1, make_field(5, 1)))
-    assert invariant_factors_abelian(c2xc4) == [2, 4]
+    assert invariants(c2xc4) == [2, 4]
+    # C2 x C4 over its C4 factor (ids 0-3) is C2, over the squares C2 x C2
+    for normal_ids, want in (((0, 1, 2, 3), [2]), (_power_image(c2xc4, 2), [2, 2])):
+        reps, _ = quotient_group(c2xc4, normal_ids)
+        assert invariant_factors_abelian(c2xc4, reps, normal_ids) == want
 
 
 def test_conjugacy_classes_of_subgroups():
@@ -605,4 +679,5 @@ def test_is_subgroup_and_subgroup_as_group():
     q8 = from_generators([SL2F3.elements[i] for i in ids], field.mat_mul,
                          SL2F3.identity, inv=partial(mat_inv, field))
     assert len(q8) == 8
-    assert invariant_factors_abelian(quotient_group(q8, center(q8))[0]) == [2, 2]
+    z = center(q8)
+    assert invariant_factors_abelian(q8, quotient_group(q8, z)[0], z) == [2, 2]

@@ -1,6 +1,9 @@
 """CLI subcommands and config round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +36,24 @@ def test_order_subcommand(capsys):
     assert code == 0
     assert payload["order"] == payload["bn_order"] == 336
     assert payload["center_order"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("cokernel", "--spec", "Gm", "--p", "3", "--n", "-1", "--iso", "pow:2"),
+    ("census", "--spec", "NormTorus", "--p", "7", "--n", "-2", "--k", "2",
+     "--reached"),
+])
+def test_a_level_below_one_exits_2_naming_n(argv):
+    # both lines used to run without end: a negative level made the
+    # section degree a float power, whose multiplicative order never came
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "isocensus.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: level n must be positive, got n={argv[6]}\n"
 
 
 def test_points_rejects_a_negative_list_length(capsys):
@@ -191,6 +212,8 @@ def test_cli_reports_errors_with_exit_2(capsys):
     (("image", "--spec", "Gm", "--p", "3", "--iso", "pow:x"), "'pow:x'"),
     (("points", "--spec", "SO", "--p", "2", "--m", "2"),
      "split SO in characteristic 2 needs a quadratic form"),
+    (("points", "--spec", "Gm", "--p", "3", "--e", "0"), "e=0"),
+    (("points", "--spec", "SL", "--p", "3", "--e", "-1"), "e=-1"),
 ])
 def test_bad_spec_input_fails_with_a_named_error(capsys, argv, named):
     assert main(list(argv)) == 2

@@ -857,3 +857,27 @@ def test_root_pre_test_finds_exactly_the_roots():
     tried = list(itertools.takewhile(lambda f: f != modulus, candidates)) + [modulus]
     assert len(tried) == 53
     assert sum(ffield._has_root(list(f), 7) for f in tried) == 29
+
+
+@pytest.mark.parametrize("p,degree,t,want", [
+    (2, 1, 1, (1,)), (2, 4, 1, (1, 0, 0, 0)), (2, 4, 3, (0, 1, 0, 1)),
+    (2, 4, 5, (1, 0, 1, 0)), (2, 4, 15, (0, 0, 1, 0)), (2, 4, 7, None),
+    (3, 2, 8, (1, 1)), (3, 2, 4, (0, 2)), (3, 2, 3, None),
+    (5, 2, 3, (4, 4)), (5, 2, 6, (0, 4)),
+    (7, 1, 3, (4,)), (7, 1, 6, (3,)), (7, 1, 4, None), (101, 1, 25, (16,)),
+    (2, 12, 13, (0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1)),
+    (2, 12, 65, (0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1)),
+    (2, 20, 11, (1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0)),
+    (2, 20, 7, None), (7, 6, 19, (3, 0, 0, 0, 2, 0)), (7, 6, 9, (2, 0, 0, 0, 1, 0)),
+])
+def test_element_of_order_is_pinned(p, degree, t, want):
+    # the first exact-order element along the canonical walk of the field;
+    # None exactly when t does not divide p^D - 1 (tabled, prime and
+    # polynomial-path fields)
+    field = make_field(p, degree)
+    got = ffield._element_of_order(field, t)
+    assert got == want
+    assert (want is None) == bool((field.order - 1) % t)
+    if want is not None:
+        assert field.pow(got, t) == field.one
+        assert all(field.pow(got, t // ell) != field.one for ell in factorize(t))

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from corpus import is_normal, is_subgroup
+from corpus import invariants, is_normal, is_subgroup
 from isocensus import census, homs
 from isocensus.ffield import VerificationError, make_field
 from isocensus.matgroup import (FiniteGroup, GaSpec, GmSpec, Matrix,
@@ -22,6 +22,15 @@ def _cokernel(iso, n, amb, codomain=None):
     """The cokernel with its section table, every point in one ambient."""
     img = homs.image(iso, n, amb, codomain=codomain)
     return homs.with_sections(homs.cokernel(iso, n, img, amb), iso, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_plan_degree_rejects_a_level_below_one(n):
+    iso = homs.PowerIsogeny(GmSpec(3), 2)
+    for sections in (False, True):
+        with pytest.raises(ValueError, match=f"level n must be positive, got n={n}$"):
+            homs.plan_degree(iso, n=n, sections=sections)
+    assert homs.plan_degree(iso) == 1
 
 
 def test_power_isogeny_requires_coprime_exponent():
@@ -61,7 +70,7 @@ def test_kernel_of_power_on_plane_torus():
     iso = homs.PowerIsogeny(NormTorusSpec(7), 3)
     group, level = homs.kernel_points(iso, amb)
     assert len(group) == 9 and level == 1
-    assert census.invariant_factors_abelian(group) == [3, 3]
+    assert invariants(group) == [3, 3]
     # characteristic 3: only the scalar part survives
     amb3 = make_field(3, 1)
     iso3 = homs.PowerIsogeny(NormTorusSpec(3), 2)
@@ -411,9 +420,8 @@ def _mutated_reached_by(monkeypatch, mutate):
 
 def test_reached_by_rejects_a_wrong_non_generator_section(monkeypatch):
     def mutate(data):
-        reps = {data.codomain.index[r] for r in data.quotient.elements}
         x = next(x for x in range(len(data.codomain))
-                 if x not in reps and x not in data.section_gens)
+                 if x not in data.reps and x not in data.section_gens)
         data.sections[x] = data.codomain.meta["field"].mat_mul(
             data.sections[x], data.sections[data.section_gens[0]])
 
@@ -551,14 +559,14 @@ def test_cokernel_rejects_unequal_invariants(monkeypatch):
 
 def test_cokernel_rejects_a_wrong_coset_rep_section(monkeypatch):
     iso, amb, codomain, _ = _section_table_inputs()
-    quotient, _ = census.quotient_group(
+    reps, _ = census.quotient_group(
         codomain, homs.image(iso, 1, amb, codomain=codomain).ids)
-    rep = next(x for x in quotient.elements if x != codomain.identity)
+    rep = next(x for x in reps if x != codomain.identity_id)
     real = homs._section_table
 
     def corrupted(*args):
         sections, lang_ids, gens = real(*args)
-        sections[codomain.index[rep]] = mat_identity(amb, 1)
+        sections[rep] = mat_identity(amb, 1)
         return sections, lang_ids, gens
 
     monkeypatch.setattr(homs, "_section_table", corrupted)
@@ -793,21 +801,48 @@ def _order_swap(group):
     return {low: high, high: low}
 
 
+def _c4_cokernel():
+    """The C4 cokernel of pow:4 on Gm(F_5) with its mu table: mu is a
+    bijection onto ker/lang(ker), its kernel the trivial image."""
+    return _cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, make_field(5, 4))
+
+
 def _relabelled_mu():
-    """A cokernel C4 with its mu table, and a copy whose mu values are
-    relabelled by _order_swap."""
-    data = _cokernel(homs.PowerIsogeny(GmSpec(5), 4), 1, make_field(5, 4))
-    swap = _order_swap(data.kernel_quotient)
+    """The C4 cokernel, and a copy whose Lang ids are relabelled by
+    _order_swap of the kernel group."""
+    data = _c4_cokernel()
+    swap = _order_swap(data.kernel_group)
     bad = dataclasses.replace(
-        data, kernel_proj=[swap.get(v, v) for v in data.kernel_proj])
+        data, section_lang_ids=[swap.get(v, v) for v in data.section_lang_ids])
     return data, bad
 
 
-def _swapping_map():
-    """Gm(F_5), cyclic of order 4, and _order_swap as an id map on it."""
-    group = rational_points(GmSpec(5), 1, make_field(5, 1))
-    swap = _order_swap(group)
-    return group, [swap.get(x, x) for x in range(len(group))]
+def _tree_consistent_mu():
+    """The C4 cokernel over the generators [s, s^2], with Lang ids built
+    along the tree edges of their program from the kernel elements a^2 for
+    s and a for s^2, a = lang(section(s)): every tree edge agrees, but
+    s * s = s^2 does not, as mu(s)^2 = a^4 is the identity class."""
+    data = _c4_cokernel()
+    codomain, kernel = data.codomain, data.kernel_group
+    (s,) = data.section_gens
+    a = data.section_lang_ids[s]
+    gens, gen_lang = [s, codomain.mult(s, s)], [kernel.mult(a, a), a]
+    bfs_ids, targets, first = census._bfs_program(codomain, gens)
+    lang = [None] * len(codomain)
+    lang[codomain.identity_id] = kernel.identity_id
+    for i, t in enumerate(targets):
+        if first[i]:
+            lang[bfs_ids[t]] = kernel.mult(lang[bfs_ids[i // 2]], gen_lang[i % 2])
+    return dataclasses.replace(data, section_gens=gens, section_lang_ids=lang)
+
+
+def _onto_with_the_image_as_kernel(data):
+    """verify_mu's first two checks: mu takes every class, and the class of
+    the identity exactly on the image."""
+    values = list(map(data.mu, range(len(data.codomain))))
+    one = data.kernel_proj[data.kernel_group.identity_id]
+    return set(values) == set(data.kernel_proj) and \
+        {x for x, v in enumerate(values) if v == one} == set(data.image_ids)
 
 
 def test_verify_mu_rejects_relabelled_values():
@@ -818,27 +853,25 @@ def test_verify_mu_rejects_relabelled_values():
 
 
 def test_multiplicativity_rejects_the_swapping_map():
-    group, values = _swapping_map()
-    gens = census.small_generating_set(group)
-    assert values[group.identity_id] == group.identity_id
-    assert not homs._multiplicative_on_gens(group, group, values, gens)
-    assert homs._multiplicative_on_gens(group, group, list(range(len(group))), gens)
-    # a constant map to a non-identity element misses the identity
-    other = next(x for x in range(len(group)) if x != group.identity_id)
-    assert not homs._multiplicative_on_gens(group, group, [other] * len(group), gens)
+    # the relabelled mu fixes the identity class and is onto, so only the
+    # edge products refute it; a constant map misses the identity class
+    data, bad = _relabelled_mu()
+    assert _onto_with_the_image_as_kernel(data)
+    assert _onto_with_the_image_as_kernel(bad)
+    assert not homs.verify_mu(bad)
+    other = next(v for v in range(len(data.kernel_group))
+                 if data.kernel_proj[v] != data.kernel_proj[data.kernel_group.identity_id])
+    constant = dataclasses.replace(
+        data, section_lang_ids=[other] * len(data.codomain))
+    assert not homs.verify_mu(constant)
 
 
 def test_multiplicativity_is_checked_on_cycle_closing_edges():
-    # x -> t^i for the i-th element in BFS order agrees with every tree edge
-    # of a cyclic group of order 3; only the edge s^2 * s = 1 refutes it
-    src = rational_points(GmSpec(2), 2, make_field(2, 2))
-    dst = rational_points(GmSpec(3), 1, make_field(3, 1))
-    gens = census.small_generating_set(src)
-    bfs_ids, _, _ = census._bfs_program(src, gens)
-    values = [None] * len(src)
-    for i, x in enumerate(bfs_ids):
-        values[x] = dst.pow_id(dst.gens_hint[0], i)
-    assert not homs._multiplicative_on_gens(src, dst, values, gens)
+    # built along the tree edges, mu passes the first two checks; only the
+    # cycle-closing edge s * s = s^2 refutes it
+    bad = _tree_consistent_mu()
+    assert _onto_with_the_image_as_kernel(bad)
+    assert not homs.verify_mu(bad)
 
 
 def test_rejections_hold_under_python_O():
@@ -849,17 +882,15 @@ def test_rejections_hold_under_python_O():
     script = "\n".join([
         "import sys",
         f"sys.path[:0] = [{src_dir!r}, {tests_dir!r}]",
-        "from isocensus import census, homs",
-        "from test_homs import _relabelled_mu, _swapping_map",
+        "from isocensus import homs",
+        "from test_homs import _relabelled_mu, _tree_consistent_mu",
         "if not sys.flags.optimize:",
         "    sys.exit('not running under -O')",
         "data, bad = _relabelled_mu()",
         "if not homs.verify_mu(data) or homs.verify_mu(bad):",
         "    sys.exit('verify_mu missed the relabelling')",
-        "group, values = _swapping_map()",
-        "gens = census.small_generating_set(group)",
-        "if homs._multiplicative_on_gens(group, group, values, gens):",
-        "    sys.exit('_multiplicative_on_gens accepted a non-homomorphism')",
+        "if homs.verify_mu(_tree_consistent_mu()):",
+        "    sys.exit('verify_mu missed a cycle-closing edge')",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)

@@ -7,10 +7,9 @@ from functools import reduce
 
 import pytest
 
-from corpus import build_corpus
+from corpus import build_corpus, invariants
 from isocensus import ffield, homs, matgroup, orderform
-from isocensus.census import (index_k_subgroups, invariant_factors_abelian,
-                              small_generating_set)
+from isocensus.census import index_k_subgroups, small_generating_set
 from isocensus.ffield import AmbientField, VerificationError, make_field
 from isocensus.matgroup import (EnumerationBound, FiniteGroup, GaSpec, GLSpec,
                                 GmSpec, Matrix, NormTorusCoverSpec, NormTorusSpec,
@@ -274,7 +273,7 @@ def test_from_generators_and_direct_product():
     gm4 = rational_points(GmSpec(2), 2, F4)
     prod = direct_product(gm4, gm4)
     assert len(prod) == 9
-    assert invariant_factors_abelian(prod) == [3, 3]
+    assert invariants(prod) == [3, 3]
     # dihedral-like: torus normalizer in GL_2
     f = F7
     gm7 = rational_points(GmSpec(7), 1, F7)
@@ -289,11 +288,11 @@ def test_from_generators_and_direct_product():
 
 def test_norm_torus_structures():
     split = rational_points(NormTorusSpec(7), 1, F7)
-    assert invariant_factors_abelian(split) == [6, 6]
+    assert invariants(split) == [6, 6]
     nonsplit = rational_points(NormTorusSpec(5), 1, F25)
-    assert invariant_factors_abelian(nonsplit) == [24]
+    assert invariants(nonsplit) == [24]
     char3 = rational_points(NormTorusSpec(3), 2, make_field(3, 2))
-    assert invariant_factors_abelian(char3) == [3, 24]
+    assert invariants(char3) == [3, 24]
 
 
 def _points_without_a_walk(monkeypatch, spec, field):
