@@ -24,13 +24,16 @@ The normal core of every subgroup found at index k is the kernel of its
 coset action and must have index between k and k! (the action embeds
 G/core into Sym(k); the weaker k^k bound is implied).  The subgroup is
 normal exactly when it equals its core.
+
+The module returns subgroup handles, conjugacy classes and oracle lattices,
+and holds no report type: the experiments and `isocensus census` each build
+their own payload from these.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from math import factorial, prod
 from typing import Callable, Optional, Sequence
 
@@ -480,46 +483,4 @@ def conjugacy_classes_of_subgroups(parent: FiniteGroup,
         seen.update(members)
         classes.append([by_ids[m] for m in members])
     return classes
-
-
-@dataclass
-class CensusReport:
-    """One census cell: the counts, and optionally the subgroups themselves."""
-
-    spec: str
-    q: int
-    n: int
-    k: int
-    order: int
-    count: int
-    subgroups: Optional[list[SubgroupHandle]] = None
-    reached: list[dict] = field(default_factory=list)
-    classes: Optional[list[list[SubgroupHandle]]] = None
-
-    def as_dict(self) -> dict:
-        out = {"spec": self.spec, "q": self.q, "n": self.n, "k": self.k,
-               "order": self.order, "count": self.count}
-        if self.subgroups is not None:
-            if self.count != len(self.subgroups):
-                raise ValueError("materialized list disagrees with the count")
-            out["subgroups"] = [{"order": h.order, "normal": h.normal,
-                                 "core_index": h.core_index}
-                                for h in self.subgroups]
-        if self.reached:
-            out["reached"] = self.reached
-        if self.classes is not None:
-            out["conjugacy_classes"] = [len(c) for c in self.classes]
-        return out
-
-
-def run_census(group: FiniteGroup, k: int, *, seed: int = 0) -> CensusReport:
-    """Census one cell and package it as a report record; subgroups are
-    listed for groups of order at most 4096."""
-    meta = group.meta
-    spec = meta.get("spec")
-    subs = index_k_subgroups(group, k, seed=seed)
-    return CensusReport(spec=spec.tag if spec else group.label,
-                        q=meta.get("q", 0), n=meta.get("n", 0), k=k,
-                        order=len(group), count=len(subs),
-                        subgroups=subs if len(group) <= 4096 else None)
 

@@ -19,6 +19,10 @@ from .experiments import (EXPERIMENT_IDS, FORMATS, ExperimentConfig, Runner,
 from .ffield import make_field
 from .matgroup import builtin_specs, make_spec, mat_rows, rational_points
 
+#: `census` lists its subgroups, their reach flags and classes only for
+#: groups of at most this order
+CENSUS_LIST_ORDER = 4096
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -99,15 +103,19 @@ def cmd_census(args) -> int:
         else spec.entry_degree(args.n)
     amb = make_field(args.p, degree)
     group = rational_points(spec, args.n, amb)
-    report = census.run_census(group, args.k, seed=args.seed)
-    if catalog and report.subgroups:
-        report.reached = homs.reached_by(
-            group, [h.ids for h in report.subgroups], catalog, args.n, amb,
-            seed=args.seed)
-    if args.classes and report.subgroups:
-        report.classes = census.conjugacy_classes_of_subgroups(group,
-                                                               report.subgroups)
-    _emit(report.as_dict())
+    subs = census.index_k_subgroups(group, args.k, seed=args.seed)
+    payload = {"spec": spec.tag, "q": spec.q, "n": args.n, "k": args.k,
+               "order": len(group), "count": len(subs)}
+    if len(group) <= CENSUS_LIST_ORDER:
+        payload["subgroups"] = [{"order": h.order, "normal": h.normal,
+                                 "core_index": h.core_index} for h in subs]
+        if catalog and subs:
+            payload["reached"] = homs.reached_by(
+                group, [h.ids for h in subs], catalog, args.n, amb, seed=args.seed)
+        if args.classes and subs:
+            payload["conjugacy_classes"] = [
+                len(c) for c in census.conjugacy_classes_of_subgroups(group, subs)]
+    _emit(payload)
     return 0
 
 

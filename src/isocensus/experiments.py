@@ -156,7 +156,7 @@ class Runner:
         return self._fields[key]
 
     def group(self, spec: GroupSpec, n: int, degree: int) -> FiniteGroup:
-        key = (type(spec).__name__, spec.m, spec.p, spec.e, n, degree)
+        key = (spec, n, degree)
         if key not in self._groups:
             amb = self.field(spec.p, degree)
             self._groups[key] = rational_points(spec, n, amb)

@@ -93,8 +93,7 @@ class Isogeny:
         return self.codomain_spec.q
 
     def applies_to(self, spec: GroupSpec) -> bool:
-        c = self.codomain_spec
-        return type(spec) is type(c) and spec.m == c.m and spec.q == c.q
+        return spec == self.codomain_spec
 
     def apply(self, field: AmbientField, points: Sequence[Flat]) -> list[Flat]:
         raise NotImplementedError
@@ -288,8 +287,7 @@ class CompositeIsogeny(Isogeny):
     """outer o inner, with kernels and sections assembled from the factors."""
 
     def __init__(self, outer: Isogeny, inner: Isogeny):
-        dom, mid = outer.domain_spec, inner.codomain_spec
-        if not (type(mid) is type(dom) and mid.m == dom.m and mid.q == dom.q):
+        if inner.codomain_spec != outer.domain_spec:
             raise ValueError("composite factors do not chain: the inner "
                              "codomain must be the outer domain")
         super().__init__(inner.domain_spec, outer.codomain_spec)
@@ -370,10 +368,9 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
     (e*n for the catalog).  With sections as well: the points, the kernel
     and rational sections, e * lcm(n * section_degree(n),
     kernel_field_degree()).  Several isogenies get the lcm of their plans.
-    ValueError when n < 1.
+    ValueError when n < 1, from `entry_degree`, which runs before
+    `section_degree`.
     """
-    if n is not None and n < 1:
-        raise ValueError(f"level n must be positive, got n={n}")
     degree = 1
     for iso in isogenies:
         e = iso.base_e
@@ -439,7 +436,7 @@ def image(iso: Isogeny, n: int, ambient: AmbientField, *,
     if codomain is None:
         codomain = rational_points(iso.codomain_spec, n, ambient)
     if domain is None:
-        domain = codomain if iso.domain_spec is iso.codomain_spec \
+        domain = codomain if iso.domain_spec == iso.codomain_spec \
             else rational_points(iso.domain_spec, n, ambient)
     values = list(map(codomain.index.get, iso.apply(ambient, domain.elements)))
     if None in values:

@@ -42,7 +42,7 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 from .ffield import (AmbientField, Coeffs, Flat, VerificationError,
                      _element_of_order, factorize, subfield_generator)
 
-#: a square matrix as its tuple of rows, as `Matrix` takes and prints it
+#: a square matrix as its tuple of rows, as `mat_rows` and `Matrix.rows` give it
 Rows = tuple[tuple[Coeffs, ...], ...]
 
 #: enumerated point groups are limited to this many elements
@@ -150,8 +150,13 @@ class Matrix:
     module; a `Matrix` is one of them with its field attached.  A product is
     one `mat_mul` on the flat tuples.  Hashing, equality and order are those
     of `flat`, and ignore the field object itself: matrices are only ever
-    compared within one ambient field.  `Matrix(field, rows)` flattens
-    nested rows once, and `rows()` gives them back for printing.
+    compared within one ambient field.  `Matrix(field, rows)` is the one
+    checked constructor: it flattens nested rows once, maps an int entry by
+    `from_int`, and returns each entry as the field's own tuple
+    (`field.canonical`: ValueError naming the field for a non-element);
+    `rows()` gives the rows back for printing.  Products, `identity` and
+    `inv` come from `_flat_matrix`, whose entries are the field's own
+    results and are not checked again.
 
     Within one group every matrix is m x m, so its flat tuple is the
     concatenation of m rows of length m; two such tuples first differ at
@@ -164,20 +169,13 @@ class Matrix:
 
     __slots__ = ("field", "m", "flat")
 
-    def __init__(self, field: AmbientField, rows: Rows):
-        self.field = field
-        self.m = len(rows)
-        self.flat = tuple(x for row in rows for x in row)
-
-    @classmethod
-    def from_entries(cls, field: AmbientField, entries) -> "Matrix":
-        """The matrix of nested rows whose entries are ints (mapped by
-        `from_int`) or field elements, each returned as the field's own
-        tuple; ValueError naming the field for any other entry."""
+    def __init__(self, field: AmbientField, rows: Sequence[Sequence]):
         def entry(x):
             return field.canonical(field.from_int(x) if isinstance(x, int) else x)
 
-        return cls(field, tuple(tuple(map(entry, row)) for row in entries))
+        self.field = field
+        self.m = len(rows)
+        self.flat = tuple(entry(x) for row in rows for x in row)
 
     @classmethod
     def identity(cls, field: AmbientField, m: int) -> "Matrix":
@@ -390,7 +388,8 @@ class GroupSpec:
     and its coefficients must lie in the base field; both are structural for
     the built-ins.  `entry_degree(n)` is the subfield degree (over F_p) that
     entries of level-n rational points live in.  Points, generators and
-    predicate arguments are flat entry tuples (`Flat`).
+    predicate arguments are flat entry tuples (`Flat`).  Specs compare and
+    hash by (class, m, p, e).
     """
 
     tag: str = ""
@@ -410,6 +409,10 @@ class GroupSpec:
         return self.p**self.e
 
     def entry_degree(self, n: int) -> int:
+        """ValueError naming n when n < 1; every path that sizes a field or
+        enumerates points calls this before it uses n."""
+        if n < 1:
+            raise ValueError(f"level n must be positive, got n={n}")
         return self.e * n
 
     def frobenius_exponent(self, n: int) -> int:
@@ -436,6 +439,17 @@ class GroupSpec:
         """The product of two points over field, the op of their point
         group: `field.mat_mul`, unless the spec's shape allows less work."""
         return field.mat_mul
+
+    def __eq__(self, other: object) -> bool:
+        """Two specs are equal when they have the same class, m, p and e,
+        and so the same points at every level."""
+        return isinstance(other, GroupSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (type(self), self.m, self.p, self.e)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, q={self.q})"
@@ -764,7 +778,7 @@ class SUSpec(GroupSpec):
     strategy = "scan"
 
     def entry_degree(self, n: int) -> int:
-        return 2 * self.e * n
+        return 2 * super().entry_degree(n)
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
         conj = mat_transpose(mat_frobenius(field, mat, self.frobenius_exponent(n)))
@@ -821,8 +835,6 @@ def rational_points(spec: GroupSpec, n: int, ambient: AmbientField) -> FiniteGro
     EnumerationBound, and so does a "scan" spec whose full scan would pass
     DEFAULT_MATRIX_SCAN_LIMIT matrices.
     """
-    if n < 1:
-        raise ValueError("level n must be positive")
     if spec.p != ambient.p:
         raise ValueError("spec and ambient field have different characteristics")
     d = spec.entry_degree(n)

@@ -25,10 +25,10 @@ def _dihedral_like(p):
     field = make_field(p, 1)
     gm = rational_points(GmSpec(p), 1, field)
     gamma = gm.elements[gm.gens_hint[0]][0]
-    diag = Matrix.from_entries(field, ((gamma, field.zero),
-                                       (field.zero, field.inv(gamma))))
-    flip = Matrix.from_entries(field, ((field.zero, field.one),
-                                       (field.one, field.zero)))
+    diag = Matrix(field, ((gamma, field.zero),
+                          (field.zero, field.inv(gamma))))
+    flip = Matrix(field, ((field.zero, field.one),
+                          (field.one, field.zero)))
     return from_generators([diag, flip], Matrix.__mul__,
                            Matrix.identity(field, 2), inv=Matrix.inv,
                            label=f"N(T) in GL2(F_{p})")

@@ -1,5 +1,6 @@
 """CLI subcommands and config round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,10 +43,15 @@ def test_order_subcommand(capsys):
     ("cokernel", "--spec", "Gm", "--p", "3", "--n", "-1", "--iso", "pow:2"),
     ("census", "--spec", "NormTorus", "--p", "7", "--n", "-2", "--k", "2",
      "--reached"),
+    ("points", "--spec", "Gm", "--p", "3", "--n", "0"),
+    ("census", "--spec", "NormTorus", "--p", "7", "--n", "0", "--k", "2"),
+    ("points", "--spec", "SU", "--p", "2", "--n", "-1", "--e", "2"),
 ])
 def test_a_level_below_one_exits_2_naming_n(argv):
-    # both lines used to run without end: a negative level made the
-    # section degree a float power, whose multiplicative order never came
+    # the first two lines used to run without end: a negative level made the
+    # section degree a float power, whose multiplicative order never came;
+    # the last three size their field by spec.entry_degree, not plan_degree,
+    # and used to name the field's degree (e*n, and 2en for SU), not n
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -114,6 +120,43 @@ def test_census_subcommand_with_reached(capsys):
     assert cover_hits == 1
 
 
+# sha256 of the stdout of census lines, as printed while a report record
+# (census.CensusReport) still built them: with and without reach flags and
+# classes, with an empty census, and past the 4096-element listing limit
+CENSUS_STDOUT_SHA256 = {
+    "census --spec NormTorus --p 7 --k 2 --reached --classes":
+        "b6dfe0e8af2d3c9c588550a031c2f4b6387d487eddbae90353bf016c41c5228a",
+    "census --spec NormTorus --p 5 --k 2 --reached --classes":
+        "555e5bb9798f8225b9014fd59692501902bee71d4d1516c903faba8afe8e6547",
+    "census --spec SL --p 2 --k 3 --classes":
+        "48d15b96e64b36da7b415edcebe62bc4cf69263b20c21b000d3d9001e356a454",
+    "census --spec SL --p 17 --k 2":
+        "5c30954889988ef3b9dc28e58489ff9b32d8f40f1c73201e4d3a649e1e8d69b7",
+    "census --spec Ga --p 2 --n 3 --k 2 --classes":
+        "fae2807d958e778e2b09adb3c8ec990808d6e1864a21daa63074c9a9665a3f7b",
+    "census --spec SL --p 5 --k 2 --classes":
+        "af3bbbd3f981b8852381a821f4782a4202b4ced4f3ad965d3b200704d71e6930",
+    "census --spec NormTorus --p 2 --k 2 --reached --classes":
+        "a53b12991c1624cdd27e25fe285f37c68b6379a6ea8a28fd7e7685ba20bba8f9",
+}
+
+
+@pytest.mark.parametrize("line", list(CENSUS_STDOUT_SHA256))
+def test_census_stdout_keeps_its_bytes(capsys, line):
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[line]
+
+
+def test_census_past_the_listing_limit_prints_counts_only(capsys):
+    # NormTorus(F_67) has 66^2 = 4356 points, past cli.CENSUS_LIST_ORDER,
+    # and three subgroups of index 2: no list, reach flags or classes
+    code, payload = run_cli(capsys, "census", "--spec", "NormTorus", "--p", "67",
+                            "--k", "2", "--reached", "--classes")
+    assert code == 0 and payload["order"] == 4356 and payload["count"] == 3
+    assert sorted(payload) == ["count", "k", "n", "order", "q", "spec"]
+
+
 # payloads the CLI printed before the degree planner was shared, when it
 # raised non-split NormTorus to 2en; NormTorus(F_5) is non-split at n = 1
 NONSPLIT_F5_PAYLOADS = [
@@ -171,7 +214,8 @@ def test_every_exported_name_imports():
     # group API that no experiment or command reached is gone
     deleted = {isocensus.homs: ("quotient_by_central", "fiber_product"),
                isocensus.census: ("abelianization_invariants", "derived_subgroup",
-                                  "normal_core"),
+                                  "normal_core", "CensusReport", "run_census"),
+               isocensus.Matrix: ("from_entries",),
                isocensus.matgroup: ("pair_group",),
                isocensus.FiniteGroup: ("closure_ids",)}
     for owner, names in deleted.items():
@@ -310,7 +354,7 @@ def test_run_all_summary_structure(tmp_path):
 
 
 def test_e1_gives_a_power_map_its_codomain_points_as_domain(monkeypatch):
-    # Runner.group keys groups by spec type and level, so pow:k, whose
+    # Runner.group keys groups by spec and level, so pow:k, whose
     # domain and codomain specs agree, gets one point group for both
     seen = []
     real = homs.image

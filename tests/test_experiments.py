@@ -124,7 +124,7 @@ def test_option_counts_do_not_grow():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defaults += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert defaults <= 26
+    assert defaults <= 25
     assert len(fields(ExperimentConfig)) <= 15
 
 

@@ -508,7 +508,7 @@ def test_section_table_rejects_a_kernel_element_off_the_centralizer():
     iso = homs.PowerIsogeny(NormTorusSpec(7), 2)
     amb = make_field(7, homs.plan_degree(iso, n=1, sections=True))
     kernel, _ = homs.kernel_points(iso, amb)
-    generic = Matrix.from_entries(amb, ((1, 2), (3, 5))).flat
+    generic = Matrix(amb, ((1, 2), (3, 5))).flat
     padded = FiniteGroup([*kernel.elements, generic], amb.mat_mul,
                          kernel.identity, inv=lambda y: mat_inv(amb, y))
     codomain = rational_points(NormTorusSpec(7), 1, amb)
@@ -700,6 +700,31 @@ def test_composite_factors_must_chain():
     with pytest.raises(ValueError):
         homs.CompositeIsogeny(homs.PowerIsogeny(GmSpec(5), 2),
                               homs.NormCoverIsogeny(5))
+
+
+def test_isogenies_match_specs_by_equality(monkeypatch):
+    # factors and points built from separate but equal specs
+    outer, inner = homs.PowerIsogeny(GmSpec(5), 2), homs.PowerIsogeny(GmSpec(5), 3)
+    assert outer.applies_to(GmSpec(5)) and not outer.applies_to(GmSpec(5, 2))
+    assert not outer.applies_to(GmSpec(7)) and not outer.applies_to(NormTorusSpec(5))
+    comp = homs.CompositeIsogeny(outer, inner)
+    assert comp.applies_to(GmSpec(5))
+    with pytest.raises(ValueError, match="do not chain"):
+        homs.CompositeIsogeny(outer, homs.PowerIsogeny(GmSpec(5, 2), 3))
+    # a domain equal to the codomain reuses its points
+    built = []
+    real = homs.rational_points
+
+    def record(spec, n, amb):
+        built.append(spec)
+        return real(spec, n, amb)
+
+    monkeypatch.setattr(homs, "rational_points", record)
+    amb = make_field(5, 1)
+    assert homs.check_image_index(homs.image(comp, 1, amb)) == (2, 2, True)
+    assert built == [GmSpec(5)]
+    homs.image(homs.NormCoverIsogeny(5), 1, amb)
+    assert built[1:] == [NormTorusSpec(5), NormTorusCoverSpec(5)]
 
 
 def _schoolbook(amb, a, b):

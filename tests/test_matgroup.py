@@ -148,21 +148,36 @@ def test_canonical_order_is_deterministic():
     assert a.gens_hint == b.gens_hint
 
 
-def test_from_entries_maps_ints_and_checks_tuples():
+def test_specs_compare_and_hash_by_class_m_p_e():
+    for a, b in [(make_spec("SL", 5), SLSpec(2, 5)), (GmSpec(3, 2), GmSpec(3, 2)),
+                 (make_spec("NormTorus", 7, m=3), NormTorusSpec(7)),
+                 (make_spec("SU", 2, 2, 3), SUSpec(3, 2, 2))]:
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    base = SLSpec(2, 5)
+    others = [GLSpec(2, 5), SLSpec(3, 5), SLSpec(2, 7), SLSpec(2, 5, 2)]
+    for other in others:
+        assert base != other and other != base
+    assert len({base, *others, SLSpec(2, 5)}) == 5
+    assert NormTorusSpec(7) != NormTorusCoverSpec(7)
+    assert GmSpec(3) != "Gm" and GmSpec(3) != (GmSpec, 1, 3, 1)
+
+
+def test_matrix_maps_ints_and_checks_tuples():
     for field in (F7, make_field(7, 2), make_field(97, 2)):
         ident = Matrix.identity(field, 2)
         p = field.p
-        assert Matrix.from_entries(field, ((1, 0), (p, 1 - p))) == ident
-        g = Matrix.from_entries(field, ((3, 1), (field.from_int(5), 2)))
+        assert Matrix(field, ((1, 0), (p, 1 - p))) == ident
+        g = Matrix(field, ((3, 1), (field.from_int(5), 2)))
         assert g.flat == tuple(map(field.from_int, (3, 1, 5, 2)))
         assert g * g.inv() == ident
         one = field.one
         for bad in [(p + 2,) + one[1:], one + (0,), one[:-1], (-1,) + one[1:]]:
             with pytest.raises(ValueError, match=re.escape(f"of {field!r}")):
-                Matrix.from_entries(field, ((one, bad), (field.zero, one)))
+                Matrix(field, ((one, bad), (field.zero, one)))
     # each entry is the field's own tuple, as the field's results are
     for field in (F7, make_field(7, 2)):
-        g = Matrix.from_entries(field, ((tuple(field.from_int(3)), 0), (0, 1)))
+        g = Matrix(field, ((tuple(field.from_int(3)), 0), (0, 1)))
         assert g.flat[0] is field.mul(field.one, field.from_int(3))
         assert g.flat[1] is field.zero
 
@@ -225,7 +240,7 @@ def test_frobenius_map_examples():
     assert mat_frobenius(F4, ident, 1) == ident
     group = rational_points(SLSpec(2, 2), 2, F4)
     x = F4.element_of((0, 1))
-    g = Matrix.from_entries(F4, ((x, F4.one), (F4.one, F4.zero))).flat
+    g = Matrix(F4, ((x, F4.one), (F4.one, F4.zero))).flat
     assert g in group.index
     mapped = mat_frobenius(F4, g, 1)
     assert mapped[0] == F4.mul(x, x)
@@ -278,9 +293,8 @@ def test_from_generators_and_direct_product():
     f = F7
     gm7 = rational_points(GmSpec(7), 1, F7)
     (gamma,) = gm7.elements[gm7.gens_hint[0]]
-    diag = Matrix.from_entries(f, ((gamma, f.zero),
-                                   (f.zero, f.inv(gamma))))
-    flip = Matrix.from_entries(f, ((f.zero, f.one), (f.one, f.zero)))
+    diag = Matrix(f, ((gamma, f.zero), (f.zero, f.inv(gamma))))
+    flip = Matrix(f, ((f.zero, f.one), (f.one, f.zero)))
     dihedral = from_generators([diag, flip], Matrix.__mul__,
                                Matrix.identity(f, 2), inv=Matrix.inv)
     assert len(dihedral) == 2 * 6
