@@ -121,14 +121,7 @@ def cmd_census(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args)
-    runner = Runner(config)
-    if args.id == "all":
-        result = runner.run_all()
-    else:
-        report = runner.run(args.id)
-        result = {"reports": {args.id: report},
-                  "summary": {"all_pass": report["summary"]["pass"],
-                              "experiments": {args.id: report["summary"]}}}
+    result = Runner(config).run_all(EXPERIMENT_IDS if args.id == "all" else (args.id,))
     paths = write_reports(result, config.out_dir, config.fmt)
     _emit({"written": paths, "summary": result["summary"]})
     return 0 if result["summary"]["all_pass"] else 1

@@ -41,7 +41,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from math import gcd
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import census, homs, orderform
 from .ffield import AmbientField, factorize, is_prime, make_field, prime_power
@@ -100,6 +100,9 @@ class ExperimentConfig:
             for q in getattr(self, name):
                 if q < 2 or len(factorize(q)) != 1:
                     raise ValueError(f"{name} entry {q} is not a prime power")
+        for k in self.e12_ks:
+            if not isinstance(k, int) or k < 1:
+                raise ValueError(f"e12_ks entry {k} is not a positive integer")
         for pair in self.e4_qs:
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and is_prime(pair[0]) and pair[1] >= 1):
@@ -397,13 +400,14 @@ class Runner:
                                    minimal, self.config.e3_n_max + 1, minimal)))
         return {"experiment": experiment, "cells": cells, "summary": summary}
 
-    def run_all(self) -> dict:
-        reports = {eid: self.run(eid) for eid in EXPERIMENT_IDS}
+    def run_all(self, ids: Sequence[str]) -> dict:
+        """The reports of experiments `ids` and their summary, for `write_reports`."""
+        reports = {eid: self.run(eid) for eid in ids}
         overall = all(r["summary"]["pass"] for r in reports.values())
         return {"reports": reports,
                 "summary": {"all_pass": overall,
                             "experiments": {eid: reports[eid]["summary"]
-                                            for eid in EXPERIMENT_IDS}}}
+                                            for eid in ids}}}
 
 
 def _summarize(cells: list[dict]) -> dict:

@@ -33,8 +33,8 @@ Arithmetic takes one of two paths, fixed when the field is built:
   intermediate product as logs, and one exp lookup per entry ends it; a
   list of 1 x 1 matrices is one pass over their logs.
 * Polynomial path, for prime fields and fields above the limit: extended
-  Euclid for inverses and powers from the leading bit (`mat_pow` powers
-  each matrix of its list by `mat_mul` the same way).  A prime field with
+  Euclid for inverses and `_power` over `mul` for powers (`mat_pow` powers
+  its list by `mat_mul` the same way).  A prime field with
   p <= TABLE_COEFF_LIMIT returns its own p element tuples, as the table
   path returns its tables'; above the limit each result is new.  A product
   in F_{p^D}, 1 < D, is Kronecker-packed (Harvey, "Faster polynomial
@@ -54,6 +54,13 @@ module passes coefficient tuples to its methods, and there is no element
 wrapper with operator overloading.  `canonical` turns an outside tuple into
 the field's own, and raises unless it is an element.
 
+Each algorithm has one implementation: `_power`, square-and-multiply for
+polynomials, elements, lists of matrices and `FiniteGroup.pow_id`;
+`_poly_divmod`, polynomial division; `_first_of_order`, the exact-order
+test.  A field's own products, `_frobenius_rows` and the table walk
+included, go through `mul`; the list helpers (`_poly_mulmod`,
+`_poly_powmod`) serve the modulus search and the tests' references.
+
 Bounds are module constants, read when they are checked: DEFAULT_SIZE_LIMIT
 on p^D at construction, DEFAULT_SCAN_LIMIT on a subfield that is listed
 element by element, and TABLE_COEFF_LIMIT on the tabled fields.  A
@@ -66,7 +73,7 @@ import itertools
 import operator
 from functools import partial
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Coeffs = tuple[int, ...]
 #: an m x m matrix as the row-major tuple of its m^2 entries
@@ -161,38 +168,44 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
                 out[i + j] = (out[i + j] + ai * bj) % p
     return _trim(out)
 
-def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    a = list(a)
-    df = len(f) - 1
+def _poly_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder), both trimmed, of a by f, whose leading
+    coefficient is nonzero mod p: the one polynomial division."""
+    r, df = _trim(list(a)), len(f) - 1
+    q = [0] * max(len(r) - df, 0)
     inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        if a[-1]:
-            c = a[-1] * inv_lead % p
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % p
-        _trim(a)
-    return a
+    while len(r) > df:
+        c = r[-1] * inv_lead % p
+        shift = len(r) - 1 - df
+        q[shift] = c
+        for i, fi in enumerate(f):
+            r[shift + i] = (r[shift + i] - c * fi) % p
+        _trim(r)
+    return _trim(q), r
 
 def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _poly_mod(_poly_mul(a, b, p), f, p)
+    return _poly_divmod(_poly_mul(a, b, p), f, p)[1]
+
+def _power(mul: Callable, x, e: int):
+    """x^e for e >= 1 under an associative `mul`, the one square-and-multiply
+    (Knuth, TAOCP Vol. 2, 4.6.3): from the leading bit of e, floor(log2 e)
+    squarings and popcount(e) - 1 further products."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod f for coefficients of a in [0, p), powered from the leading
-    bit of e >= 0: floor(log2 e) squarings and popcount(e) - 1 products."""
-    if e == 0:
-        return [1]
-    base = result = _poly_mod(a, f, p)
-    for bit in bin(e)[3:]:
-        result = _poly_mulmod(result, result, f, p)
-        if bit == "1":
-            result = _poly_mulmod(result, base, f, p)
-    return result
+    """a^e mod f for e >= 0, by `_power` over `_poly_mulmod`."""
+    base = _poly_divmod(a, f, p)[1]
+    return _power(partial(_poly_mulmod, f=f, p=p), base, e) if e else [1]
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
@@ -315,7 +328,7 @@ class AmbientField:
         walk reaches q - 1 distinct elements.
         """
         n, p, d = self.order - 1, self.p, self.degree
-        f, g = list(self.modulus), list(_least_primitive(self))
+        g = _least_primitive(self)
         h, w = d // 2, (2 * p - 2).bit_length()
         low = p ** (d - h)  # the low digits of an index are N % low
 
@@ -323,8 +336,7 @@ class AmbientField:
             """Packed g c for every c supported on `digits`, in index order."""
             vecs = [(0,) * d]
             for i in digits:
-                row = _poly_mulmod(g, [0] * i + [1], f, p)
-                row += [0] * (d - len(row))
+                row = self.mul(g, self.element_of([0] * i + [1]))
                 vecs = [tuple([(a + c * b) % p for a, b in zip(v, row)])
                         for v in vecs for c in range(p)]
             return [sum(c << w * (d - 1 - i) for i, c in enumerate(v)) for v in vecs]
@@ -386,7 +398,7 @@ class AmbientField:
     def element_of(self, coeffs) -> Coeffs:
         t = tuple(c % self.p for c in coeffs)
         if len(t) > self.degree:
-            t = tuple(_poly_mod(list(t), list(self.modulus), self.p))
+            t = tuple(_poly_divmod(t, self.modulus, self.p)[1])
         t += (0,) * (self.degree - len(t))
         return self._elems[t[0]] if self.degree == 1 else t
 
@@ -507,9 +519,9 @@ class AmbientField:
     def mat_pow(self, mats: Sequence[Flat], e: int) -> list[Flat]:
         """[a^e for a in mats], for m x m matrices of one size given as
         `mat_mul` takes them, and e >= 1 (ValueError otherwise): the one
-        matrix power.  Each matrix is powered from the leading bit,
-        floor(log2 e) squarings and popcount(e) - 1 further products, and
-        each step of that is one `map` over the whole list.
+        matrix power.  The whole list is powered at once by `_power`, whose
+        product is one `map` of the matrix product over the list:
+        floor(log2 e) squarings and popcount(e) - 1 further products.
 
         On the table path, 1 x 1 matrices are one pass over their logs,
         exp[log(a) e mod (q - 1)]; for m >= 2 each entry's log is looked up
@@ -535,11 +547,7 @@ class AmbientField:
             # one tuple of m^2 logs per matrix, cut from one pass over all entries
             logs = map(log.__getitem__, itertools.chain.from_iterable(mats))
             bases = list(zip(*[logs] * size))
-        powers = bases
-        for bit in bin(e)[3:]:
-            powers = list(map(mul, powers, powers))
-            if bit == "1":
-                powers = list(map(mul, powers, bases))
+        powers = _power(lambda xs, ys: list(map(mul, xs, ys)), bases, e)
         if log is None:
             return list(powers)
         exp = self._exp
@@ -619,8 +627,9 @@ class AmbientField:
         return tuple([(r >> s & mask) % p for s in range(0, w * self.degree, w)])
 
     def inv(self, a: Coeffs) -> Coeffs:
-        """Multiplicative inverse: one log lookup on the table path, extended
-        Euclid on representatives otherwise."""
+        """Multiplicative inverse: one log lookup on the table path, one
+        modular `pow` on a prime field, and otherwise extended Euclid, each
+        step one `_poly_divmod` (several times faster than Fermat's a^(q-2))."""
         log = self._log
         if log is not None:
             la = log[a]
@@ -636,19 +645,7 @@ class AmbientField:
         r0, r1 = list(self.modulus), _trim(list(a))
         t0, t1 = [], [1]
         while r1:
-            # one division step of the extended Euclidean algorithm
-            q: list[int] = []
-            r = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv_lead % p
-                shift = len(r) - len(r1)
-                while len(q) < shift + 1:
-                    q.append(0)
-                q[shift] = c
-                for i, fi in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - c * fi) % p
-                _trim(r)
+            q, r = _poly_divmod(r0, r1, p)
             r0, r1 = r1, r
             t0, t1 = t1, _trim([(x - y) % p for x, y in
                                 itertools.zip_longest(t0, _poly_mul(q, t1, p),
@@ -659,9 +656,9 @@ class AmbientField:
 
     def pow(self, a: Coeffs, e: int) -> Coeffs:
         """a^e: one log lookup on the table path, one modular `pow` on a
-        prime field, and otherwise binary powering from the leading bit,
-        floor(log2 e) squarings and popcount(e) - 1 further products;
-        negative e inverts first."""
+        prime field, and otherwise `_power` over `mul`, floor(log2 e)
+        squarings and popcount(e) - 1 further products; negative e inverts
+        first."""
         log = self._log
         if log is not None:
             la = log[a]
@@ -674,28 +671,19 @@ class AmbientField:
             a, e = self.inv(a), -e
         if self.degree == 1:
             return self._elems[pow(a[0], e, self.p)]
-        if e == 0:
-            return self.one
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+        return _power(self.mul, a, e) if e else self.one
 
     # -- Frobenius and subfields ----------------------------------------------
 
     def _frobenius_rows(self, e: int) -> list[Coeffs]:
-        """Rows of the F_p-linear map a -> a^(p^e) on coefficient vectors."""
+        """Rows of the F_p-linear map a -> a^(p^e) on coefficient vectors: row
+        j is x^(j p^e), by the field's own `pow` and `mul`."""
         rows = self._frob_rows.get(e)
         if rows is None:
-            f, p = list(self.modulus), self.p
-            xq = _poly_powmod([0, 1], p**e, f, p)
-            rows = []
-            cur = [1]
-            for _ in range(self.degree):
-                rows.append(tuple(cur) + (0,) * (self.degree - len(cur)))
-                cur = _poly_mulmod(cur, xq, f, p)
+            xq = self.pow(self.element_of((0, 1)), self.p**e)
+            rows = [self.one]
+            for _ in range(self.degree - 1):
+                rows.append(self.mul(rows[-1], xq))
             self._frob_rows[e] = rows
         return rows
 
@@ -939,17 +927,19 @@ def _element_of_order(field: AmbientField, t: int) -> Optional[Coeffs]:
     """
     big = field.order - 1
     return None if big % t else _first_of_order(
-        field, (field.pow(z, big // t) for z in field.iter_elements()), t)
+        field.pow, field.one, (field.pow(z, big // t) for z in field.iter_elements()), t)
 
 
-def _first_of_order(field: AmbientField, candidates: Iterable[Coeffs], n: int) -> Coeffs:
-    """The first nonzero candidate of multiplicative order n, for candidates
-    in the subgroup of order n: a^(n / l) != 1 for every prime l | n."""
+def _first_of_order(power: Callable, one, candidates: Iterable, n: int):
+    """The first candidate a of exact order n, the one exact-order test:
+    a^(n / l) != one for every prime l | n and a^n = one, by power(a, c) for
+    c >= 1; a field's zero fails the last.  VerificationError when none has
+    order n: every caller's candidates hold a generator of a cyclic group."""
     checks = [n // ell for ell in factorize(n)]
     for a in candidates:
-        if any(a) and all(field.pow(a, c) != field.one for c in checks):
+        if all(power(a, c) != one for c in checks) and power(a, n) == one:
             return a
-    raise VerificationError("multiplicative group of a finite field is cyclic")
+    raise VerificationError(f"no candidate of order {n}, though their group is cyclic")
 
 
 def subfield_generator(field: AmbientField, d: int) -> Coeffs:
@@ -964,7 +954,7 @@ def subfield_generator(field: AmbientField, d: int) -> Coeffs:
     # the whole field is walked lazily: its canonical order is lexicographic
     elements = field.iter_elements() if d == field.degree \
         else field.enumerate_subfield(d)
-    return _first_of_order(field, elements, target)
+    return _first_of_order(field.pow, field.one, elements, target)
 
 
 def _least_primitive(field: AmbientField) -> Coeffs:
@@ -978,7 +968,7 @@ def _least_primitive(field: AmbientField) -> Coeffs:
     d = field.degree
     monics = ((*low, 1) + (0,) * (d - s - 1)
               for s in range(1, d) for low in itertools.product(range(field.p), repeat=s))
-    return _first_of_order(field, monics, field.order - 1)
+    return _first_of_order(field.pow, field.one, monics, field.order - 1)
 
 
 def _prime_root(field: AmbientField, x: Coeffs, ell: int) -> Optional[Coeffs]:

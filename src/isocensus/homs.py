@@ -85,10 +85,6 @@ class Isogeny:
         self.codomain_spec = codomain_spec
 
     @property
-    def base_e(self) -> int:
-        return self.codomain_spec.e
-
-    @property
     def q(self) -> int:
         return self.codomain_spec.q
 
@@ -373,7 +369,7 @@ def plan_degree(*isogenies: Isogeny, n: Optional[int] = None,
     """
     degree = 1
     for iso in isogenies:
-        e = iso.base_e
+        e = iso.codomain_spec.e
         if n is None:
             degree = lcm(degree, e * iso.kernel_field_degree())
             continue

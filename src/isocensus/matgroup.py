@@ -39,8 +39,8 @@ from functools import partial
 from math import isqrt
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from .ffield import (AmbientField, Coeffs, Flat, VerificationError,
-                     _element_of_order, factorize, subfield_generator)
+from .ffield import (AmbientField, Coeffs, Flat, VerificationError, _element_of_order,
+                     _first_of_order, _power, factorize, subfield_generator)
 
 #: a square matrix as its tuple of rows, as `mat_rows` and `Matrix.rows` give it
 Rows = tuple[tuple[Coeffs, ...], ...]
@@ -66,7 +66,7 @@ def mat_identity(field: AmbientField, m: int) -> Flat:
 
 
 def mat_rows(a: Flat) -> Rows:
-    """The nested rows of a, for printing and the eliminations of m > 2."""
+    """The nested rows of a, for printing and the elimination of m > 2."""
     m = isqrt(len(a))
     return tuple(a[i:i + m] for i in range(0, m * m, m))
 
@@ -89,26 +89,7 @@ def mat_det(field: AmbientField, a: Flat) -> Coeffs:
     if size == 4:
         a0, a1, a2, a3 = a
         return f.sub(f.mul(a0, a3), f.mul(a1, a2))
-    # Gaussian elimination with pivot tracking
-    m = isqrt(size)
-    rows = [list(r) for r in mat_rows(a)]
-    det = f.one
-    for col in range(m):
-        piv = next((r for r in range(col, m) if any(rows[r][col])), None)
-        if piv is None:
-            return f.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = f.neg(det)
-        pivot = rows[col][col]
-        det = f.mul(det, pivot)
-        inv = f.inv(pivot)
-        for r in range(col + 1, m):
-            if any(rows[r][col]):
-                factor = f.mul(rows[r][col], inv)
-                rows[r] = [f.sub(x, f.mul(factor, y))
-                           for x, y in zip(rows[r], rows[col])]
-    return det
+    return _gauss_jordan(f, a)[0]
 
 
 def mat_inv(field: AmbientField, a: Flat) -> Flat:
@@ -121,14 +102,28 @@ def mat_inv(field: AmbientField, a: Flat) -> Flat:
         det_inv = f.inv(mat_det(f, a))
         return (f.mul(a3, det_inv), f.mul(f.neg(a1), det_inv),
                 f.mul(f.neg(a2), det_inv), f.mul(a0, det_inv))
-    m = isqrt(size)
+    inv = _gauss_jordan(f, a)[1]
+    if inv is None:
+        raise ZeroDivisionError("matrix is singular")
+    return inv
+
+
+def _gauss_jordan(field: AmbientField, a: Flat) -> tuple[Coeffs, Optional[Flat]]:
+    """(det a, a^-1), or (zero, None) for a singular a: the one Gaussian
+    elimination, which reduces [a | I] to [I | a^-1] once; det is the product
+    of the pivots, negated at each row swap."""
+    f, m = field, isqrt(len(a))
     aug = [list(row) + [f.one if i == j else f.zero for j in range(m)]
            for i, row in enumerate(mat_rows(a))]
+    det = f.one
     for col in range(m):
         piv = next((r for r in range(col, m) if any(aug[r][col])), None)
         if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
+            return f.zero, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = f.neg(det)
+        det = f.mul(det, aug[col][col])
         inv = f.inv(aug[col][col])
         aug[col] = [f.mul(inv, x) for x in aug[col]]
         for r in range(m):
@@ -136,7 +131,7 @@ def mat_inv(field: AmbientField, a: Flat) -> Flat:
                 factor = aug[r][col]
                 aug[r] = [f.sub(x, f.mul(factor, y))
                           for x, y in zip(aug[r], aug[col])]
-    return tuple(x for row in aug for x in row[m:])
+    return det, tuple(x for row in aug for x in row[m:])
 
 
 class Matrix:
@@ -280,15 +275,11 @@ class FiniteGroup:
         return r
 
     def pow_id(self, i: int, e: int) -> int:
+        """The id of i^e, by `ffield._power` over `mult`: the identity for
+        e = 0, and the inverse of i powered for e < 0."""
         if e < 0:
             i, e = self.inv(i), -e
-        result, base = self.identity_id, i
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base)
-            e >>= 1
-        return result
+        return _power(self.mult, i, e) if e else self.identity_id
 
     def element_order(self, i: int) -> int:
         r = self._order_cache.get(i)
@@ -413,10 +404,6 @@ class GroupSpec:
         enumerates points calls this before it uses n."""
         if n < 1:
             raise ValueError(f"level n must be positive, got n={n}")
-        return self.e * n
-
-    def frobenius_exponent(self, n: int) -> int:
-        """Exponent t such that sigma_{q^n} is x -> x^(p^t)."""
         return self.e * n
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
@@ -615,11 +602,9 @@ class NormTorusSpec(FixedSizeSpec):
                     _norm_from_eigenvalues(field, one, g, xi)]
         # non-split: the point group is F_{Q^2}^* via a <-> a + xi*b, Q = p^d,
         # cyclic of order Q^2 - 1; its first point of that order generates
-        order = p**(2 * d) - 1
-        checks = [order // ell for ell in factorize(order)]
-        one = [mat_identity(field, 2)]
-        return [next(x for x in self.scan_points(field, n)
-                     if all(field.mat_pow([x], c) != one for c in checks))]
+        return [_first_of_order(lambda x, c: field.mat_pow([x], c)[0],
+                                mat_identity(field, 2), self.scan_points(field, n),
+                                p**(2 * d) - 1)]
 
 
 class NormTorusCoverSpec(FixedSizeSpec):
@@ -781,7 +766,8 @@ class SUSpec(GroupSpec):
         return 2 * super().entry_degree(n)
 
     def predicate(self, mat: Flat, field: AmbientField, n: int) -> bool:
-        conj = mat_transpose(mat_frobenius(field, mat, self.frobenius_exponent(n)))
+        # sigma_{q^n} is x -> x^(p^(e n))
+        conj = mat_transpose(mat_frobenius(field, mat, self.e * n))
         return field.mat_mul(conj, mat) == mat_identity(field, self.m) \
             and mat_det(field, mat) == field.one
 

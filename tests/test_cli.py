@@ -11,7 +11,7 @@ import pytest
 from corpus import is_normal, is_subgroup
 from isocensus import census, homs
 from isocensus.cli import build_parser, main
-from isocensus.experiments import ExperimentConfig, Runner, write_reports
+from isocensus.experiments import EXPERIMENT_IDS, ExperimentConfig, Runner, write_reports
 from isocensus.matgroup import GmSpec
 
 
@@ -345,7 +345,7 @@ def test_experiment_subcommand_writes_reports(tmp_path, capsys):
 
 def test_run_all_summary_structure(tmp_path):
     runner = Runner(ExperimentConfig(**SMALL))
-    result = runner.run_all()
+    result = runner.run_all(EXPERIMENT_IDS)
     assert set(result["reports"]) == {f"E{i}" for i in range(1, 9)}
     assert result["summary"]["all_pass"]
     paths = write_reports(result, str(tmp_path / "r"), "both")

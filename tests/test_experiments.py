@@ -102,6 +102,9 @@ def test_a_failed_group_build_is_retried_by_the_next_cell(monkeypatch, eid, per_
     ({"e4_qs": [[5, 0]]}, r"e4_qs entry \(5, 0\)"),
     ({"e4_qs": [5]}, "e4_qs entry 5 "),
     ({"e8_ps": [2, 4]}, "e8_ps entry 4 is not prime"),
+    # gcd(0, q) = q would skip every pow cell; -2 would fail every one
+    ({"e12_ks": [0]}, "e12_ks entry 0 is not a positive integer"),
+    ({"e12_ks": [3, -2]}, "e12_ks entry -2 is not a positive integer"),
 ])
 def test_a_grid_entry_that_names_no_field_is_rejected(data, named):
     with pytest.raises(ValueError, match=named):

@@ -755,6 +755,23 @@ def test_poly_powmod_is_the_repeated_product(p, degree):
             ref = ffield._poly_mulmod(ref, a, f, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 97])
+def test_poly_divmod_is_a_division_with_remainder(p):
+    rng = random.Random(p)
+    for _ in range(80):
+        # a divisor of degree 0 to 5 with a leading coefficient other than 1,
+        # and a dividend of any degree up to 11, trailing zeros included
+        f = [rng.randrange(p) for _ in range(rng.randrange(6))] + [rng.randrange(1, p)]
+        a = [rng.randrange(p) for _ in range(rng.randrange(12))] + [0] * rng.randrange(2)
+        q, r = ffield._poly_divmod(a, f, p)
+        assert len(r) < len(f) and (not r or r[-1]) and (not q or q[-1])
+        back = list(r) + [0] * (len(q) + len(f))
+        for i, qi in enumerate(q):
+            for j, fj in enumerate(f):
+                back[i + j] = (back[i + j] + qi * fj) % p
+        assert ffield._trim(back) == ffield._trim(list(a)), (a, f)
+
+
 @pytest.mark.parametrize("p,degree,modulus", [
     (7, 12, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 3, 1)),
     (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),

@@ -235,6 +235,70 @@ def test_matrix_inverse_roundtrip():
             Matrix.identity(F9, 2)
 
 
+def cofactor_det(field, rows):
+    """Laplace expansion along the first row: a determinant that shares no
+    code with the elimination."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = field.zero
+    for j, x in enumerate(rows[0]):
+        term = field.mul(x, cofactor_det(field, [r[:j] + r[j + 1:] for r in rows[1:]]))
+        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
+    return total
+
+
+@pytest.mark.parametrize("field", [F7, F9, make_field(7, 6)])
+def test_det_and_inverse_by_elimination_at_m_3_and_4(field):
+    # a prime field, a tabled field and F_{7^6} past the table limit
+    assert (field._log is not None) == (field is F9)
+    rng = random.Random(field.order)
+    p, d = field.p, field.degree
+
+    def entry():
+        # one in three zero, so pivots are missing and rows are swapped
+        return field.zero if rng.random() < 1 / 3 else \
+            field.element_of([rng.randrange(p) for _ in range(d)])
+
+    for m in (3, 4):
+        ident = mat_identity(field, m)
+        mats = [tuple(entry() for _ in range(m * m)) for _ in range(24)]
+        # singular: the last row the sum of the first two; the zero matrix
+        rows = [list(r) for r in mat_rows(mats[0])]
+        rows[-1] = [field.add(x, y) for x, y in zip(rows[0], rows[1])]
+        mats += [tuple(x for r in rows for x in r), (field.zero,) * (m * m)]
+        dets = [mat_det(field, a) for a in mats]
+        assert dets[-2:] == [field.zero] * 2
+        assert sum(any(x) for x in dets) > len(mats) // 3
+        for a, b, det_a, det_b in zip(mats, mats[1:], dets, dets[1:]):
+            assert det_a == cofactor_det(field, mat_rows(a))
+            assert mat_det(field, field.mat_mul(a, b)) == field.mul(det_a, det_b)
+            if any(det_a):
+                inv = mat_inv(field, a)
+                assert field.mat_mul(a, inv) == ident == field.mat_mul(inv, a)
+            else:
+                with pytest.raises(ZeroDivisionError, match="singular"):
+                    mat_inv(field, a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rational_points(GLSpec(2, 3), 1, F3),
+    lambda: rational_points(SLSpec(2, 17), 1, make_field(17, 1)),
+], ids=["GL2_3", "SL2_17"])
+def test_pow_id_is_the_repeated_product(build):
+    # GL2(F_3) caches its products; SL2(F_17), 4896 elements, does not
+    group = build()
+    assert len(group) in (48, 4896)
+    assert (len(group) <= matgroup.TABLE_THRESHOLD) == (len(group) == 48)
+    rng = random.Random(len(group))
+    for i in rng.sample(range(len(group)), 8):
+        inv, up, down = group.inv(i), group.identity_id, group.identity_id
+        for e in range(41):
+            assert group.pow_id(i, e) == up, (i, e)
+            if e <= 9:
+                assert group.pow_id(i, -e) == down, (i, -e)
+            up, down = group.mult(up, i), group.mult(down, inv)
+
+
 def test_frobenius_map_examples():
     ident = mat_identity(F4, 2)
     assert mat_frobenius(F4, ident, 1) == ident
@@ -393,6 +457,20 @@ def test_norm_torus_generators_need_a_cube_root_of_unity(monkeypatch):
     with pytest.raises(VerificationError,
                        match="ambient field must contain cube roots of unity"):
         rational_points(NormTorusSpec(7), 1, F7)
+
+
+def test_a_non_split_torus_scan_without_a_generator_raises(monkeypatch):
+    # NormTorus(F_5) is non-split, its points cyclic of order 24; a scan
+    # that yields only the index-2 subgroup holds no generator
+    spec, ident = NormTorusSpec(5), mat_identity(F5, 2)
+    [gen] = spec.point_generators(F5, 1)
+    assert F5.mat_pow([gen], 12) != [ident]
+    scan = NormTorusSpec.scan_points
+    monkeypatch.setattr(NormTorusSpec, "scan_points", lambda self, field, n: (
+        x for x in scan(self, field, n) if field.mat_pow([x], 12) == [ident]))
+    assert len(list(spec.scan_points(F5, 1))) == 12
+    with pytest.raises(VerificationError, match="no candidate of order 24"):
+        spec.point_generators(F5, 1)
 
 
 def _scan_by_predicate(field, d, cover):
